@@ -89,6 +89,7 @@ type 'env t = {
   mutable errors : int;
   mutable pruned : int;
   mutable tests : Testcase.t list;
+  mutable ntests : int; (* List.length tests *)
   mutable broken_replays : int;
   mutable replays_done : int;
   mutable jobs_sent : int;
@@ -128,6 +129,7 @@ let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
       errors = 0;
       pruned = 0;
       tests = [];
+      ntests = 0;
       broken_replays = 0;
       replays_done = 0;
       jobs_sent = 0;
@@ -213,9 +215,11 @@ let record_finished w (st, term) =
   | Errors.Exit _ | Errors.Error _ ->
     w.paths_completed <- w.paths_completed + 1;
     if Errors.is_error term then w.errors <- w.errors + 1;
-    if List.length w.tests < w.collect_tests then begin
+    if w.ntests < w.collect_tests then begin
       match Testcase.of_state w.cfg.Executor.solver st term with
-      | Some tc -> w.tests <- tc :: w.tests
+      | Some tc ->
+        w.tests <- tc :: w.tests;
+        w.ntests <- w.ntests + 1
       | None -> ()
     end
 

@@ -67,6 +67,7 @@ type 'env t = {
   mutable errors : int;
   mutable pruned : int;
   mutable tests : Engine.Testcase.t list;
+  mutable ntests : int;  (** [List.length tests], kept so the cap check is O(1) *)
   mutable broken_replays : int;
   mutable replays_done : int;
   mutable jobs_sent : int;

@@ -4,228 +4,219 @@
    "an interleaving of random-path and coverage-optimized strategies");
    the cluster layer coordinates them globally via the coverage overlay.
 
-   All searchers share one interface and support removal by path, so an
-   interleaved searcher can keep several orderings over the same state
-   population.  A state's path is its unique key. *)
+   Every strategy is a pick policy over one core (DESIGN.md, "Searcher
+   core"):
+   - a slot table holds the live states; the count-annotated {!Trie}
+     maps each state's path (its unique key) to its slot and drives the
+     random-path descent;
+   - dfs/bfs thread a doubly-linked stack/queue through the slots;
+   - coverage-optimized weights live in an array-backed sum tree over
+     the slots: an O(log n) weighted pick;
+   - [select] checks the chosen slot out instead of removing it.  An
+     [add] whose state carries physically the checked-out newest-first
+     path list is the same node stepped without forking, and is written
+     back into the slot.  Any other [add], [select] or [remove] first
+     retires the checkout, freeing the slot. *)
 
 type 'env t = {
   add : 'env State.t -> unit;
-  select : unit -> 'env State.t option; (* removes the state *)
+  select : unit -> 'env State.t option; (* checks the state out *)
   remove : Path.t -> unit;
-  size : unit -> int;
-  pending : unit -> int;
-  (* diagnostic: entries in the internal ordering structure, including
-     stale ones awaiting compaction; equals [size] for searchers without
-     lazy deletion.  Lets tests assert stale entries stay bounded. *)
+  size : unit -> int; (* the checked-out state excluded *)
 }
 
-let key st = Path.to_string (State.path st)
-let key_of_path p = Path.to_string p
+type policy =
+  | Dfs
+  | Bfs
+  | Random_path of Random.State.t
+  | Cov_opt of Random.State.t
+  | Interleaved of Random.State.t
 
-(* --- depth-first / breadth-first -------------------------------------------- *)
+type 'env core = {
+  policy : policy;
+  index : int Trie.t; (* path -> slot *)
+  mutable cap : int;
+  mutable states : 'env State.t option array;
+  mutable next : int array; (* dfs/bfs order, or the free chain; -1 ends both *)
+  mutable prev : int array;
+  mutable sums : Float.Array.t; (* slot i's weight at leaf cap + i; node k = 2k + (2k + 1) *)
+  mutable head : int;
+  mutable tail : int;
+  mutable free : int;
+  mutable live : int; (* the checked-out slot excluded *)
+  mutable out : int; (* checked-out slot, or -1 *)
+  mutable cov_turn : bool; (* interleaved: the next pick is coverage-optimized *)
+}
 
-(* Both keep an ordering of keys next to the key -> state table.  Keys are
-   deduplicated through a membership set: re-adding a stepped (unforked)
-   state — which the driver does on every step — replaces the table
-   binding without pushing a second copy of the key, so the ordering
-   stays O(live states), not O(steps).  Stale keys (left by [remove],
-   e.g. job transfers or interleaving) are skipped lazily on pop and
-   compacted away once they outnumber the live population. *)
+let ordered c = match c.policy with Dfs | Bfs -> true | _ -> false
+let weighted c = match c.policy with Cov_opt _ | Interleaved _ -> true | _ -> false
 
-let stale_bound live = (2 * live) + 64
+(* States that recently covered new code weigh more: a proxy for
+   "estimated distance to an uncovered line" (paper section 7).  A
+   state's weight is fixed while it is queued. *)
+let weight st = 1.0 /. float_of_int (1 + st.State.steps - st.State.last_new_cover)
 
-let dfs () =
-  let table : (string, 'env State.t) Hashtbl.t = Hashtbl.create 64 in
-  let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let stack = ref [] in
-  let rec pop () =
-    match !stack with
-    | [] -> None
-    | k :: rest -> (
-      stack := rest;
-      Hashtbl.remove queued k;
-      match Hashtbl.find_opt table k with
-      | Some st ->
-        Hashtbl.remove table k;
-        Some st
-      | None -> pop () (* removed earlier: skip the stale key *))
-  in
-  let compact () =
-    if Hashtbl.length queued > stale_bound (Hashtbl.length table) then begin
-      stack := List.filter (Hashtbl.mem table) !stack;
-      Hashtbl.reset queued;
-      List.iter (fun k -> Hashtbl.replace queued k ()) !stack
-    end
-  in
-  {
-    add =
-      (fun st ->
-        let k = key st in
-        Hashtbl.replace table k st;
-        if not (Hashtbl.mem queued k) then begin
-          Hashtbl.replace queued k ();
-          stack := k :: !stack
-        end);
-    select = pop;
-    remove =
-      (fun p ->
-        Hashtbl.remove table (key_of_path p);
-        compact ());
-    size = (fun () -> Hashtbl.length table);
-    pending = (fun () -> Hashtbl.length queued);
-  }
+let set_weight c i w =
+  let s = c.sums in
+  let k = ref (c.cap + i) in
+  Float.Array.set s !k w;
+  while !k > 1 do
+    k := !k / 2;
+    Float.Array.set s !k (Float.Array.get s (2 * !k) +. Float.Array.get s ((2 * !k) + 1))
+  done
 
-let bfs () =
-  let table : (string, 'env State.t) Hashtbl.t = Hashtbl.create 64 in
-  let queued : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let q = Queue.create () in
-  let rec pop () =
-    match Queue.take_opt q with
-    | None -> None
-    | Some k -> (
-      Hashtbl.remove queued k;
-      match Hashtbl.find_opt table k with
-      | Some st ->
-        Hashtbl.remove table k;
-        Some st
-      | None -> pop ())
-  in
-  let compact () =
-    if Hashtbl.length queued > stale_bound (Hashtbl.length table) then begin
-      let live = Queue.create () in
-      Queue.iter (fun k -> if Hashtbl.mem table k then Queue.add k live) q;
-      Queue.clear q;
-      Queue.transfer live q;
-      Hashtbl.reset queued;
-      Queue.iter (fun k -> Hashtbl.replace queued k ()) q
-    end
-  in
-  {
-    add =
-      (fun st ->
-        let k = key st in
-        Hashtbl.replace table k st;
-        if not (Hashtbl.mem queued k) then begin
-          Hashtbl.replace queued k ();
-          Queue.add k q
-        end);
-    select = pop;
-    remove =
-      (fun p ->
-        Hashtbl.remove table (key_of_path p);
-        compact ());
-    size = (fun () -> Hashtbl.length table);
-    pending = (fun () -> Hashtbl.length queued);
-  }
-
-(* --- random-path ----------------------------------------------------------------- *)
-
-(* KLEE's random-path searcher: walk the execution tree from the root,
-   picking a uniformly random child at each internal node, until reaching
-   a leaf state.  Deep subtrees thus do not dominate selection.  The
-   alive states' paths live in the shared count-annotated {!Trie}. *)
-
-let random_path ~rng () =
-  let root : 'env State.t Trie.t = Trie.create () in
-  let rec select () =
-    match Trie.random_pick rng root with
-    | None -> None
-    | Some st -> if Trie.remove root (State.path st) then Some st else select ()
-  in
-  {
-    add = (fun st -> Trie.add root (State.path st) st);
-    select;
-    remove = (fun p -> ignore (Trie.remove root p));
-    size = (fun () -> Trie.size root);
-    pending = (fun () -> Trie.size root);
-  }
-
-(* --- coverage-optimized -------------------------------------------------------------- *)
-
-(* Weighted random selection: states that recently covered new code get
-   high weight — a proxy for "estimated distance to an uncovered line"
-   (paper section 7: coverage-optimized strategy). *)
-
-let coverage_optimized ~rng () =
-  let table : (string, 'env State.t) Hashtbl.t = Hashtbl.create 64 in
-  let weight st =
-    let staleness = st.State.steps - st.State.last_new_cover in
-    1.0 /. float_of_int (1 + staleness)
-  in
-  let select () =
-    if Hashtbl.length table = 0 then None
+(* Descend by the running target; a zero right sibling sends float
+   slack left, so the leaf reached always has positive weight. *)
+let weighted_slot rng c =
+  let s = c.sums in
+  let target = ref (Random.State.float rng (Float.Array.get s 1)) in
+  let k = ref 1 in
+  while !k < c.cap do
+    let l = 2 * !k in
+    let wl = Float.Array.get s l in
+    if !target < wl || Float.Array.get s (l + 1) = 0.0 then k := l
     else begin
-      let total = Hashtbl.fold (fun _ st acc -> acc +. weight st) table 0.0 in
-      let target = Random.State.float rng total in
-      let chosen = ref None in
-      let acc = ref 0.0 in
-      (try
-         Hashtbl.iter
-           (fun k st ->
-             acc := !acc +. weight st;
-             if !acc >= target then begin
-               chosen := Some (k, st);
-               raise Exit
-             end)
-           table
-       with Exit -> ());
-      match !chosen with
-      | Some (k, st) ->
-        Hashtbl.remove table k;
-        Some st
-      | None ->
-        (* floating-point slack: fall back to any state *)
-        let any = Hashtbl.fold (fun k st acc -> match acc with None -> Some (k, st) | s -> s) table None in
-        (match any with
-        | Some (k, st) ->
-          Hashtbl.remove table k;
-          Some st
-        | None -> None)
+      target := !target -. wl;
+      k := l + 1
     end
-  in
-  {
-    add = (fun st -> Hashtbl.replace table (key st) st);
-    select;
-    remove = (fun p -> Hashtbl.remove table (key_of_path p));
-    size = (fun () -> Hashtbl.length table);
-    pending = (fun () -> Hashtbl.length table);
-  }
+  done;
+  !k - c.cap
 
-(* --- interleaved ------------------------------------------------------------------------ *)
+let random_slot rng c = Option.get (Trie.random_pick rng c.index)
 
-(* Alternate between sub-strategies over the same state population — the
-   KLEE/Cloud9 default interleaves random-path with coverage-optimized. *)
-let interleave subs =
-  match subs with
-  | [] -> invalid_arg "Searcher.interleave: no sub-searchers"
-  | _ ->
-    let subs = Array.of_list subs in
-    let turn = ref 0 in
-    let select () =
-      let n = Array.length subs in
-      let rec try_from k attempts =
-        if attempts = 0 then None
-        else
-          match subs.(k).select () with
-          | Some st ->
-            (* keep the populations consistent *)
-            Array.iteri (fun i s -> if i <> k then s.remove (State.path st)) subs;
-            turn := (k + 1) mod n;
-            Some st
-          | None -> try_from ((k + 1) mod n) (attempts - 1)
-      in
-      try_from !turn n
+(* Doubling keeps the sum tree's leaves at [cap, 2 cap); the new slots
+   join the (empty) free chain in ascending order. *)
+let grow c =
+  let old = c.cap and cap = max 16 (2 * c.cap) in
+  let extend a fill = Array.append a (Array.make (cap - old) fill) in
+  c.states <- extend c.states None;
+  c.next <- extend c.next (-1);
+  c.prev <- extend c.prev (-1);
+  let s = Float.Array.make (2 * cap) 0.0 in
+  Float.Array.blit c.sums old s cap old;
+  for k = cap - 1 downto 1 do
+    Float.Array.set s k (Float.Array.get s (2 * k) +. Float.Array.get s ((2 * k) + 1))
+  done;
+  c.sums <- s;
+  c.cap <- cap;
+  for i = cap - 1 downto old do
+    c.next.(i) <- c.free;
+    c.free <- i
+  done
+
+(* dfs pushes at the head, bfs at the tail; both pop the head. *)
+let link c i =
+  let p, n = match c.policy with Dfs -> (-1, c.head) | _ -> (c.tail, -1) in
+  c.prev.(i) <- p;
+  c.next.(i) <- n;
+  if p < 0 then c.head <- i else c.next.(p) <- i;
+  if n < 0 then c.tail <- i else c.prev.(n) <- i
+
+let unlink c i =
+  let p = c.prev.(i) and n = c.next.(i) in
+  if p < 0 then c.head <- n else c.next.(p) <- n;
+  if n < 0 then c.tail <- p else c.prev.(n) <- p
+
+(* Queue [st] in slot [i], which is not in the ordering. *)
+let store c i st =
+  c.states.(i) <- Some st;
+  if weighted c then set_weight c i (weight st);
+  if ordered c then link c i;
+  c.live <- c.live + 1
+
+(* Free slot [i], whose state has path [p] and is out of the ordering. *)
+let release c i p =
+  ignore (Trie.remove c.index p);
+  c.states.(i) <- None;
+  if weighted c then set_weight c i 0.0;
+  c.next.(i) <- c.free;
+  c.free <- i
+
+let retire c =
+  let i = c.out in
+  if i >= 0 then begin
+    c.out <- -1;
+    Option.iter (fun st -> release c i (State.path st)) c.states.(i)
+  end
+
+let add c st =
+  let i = c.out in
+  match if i >= 0 then c.states.(i) else None with
+  | Some o when o.State.path == st.State.path ->
+    c.out <- -1;
+    store c i st
+  | _ -> (
+    retire c;
+    let p = State.path st in
+    match Trie.find c.index p with
+    | Some i ->
+      c.states.(i) <- Some st;
+      if weighted c then set_weight c i (weight st)
+    | None ->
+      if c.free < 0 then grow c;
+      let i = c.free in
+      c.free <- c.next.(i);
+      Trie.add c.index p i;
+      store c i st)
+
+let select c () =
+  retire c;
+  if c.live = 0 then None
+  else begin
+    let i =
+      match c.policy with
+      | Dfs | Bfs -> c.head
+      | Random_path rng -> random_slot rng c
+      | Cov_opt rng -> weighted_slot rng c
+      | Interleaved rng ->
+        let cov = c.cov_turn in
+        c.cov_turn <- not cov;
+        if cov then weighted_slot rng c else random_slot rng c
     in
-    {
-      add = (fun st -> Array.iter (fun s -> s.add st) subs);
-      select;
-      remove = (fun p -> Array.iter (fun s -> s.remove p) subs);
-      size = (fun () -> subs.(0).size ());
-      pending = (fun () -> Array.fold_left (fun acc s -> acc + s.pending ()) 0 subs);
-    }
+    if ordered c then unlink c i;
+    c.live <- c.live - 1;
+    c.out <- i;
+    c.states.(i)
+  end
 
-(* The searcher used in the paper's evaluation. *)
-let default ~rng () = interleave [ random_path ~rng (); coverage_optimized ~rng () ]
+let remove c p =
+  retire c;
+  match Trie.find c.index p with
+  | None -> ()
+  | Some i ->
+    if ordered c then unlink c i;
+    c.live <- c.live - 1;
+    release c i p
+
+let make policy =
+  let c =
+    {
+      policy;
+      index = Trie.create ();
+      cap = 0;
+      states = [||];
+      next = [||];
+      prev = [||];
+      sums = Float.Array.make 0 0.0;
+      head = -1;
+      tail = -1;
+      free = -1;
+      live = 0;
+      out = -1;
+      cov_turn = false;
+    }
+  in
+  grow c;
+  { add = add c; select = select c; remove = remove c; size = (fun () -> c.live) }
+
+let dfs () = make Dfs
+let bfs () = make Bfs
+let random_path ~rng () = make (Random_path rng)
+let coverage_optimized ~rng () = make (Cov_opt rng)
+
+(* The searcher used in the paper's evaluation: random-path and
+   coverage-optimized picks alternate, random-path first. *)
+let default ~rng () = make (Interleaved rng)
 
 let names = [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved"; "default" ]
 

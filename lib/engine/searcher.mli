@@ -1,19 +1,17 @@
 (** Exploration strategies: which candidate state to execute next.
 
-    All searchers share one interface and support removal by path (a
-    state's path is its unique key), so an interleaved searcher can keep
-    several orderings over the same state population. *)
+    Every strategy is a pick policy over one slot table, indexed by path
+    (a state's path is its unique key).  [select] checks the chosen state
+    out: an [add] of a state whose newest-first [State.path] field is
+    physically the checked-out one (the step did not fork) writes it back
+    into its slot; any other [add], [select] or [remove] first retires
+    the checkout. *)
 
 type 'env t = {
   add : 'env State.t -> unit;
-  select : unit -> 'env State.t option;  (** removes the selected state *)
+  select : unit -> 'env State.t option;  (** checks the selected state out *)
   remove : Path.t -> unit;
-  size : unit -> int;
-  pending : unit -> int;
-      (** Diagnostic: entries in the internal ordering structure, including
-          stale ones awaiting compaction; equals [size] for searchers
-          without lazy deletion.  Tests assert stale entries stay bounded
-          relative to the live population. *)
+  size : unit -> int;  (** queued states, the checked-out one excluded *)
 }
 
 val dfs : unit -> 'env t
@@ -25,13 +23,12 @@ val bfs : unit -> 'env t
 val random_path : rng:Random.State.t -> unit -> 'env t
 
 (** Weighted random selection favoring states that recently covered new
-    code (the coverage-optimized strategy of the paper's evaluation). *)
+    code (the coverage-optimized strategy of the paper's evaluation);
+    O(log n) per pick. *)
 val coverage_optimized : rng:Random.State.t -> unit -> 'env t
 
-(** Alternate between sub-strategies over one shared population. *)
-val interleave : 'env t list -> 'env t
-
-(** The paper's evaluation default: random-path + coverage-optimized. *)
+(** The paper's evaluation default: random-path and coverage-optimized
+    picks alternate over one population. *)
 val default : rng:Random.State.t -> unit -> 'env t
 
 (** The strategy names {!of_name} accepts, in documentation order. *)

@@ -67,18 +67,21 @@ let rec remove t path =
       removed)
 
 (* Random-path descent (KLEE's strategy, paper section 7): from the root,
-   choose uniformly among "the payload here" and each nonempty child. *)
+   choose uniformly among "the payload here" and each nonempty child, in
+   that order.  Counts the options and indexes them in place, so the
+   descent allocates nothing. *)
 let rec random_pick rng t =
-  let options =
-    (match t.payload with Some _ -> [ `Here ] | None -> [])
-    @ List.filter_map (fun (_, n) -> if n.count > 0 then Some (`Child n) else None) t.children
-  in
-  match options with
-  | [] -> None
-  | _ -> (
-    match List.nth options (Random.State.int rng (List.length options)) with
-    | `Here -> t.payload
-    | `Child n -> random_pick rng n)
+  let here = match t.payload with Some _ -> 1 | None -> 0 in
+  let live = List.fold_left (fun k (_, n) -> if n.count > 0 then k + 1 else k) here t.children in
+  if live = 0 then None
+  else
+    let r = Random.State.int rng live in
+    if r < here then t.payload else random_pick rng (nth_live (r - here) t.children)
+
+and nth_live i = function
+  | [] -> invalid_arg "Trie.nth_live"
+  | (_, n) :: rest ->
+    if n.count = 0 then nth_live i rest else if i = 0 then n else nth_live (i - 1) rest
 
 let iter f t =
   let rec go t =

@@ -157,6 +157,20 @@ let test_worker_replays_virtual_jobs () =
   Alcotest.(check bool) "replay instructions accounted" true
     (dst.Cluster.Worker.cfg.Engine.Executor.stats.Engine.Executor.replay_instrs > 0)
 
+let test_worker_caps_collected_tests () =
+  let w = make_worker ~collect_tests:3 workload 0 in
+  Cluster.Worker.seed_root w;
+  let rec run n =
+    if n > 0 && w.Cluster.Worker.paths_completed < 10 then begin
+      ignore (Cluster.Worker.execute w ~budget:500);
+      run (n - 1)
+    end
+  in
+  run 1000;
+  Alcotest.(check bool) "more paths than the cap" true (w.Cluster.Worker.paths_completed >= 10);
+  Alcotest.(check int) "exactly collect_tests tests kept" 3 (List.length w.Cluster.Worker.tests);
+  Alcotest.(check int) "counter matches" 3 w.Cluster.Worker.ntests
+
 (* --- prefix handoff: properties at the worker level --------------------------------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -385,6 +399,7 @@ let () =
         [
           Alcotest.test_case "transfer fences source" `Quick test_worker_transfer_fences_source;
           Alcotest.test_case "replay of virtual jobs" `Quick test_worker_replays_virtual_jobs;
+          Alcotest.test_case "collected tests capped" `Quick test_worker_caps_collected_tests;
         ] );
       ( "prefix-handoff",
         qsuite

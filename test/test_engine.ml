@@ -172,9 +172,9 @@ let test_searchers_agree_on_path_count () =
     [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved" ]
 
 (* Regression for the dfs/bfs stale-key leak: the driver re-adds the
-   stepped state every step under the same path key, and interleaving /
-   job transfers remove states behind the ordering structure's back.
-   Neither pattern may grow the internal queue beyond O(live states). *)
+   stepped state every step, and job transfers remove states behind the
+   ordering's back.  Neither pattern may lose or duplicate a state (the
+   model-based property in test_props.ml covers the general case). *)
 let test_searcher_no_stale_key_leak () =
   let program = compile sym_branch_unit in
   let st0 = Engine.State.init program ~env:() ~args:[] in
@@ -190,10 +190,6 @@ let test_searcher_no_stale_key_leak () =
         | None -> Alcotest.failf "%s lost the only state" name
       done;
       Alcotest.(check int) (name ^ ": one live state") 1 (s.Engine.Searcher.size ());
-      Alcotest.(check bool)
-        (name ^ ": no duplicate keys queued")
-        true
-        (s.Engine.Searcher.pending () <= 2);
       (* transfer pattern: add a distinct path, then remove it — 1000 times *)
       for i = 1 to 1000 do
         let st = state_at [ Engine.Path.Sys i ] in
@@ -201,17 +197,122 @@ let test_searcher_no_stale_key_leak () =
         s.Engine.Searcher.remove (Engine.State.path st)
       done;
       Alcotest.(check int) (name ^ ": removed states gone") 1 (s.Engine.Searcher.size ());
-      Alcotest.(check bool)
-        (name ^ ": stale keys compacted (pending "
-        ^ string_of_int (s.Engine.Searcher.pending ())
-        ^ ")")
-        true
-        (s.Engine.Searcher.pending () <= 70);
-      (* the surviving state is still selectable *)
-      match s.Engine.Searcher.select () with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s lost the live state after churn" name)
+      (* the surviving state is still selectable, and only once *)
+      (match s.Engine.Searcher.select () with
+      | Some st -> Alcotest.(check bool) (name ^ ": the root survives") true (st.Engine.State.path = [])
+      | None -> Alcotest.failf "%s lost the live state after churn" name);
+      Alcotest.(check bool) (name ^ ": then empty") true (s.Engine.Searcher.select () = None))
     [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved" ]
+
+(* Three forks on two symbolic bytes, one arm infeasible: 7 paths over 100
+   selections. *)
+let multi_fork_unit =
+  cunit ~entry:"main"
+    [
+      fn "main" [] (Some u32)
+        [
+          decl_arr "x" u8 2;
+          mk_symbolic "x" 2 "x";
+          decl "r" u32 (Some (n 0));
+          if_ (idx (v "x") (n 0) <! n 10) [ set (v "r") (n 1) ] [ set (v "r") (n 2) ];
+          if_ (idx (v "x") (n 1) <! n 20) [ set (v "r") (v "r" +! n 4) ] [];
+          if_ (idx (v "x") (n 0) ==! idx (v "x") (n 1)) [ halt (v "r") ] [ halt (n 9) ];
+        ];
+    ]
+
+(* The path of every selection, run-length encoded as "path*count" ("."
+   for the root, "*1" omitted). *)
+let selection_trace strategy =
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 7 |]) strategy in
+  let seq = ref [] in
+  let select () =
+    let r = s.Engine.Searcher.select () in
+    Option.iter (fun st -> seq := Engine.Path.to_string (Engine.State.path st) :: !seq) r;
+    r
+  in
+  let searcher = { s with Engine.Searcher.select } in
+  ignore (Engine.Driver.run_pure ~searcher (compile multi_fork_unit) ~args:[]);
+  let rec runs acc = function
+    | [] -> acc
+    | p :: rest -> (
+      match acc with
+      | (q, k) :: acc' when q = p -> runs ((q, k + 1) :: acc') rest
+      | _ -> runs ((p, 1) :: acc) rest)
+  in
+  runs [] !seq
+  |> List.map (fun (p, k) -> (if p = "" then "." else p) ^ if k = 1 then "" else "*" ^ string_of_int k)
+  |> String.concat " "
+
+(* Pinned from the per-key ordering the slot-table core replaced: dfs and
+   bfs must select the same paths in the same order. *)
+let test_dfs_bfs_order_pinned () =
+  Alcotest.(check string) "dfs" ".*14 F*10 FF*12 FFF*2 FFT*2 FT*14 FTF*2 FTT*2 T*10 TF*14 TT*14 TTF*2 TTT*2"
+    (selection_trace "dfs");
+  Alcotest.(check string) "bfs"
+    (".*14" ^ String.concat "" (List.init 10 (fun _ -> " T F"))
+    ^ String.concat "" (List.init 12 (fun _ -> " TT TF FT FF"))
+    ^ " TT TF FT FFT FFF TT TF FT FFT FFF TTT TTF FTT FTF TTT TTF FTT FTF")
+    (selection_trace "bfs")
+
+(* Pearson's statistic of observed counts against expected shares. *)
+let chi_square counts shares =
+  let total = float_of_int (Array.fold_left ( + ) 0 counts) in
+  let sum = Array.fold_left ( +. ) 0.0 shares in
+  let x = ref 0.0 in
+  Array.iteri
+    (fun i c ->
+      let e = total *. shares.(i) /. sum in
+      x := !x +. (((float_of_int c -. e) ** 2.0) /. e))
+    counts;
+  !x
+
+(* Select and write back (the step did not fork) [rounds] times; count
+   how often each state is picked, by [bucket] of its root-first path. *)
+let pick_counts s states ~buckets ~bucket ~rounds =
+  List.iter s.Engine.Searcher.add states;
+  let counts = Array.make buckets 0 in
+  for _ = 1 to rounds do
+    match s.Engine.Searcher.select () with
+    | Some st ->
+      let b = bucket (Engine.State.path st) in
+      counts.(b) <- counts.(b) + 1;
+      s.Engine.Searcher.add st
+    | None -> Alcotest.fail "searcher ran dry"
+  done;
+  counts
+
+(* Weights 1, 1/2, 1/4, 1/8 (staleness 0, 1, 3, 7).  The bound is the
+   chi-square 0.1% critical value at 3 degrees of freedom. *)
+let test_cov_opt_proportional_to_weight () =
+  let st0 = Engine.State.init (compile sym_branch_unit) ~env:() ~args:[] in
+  let states =
+    List.mapi
+      (fun i steps -> { st0 with Engine.State.path = [ Engine.Path.Sys i ]; steps; last_new_cover = 0 })
+      [ 0; 1; 3; 7 ]
+  in
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 11 |]) "cov-opt" in
+  let bucket = function [ Engine.Path.Sys i ] -> i | _ -> Alcotest.fail "unexpected path" in
+  let counts = pick_counts s states ~buckets:4 ~bucket ~rounds:20_000 in
+  let x = chi_square counts [| 1.0; 0.5; 0.25; 0.125 |] in
+  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 16.27" x) true (x < 16.27)
+
+(* Root subtrees of 1, 3 and 5 states: each is picked a third of the
+   time, whatever its size.  The bound is the chi-square 0.1% critical
+   value at 2 degrees of freedom. *)
+let test_random_path_uniform_at_root () =
+  let st0 = Engine.State.init (compile sym_branch_unit) ~env:() ~args:[] in
+  let states =
+    List.concat_map
+      (fun (root, leaves) ->
+        List.init leaves (fun j ->
+            { st0 with Engine.State.path = List.rev [ Engine.Path.Sched root; Engine.Path.Sys j ] }))
+      [ (0, 1); (1, 3); (2, 5) ]
+  in
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 11 |]) "random-path" in
+  let bucket = function Engine.Path.Sched r :: _ -> r | _ -> Alcotest.fail "unexpected path" in
+  let counts = pick_counts s states ~buckets:3 ~bucket ~rounds:9_000 in
+  let x = chi_square counts [| 1.0; 1.0; 1.0 |] in
+  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 13.82" x) true (x < 13.82)
 
 (* --- hang detection ------------------------------------------------------------- *)
 
@@ -526,6 +627,10 @@ let () =
         [
           Alcotest.test_case "all searchers complete" `Quick test_searchers_agree_on_path_count;
           Alcotest.test_case "no stale-key leak" `Quick test_searcher_no_stale_key_leak;
+          Alcotest.test_case "dfs/bfs order pinned" `Quick test_dfs_bfs_order_pinned;
+          Alcotest.test_case "cov-opt proportional to weight" `Quick
+            test_cov_opt_proportional_to_weight;
+          Alcotest.test_case "random-path uniform at root" `Quick test_random_path_uniform_at_root;
         ] );
       ( "hangs",
         [

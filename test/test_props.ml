@@ -223,6 +223,177 @@ let prop_trie_random_pick_member =
       | None -> Engine.Trie.size t = 0
       | Some v -> List.exists (fun (_, v') -> v = v') ops)
 
+(* The list-based random-path descent [Trie.random_pick] used to run, over
+   a mirror of the trie's layout (children prepended on creation, dropped
+   when their subtree empties), kept as the reference for its draws. *)
+module Ref_trie = struct
+  type 'a t = { mutable payload : 'a option; mutable children : (Path.choice * 'a t) list }
+
+  let create () = { payload = None; children = [] }
+  let rec count t =
+    List.fold_left (fun acc (_, n) -> acc + count n) (Option.fold ~none:0 ~some:(fun _ -> 1) t.payload)
+      t.children
+
+  let rec add t path x =
+    match path with
+    | [] -> t.payload <- Some x
+    | c :: rest ->
+      let child =
+        match List.assoc_opt c t.children with
+        | Some n -> n
+        | None ->
+          let n = create () in
+          t.children <- (c, n) :: t.children;
+          n
+      in
+      add child rest x
+
+  let rec remove t path =
+    match path with
+    | [] -> t.payload <- None
+    | c :: rest -> (
+      match List.assoc_opt c t.children with
+      | None -> ()
+      | Some child ->
+        remove child rest;
+        if count child = 0 then t.children <- List.remove_assoc c t.children)
+
+  let rec random_pick rng t =
+    let options =
+      (match t.payload with Some _ -> [ `Here ] | None -> [])
+      @ List.filter_map (fun (_, n) -> if count n > 0 then Some (`Child n) else None) t.children
+    in
+    match options with
+    | [] -> None
+    | _ -> (
+      match List.nth options (Random.State.int rng (List.length options)) with
+      | `Here -> t.payload
+      | `Child n -> random_pick rng n)
+end
+
+let prop_trie_random_pick_draws =
+  let open QCheck2.Gen in
+  let gen_op = pair (frequency [ (3, return true); (1, return false) ]) (pair gen_path (int_bound 100)) in
+  let gen = triple (list_size (int_range 1 40) gen_op) (int_bound 10_000) (int_range 1 5) in
+  QCheck2.Test.make ~count:300 ~name:"trie random_pick draws like the list-based descent" gen
+    (fun (ops, seed, picks) ->
+      let t = Engine.Trie.create () and r = Ref_trie.create () in
+      let rng = Random.State.make [| seed |] and rng' = Random.State.make [| seed |] in
+      (* picks interleave with the updates, so the layout evolves between draws *)
+      List.for_all
+        (fun (is_add, (p, v)) ->
+          if is_add then begin
+            Engine.Trie.add t p v;
+            Ref_trie.add r p v
+          end
+          else begin
+            ignore (Engine.Trie.remove t p);
+            Ref_trie.remove r p
+          end;
+          List.init picks (fun _ -> Engine.Trie.random_pick rng t)
+          = List.init picks (fun _ -> Ref_trie.random_pick rng' r))
+        ops
+      && Random.State.bits rng = Random.State.bits rng')
+
+(* --- searchers: model-based, all five strategies -------------------------------------- *)
+
+type sop = Add_fresh of int | Replace of int | Select | Readd | Fork | Remove of int
+
+let gen_sops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 80)
+    (frequency
+       [
+         (3, map (fun s -> Add_fresh s) (int_bound 20));
+         (1, map (fun i -> Replace i) (int_bound 50));
+         (4, return Select);
+         (3, return Readd);
+         (2, return Fork);
+         (2, map (fun i -> Remove i) (int_bound 50));
+       ])
+
+let searcher_st0 =
+  let open Lang.Builder in
+  let program = compile (cunit ~entry:"main" [ fn "main" [] (Some u32) [ halt (n 0) ] ]) in
+  Engine.State.init program ~env:() ~args:[]
+
+(* The model: the queued states by path, plus the checked-out state.
+   Every selected state must be physically a queued one (so no removed
+   or retired state comes back); draining at the end must return every
+   queued state exactly once (so none is lost). *)
+let searcher_matches_model name (ops, seed) =
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| seed |]) name in
+  let live = Hashtbl.create 16 and out = ref None and fresh = ref 0 in
+  let key st = Path.to_string (Engine.State.path st) in
+  let add st =
+    out := None;
+    s.Engine.Searcher.add st;
+    Hashtbl.replace live (key st) st
+  in
+  let select () =
+    out := None;
+    match s.Engine.Searcher.select () with
+    | None -> Hashtbl.length live = 0
+    | Some st -> (
+      match Hashtbl.find_opt live (key st) with
+      | Some q when q == st ->
+        Hashtbl.remove live (key st);
+        out := Some st;
+        true
+      | _ -> false)
+  in
+  let step = function
+    | Add_fresh steps ->
+      incr fresh;
+      add { searcher_st0 with Engine.State.path = [ Path.Sys !fresh ]; steps };
+      true
+    | Replace i ->
+      (* a queued path added again: the new state takes its place *)
+      let queued = Hashtbl.fold (fun k _ acc -> k :: acc) live [] |> List.sort compare in
+      if queued <> [] then begin
+        let st = Hashtbl.find live (List.nth queued (i mod List.length queued)) in
+        add { st with Engine.State.path = Engine.State.path st |> List.rev; steps = i }
+      end;
+      true
+    | Select -> select ()
+    | Readd ->
+      (* the step did not fork: same newest-first path list *)
+      Option.iter (fun st -> add { st with Engine.State.steps = st.Engine.State.steps + 1 }) !out;
+      true
+    | Fork ->
+      Option.iter
+        (fun st ->
+          add (Engine.State.push_choice st (Path.Branch true));
+          add (Engine.State.push_choice st (Path.Branch false)))
+        !out;
+      true
+    | Remove i ->
+      let paths =
+        Hashtbl.fold (fun _ st acc -> Engine.State.path st :: acc) live []
+        @ Option.to_list (Option.map Engine.State.path !out)
+      in
+      if paths <> [] then begin
+        let p = List.nth (List.sort Path.compare paths) (i mod List.length paths) in
+        out := None;
+        s.Engine.Searcher.remove p;
+        Hashtbl.remove live (Path.to_string p)
+      end;
+      true
+  in
+  let ok_ops =
+    List.for_all (fun op -> step op && s.Engine.Searcher.size () = Hashtbl.length live) ops
+  in
+  let rec drain () = if Hashtbl.length live = 0 then true else select () && drain () in
+  ok_ops && drain () && s.Engine.Searcher.select () = None && s.Engine.Searcher.size () = 0
+
+let prop_searchers_match_model =
+  List.map
+    (fun name ->
+      QCheck2.Test.make ~count:300 ~name:(name ^ " searcher vs set model")
+        QCheck2.Gen.(pair gen_sops (int_bound 1000))
+        (searcher_matches_model name))
+    [ "dfs"; "bfs"; "random-path"; "cov-opt"; "interleaved" ]
+
 (* --- expression substitution -------------------------------------------------------- *)
 
 let sym_a = E.fresh_sym ~name:"pa" 8
@@ -293,7 +464,11 @@ let () =
         ]
         @ qsuite [ prop_memory_roundtrip ] );
       ("path", qsuite [ prop_path_prefix; prop_prefix_codec; prop_prefix_codec_rejects_garbage ]);
-      ("trie", qsuite [ prop_trie_matches_assoc_model; prop_trie_random_pick_member ]);
+      ( "trie",
+        qsuite
+          [ prop_trie_matches_assoc_model; prop_trie_random_pick_member; prop_trie_random_pick_draws ]
+      );
+      ("searcher", qsuite prop_searchers_match_model);
       ("substitution", qsuite [ prop_substitute_sound ]);
       ( "determinism",
         [
