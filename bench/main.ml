@@ -808,7 +808,7 @@ let micro () =
     (* a fresh branch-feasibility query, solved then cached *)
     let solver = Smt.Solver.create () in
     let x = Smt.Expr.fresh_sym ~name:"bx" 8 in
-    let pc = [ Smt.Expr.ult x (Smt.Expr.const ~width:8 100L) ] in
+    let pc = [ Smt.Simplify.simplify (Smt.Expr.ult x (Smt.Expr.const ~width:8 100L)) ] in
     Test.make ~name:"solver.branch_feasible (cached)"
       (Staged.stage (fun () ->
            ignore
@@ -906,12 +906,11 @@ let micro () =
     results
 
 (* ====================================================================== *)
-(* Solver hot-path microbenchmark: hash-consing + memoized simplify +     *)
-(* incremental pc vs the re-normalizing baseline                          *)
+(* Solver hot-path benchmark: exhaustive runs through the one solver path *)
 (* ====================================================================== *)
 
-(* One leg's worth of measurements. *)
-type solver_leg = {
+(* One scenario's measurements. *)
+type solver_run = {
   sl_cfg : Posix.Env.t Engine.Executor.config;
   sl_r : Posix.Env.t ED.result;
   sl_ss : Smt.Solver.stats;
@@ -926,23 +925,23 @@ type solver_leg = {
 }
 
 let bench_solver () =
-  section "Solver microbenchmark"
-    "Exhaustive single-worker runs: baseline (per-call re-simplification,\n\
-     whole-pc normalization) vs optimized (memoized simplify, incremental\n\
-     State.npc/boxes, fused fork queries) vs incremental (optimized plus a\n\
-     persistent assumption-queried SAT instance with cross-fork clause\n\
-     reuse).  Verdicts, path counts and test cases must be identical on\n\
-     all legs; optimized must do strictly fewer simplify rewrites than\n\
-     baseline; incremental must beat optimized on ns/query everywhere\n\
-     (>= 1.5x on memcached2).  Writes BENCH_solver.json.";
+  section "Solver benchmark"
+    "Exhaustive single-worker runs through the solver stack every run uses:\n\
+     memoized simplify, the incrementally normalized pc and its interval\n\
+     boxes, fused fork queries, and a persistent assumption-queried SAT\n\
+     instance with cross-fork clause reuse.  Paths, tests and errors must\n\
+     match the pinned totals, every query must land in exactly one tier\n\
+     and close one span, and clause groups must be reused.\n\
+     Writes BENCH_solver.json.";
+  (* name, program, pinned (paths, tests, errors) *)
   let scenarios =
     [
-      ("printf5", Lazy.force printf5);
-      ("test3", Lazy.force test3);
-      ("memcached2", Lazy.force mc2_small);
+      ("printf5", Lazy.force printf5, (3581, 3581, 0));
+      ("test3", Lazy.force test3, (950, 950, 0));
+      ("memcached2", Lazy.force mc2_small, (706, 706, 134));
     ]
   in
-  (* aggregate the per-tier solver_query histograms of one leg's sink
+  (* aggregate the per-tier solver_query histograms of one run's sink
      (identical buckets, so counts line up index-for-index) *)
   let solver_hist samples =
     let n = Array.length Obs.Metrics.latency_ns_buckets + 1 in
@@ -974,18 +973,14 @@ let bench_solver () =
            })
   in
   let hcount = function Some (Obs.Metrics.Vhistogram h) -> h.vcount | _ -> 0 in
-  let run_leg ~optimized ~incremental program =
-    Smt.Simplify.set_memo optimized;
+  let run program =
     Smt.Simplify.clear_memo ();
     Smt.Simplify.reset_stats ();
-    (* every leg carries the same sink + profiler so the per-query spans
-       (and their overhead) are identical across the comparison *)
     let sink = Obs.Sink.create () in
     let prof = Obs.Profile.create sink in
-    let solver = Smt.Solver.create ~use_incremental:incremental ~obs:sink ~prof () in
+    let solver = Smt.Solver.create ~obs:sink ~prof () in
     let cfg =
-      Posix.Api.make_config ~solver ~use_incremental_pc:optimized ~max_steps:2_000_000
-        ~nlines:program.Cvm.Program.nlines ()
+      Posix.Api.make_config ~solver ~max_steps:2_000_000 ~nlines:program.Cvm.Program.nlines ()
     in
     let rng = Random.State.make [| 42 |] in
     let searcher = Engine.Searcher.of_name ~rng "dfs" in
@@ -994,15 +989,13 @@ let bench_solver () =
     let r = ED.run ~collect_tests:10_000 cfg searcher st0 in
     let elapsed = Unix.gettimeofday () -. t0 in
     let ss = Smt.Solver.copy_stats solver in
-    let rw = Smt.Simplify.stats () in
     let hist = solver_hist (Obs.Sink.metrics_samples sink) in
     let pct q = Option.bind hist (fun v -> Obs.Metrics.percentile v q) in
-    Smt.Simplify.set_memo true;
     {
       sl_cfg = cfg;
       sl_r = r;
       sl_ss = ss;
-      sl_rw = rw;
+      sl_rw = Smt.Simplify.stats ();
       sl_inc = Smt.Solver.copy_inc_stats solver;
       sl_sat = Smt.Solver.inc_sat_stats solver;
       sl_elapsed = elapsed;
@@ -1020,126 +1013,79 @@ let bench_solver () =
     ss.Smt.Solver.trivial + ss.Smt.Solver.range_hits + ss.Smt.Solver.cache_hits
     + ss.Smt.Solver.cex_hits + ss.Smt.Solver.sat_calls
   in
-  let totals = ref [] in
   let fop = function Some x -> Printf.sprintf "%.0f" x | None -> "n/a" in
-  Printf.printf "%-12s %-12s %7s %6s %9s %8s %8s %8s %8s %8s %10s\n" "scenario" "leg" "paths"
-    "tests" "instrs" "queries" "satcall" "rewrite" "p50ns" "p99ns" "ns/query";
+  Printf.printf "%-12s %7s %6s %6s %9s %8s %8s %8s %8s %8s %10s\n" "scenario" "paths" "tests"
+    "errors" "instrs" "queries" "satcall" "rewrite" "p50ns" "p99ns" "ns/query";
   let rows =
     List.map
-      (fun (name, program) ->
-        let report leg (l : solver_leg) =
-          Printf.printf "%-12s %-12s %7d %6d %9d %8d %8d %8d %8s %8s %10.0f\n" name leg
-            l.sl_r.ED.paths_explored (List.length l.sl_r.ED.tests) l.sl_r.ED.instructions
-            l.sl_ss.Smt.Solver.queries l.sl_ss.Smt.Solver.sat_calls
-            l.sl_rw.Smt.Simplify.rewrites (fop l.sl_p50) (fop l.sl_p99) l.sl_nsq;
-          (* reconciliation: the driver's instruction count is the executor's
-             useful-work counter, every query landed in exactly one tier, and
-             every query closed exactly one wall-clock span *)
-          if l.sl_r.ED.instructions <> l.sl_cfg.Engine.Executor.stats.Engine.Executor.useful_instrs
-          then
-            fail "%s/%s: driver instructions %d <> executor useful %d" name leg
-              l.sl_r.ED.instructions l.sl_cfg.Engine.Executor.stats.Engine.Executor.useful_instrs;
-          if tier_sum l.sl_ss <> l.sl_ss.Smt.Solver.queries then
-            fail "%s/%s: solver tiers %d <> queries %d" name leg (tier_sum l.sl_ss)
-              l.sl_ss.Smt.Solver.queries;
-          if l.sl_spans <> l.sl_ss.Smt.Solver.queries then
-            fail "%s/%s: solver_query spans %d <> queries %d" name leg l.sl_spans
-              l.sl_ss.Smt.Solver.queries
-        in
-        let base = run_leg ~optimized:false ~incremental:false program in
-        let opt = run_leg ~optimized:true ~incremental:false program in
-        let inc = run_leg ~optimized:true ~incremental:true program in
-        report "baseline" base;
-        report "optimized" opt;
-        report "incremental" inc;
-        (* identical results on every leg: same paths, tests, errors *)
-        let same what f (a : solver_leg) (b : solver_leg) lb =
-          if f a <> f b then fail "%s: %s differ on %s (%d vs %d)" name what lb (f a) (f b)
-        in
-        List.iter
-          (fun (l, lb) ->
-            same "paths" (fun l -> l.sl_r.ED.paths_explored) base l lb;
-            same "test counts" (fun l -> List.length l.sl_r.ED.tests) base l lb;
-            same "error counts" (fun l -> l.sl_r.ED.errors) base l lb)
-          [ (opt, "optimized"); (inc, "incremental") ];
-        if opt.sl_rw.Smt.Simplify.rewrites >= base.sl_rw.Smt.Simplify.rewrites then
-          fail "%s: optimized leg must do strictly fewer rewrites (%d vs %d)" name
-            opt.sl_rw.Smt.Simplify.rewrites base.sl_rw.Smt.Simplify.rewrites;
-        (* the incremental leg must actually reuse clause groups and win
-           on raw per-query latency *)
-        if inc.sl_inc.Smt.Solver.group_hits = 0 && inc.sl_ss.Smt.Solver.sat_calls > 1 then
-          fail "%s: incremental leg recorded no clause-group reuse" name;
-        if inc.sl_nsq >= opt.sl_nsq then
-          fail "%s: incremental ns/query (%.0f) not better than optimized (%.0f)" name
-            inc.sl_nsq opt.sl_nsq;
-        if name = "memcached2" && inc.sl_nsq > 0.0 && opt.sl_nsq /. inc.sl_nsq < 1.5 then
-          fail "memcached2: incremental speedup %.2fx below the 1.5x target"
-            (opt.sl_nsq /. inc.sl_nsq);
-        totals := (base.sl_rw.Smt.Simplify.rewrites, opt.sl_rw.Smt.Simplify.rewrites) :: !totals;
-        (name, base, opt, inc))
+      (fun (name, program, (paths, tests, errors)) ->
+        let l = run program in
+        let got = (l.sl_r.ED.paths_explored, List.length l.sl_r.ED.tests, l.sl_r.ED.errors) in
+        Printf.printf "%-12s %7d %6d %6d %9d %8d %8d %8d %8s %8s %10.0f\n" name
+          l.sl_r.ED.paths_explored (List.length l.sl_r.ED.tests) l.sl_r.ED.errors
+          l.sl_r.ED.instructions l.sl_ss.Smt.Solver.queries l.sl_ss.Smt.Solver.sat_calls
+          l.sl_rw.Smt.Simplify.rewrites (fop l.sl_p50) (fop l.sl_p99) l.sl_nsq;
+        if got <> (paths, tests, errors) then begin
+          let p, t, e = got in
+          fail "%s: paths/tests/errors %d/%d/%d, pinned %d/%d/%d" name p t e paths tests errors
+        end;
+        (* reconciliation: the driver's instruction count is the executor's
+           useful-work counter, every query landed in exactly one tier, and
+           every query closed exactly one wall-clock span *)
+        if l.sl_r.ED.instructions <> l.sl_cfg.Engine.Executor.stats.Engine.Executor.useful_instrs
+        then
+          fail "%s: driver instructions %d <> executor useful %d" name l.sl_r.ED.instructions
+            l.sl_cfg.Engine.Executor.stats.Engine.Executor.useful_instrs;
+        if tier_sum l.sl_ss <> l.sl_ss.Smt.Solver.queries then
+          fail "%s: solver tiers %d <> queries %d" name (tier_sum l.sl_ss)
+            l.sl_ss.Smt.Solver.queries;
+        if l.sl_spans <> l.sl_ss.Smt.Solver.queries then
+          fail "%s: solver_query spans %d <> queries %d" name l.sl_spans
+            l.sl_ss.Smt.Solver.queries;
+        if l.sl_inc.Smt.Solver.group_hits = 0 && l.sl_ss.Smt.Solver.sat_calls > 1 then
+          fail "%s: no clause-group reuse on the persistent instance" name;
+        (name, l))
       scenarios
   in
-  let rw_b = List.fold_left (fun a (b, _) -> a + b) 0 !totals in
-  let rw_o = List.fold_left (fun a (_, o) -> a + o) 0 !totals in
-  let ratio = if rw_o = 0 then infinity else float_of_int rw_b /. float_of_int rw_o in
-  Printf.printf "total rewrites: baseline %d, optimized %d (%.1fx fewer)\n" rw_b rw_o ratio;
-  if ratio < 2.0 then
-    fail "aggregate rewrite reduction %.2fx below the 2x target" ratio;
   List.iter
-    (fun (name, _, (opt : solver_leg), (inc : solver_leg)) ->
-      if inc.sl_nsq > 0.0 then begin
-        Printf.printf
-          "%s: incremental %.2fx vs optimized; %d group hits / %d misses, %d retirements\n" name
-          (opt.sl_nsq /. inc.sl_nsq) inc.sl_inc.Smt.Solver.group_hits
-          inc.sl_inc.Smt.Solver.group_misses inc.sl_inc.Smt.Solver.retirements;
-        match inc.sl_sat with
-        | Some st ->
-          Printf.printf
-            "  live instance: %d conflicts, %d decisions, %d propagations, %d learned\n"
-            st.Smt.Sat.conflicts st.Smt.Sat.decisions st.Smt.Sat.propagations
-            st.Smt.Sat.learned
-        | None -> ()
-      end)
+    (fun (name, (l : solver_run)) ->
+      Printf.printf "%s: %d group hits / %d misses, %d retirements\n" name
+        l.sl_inc.Smt.Solver.group_hits l.sl_inc.Smt.Solver.group_misses
+        l.sl_inc.Smt.Solver.retirements;
+      match l.sl_sat with
+      | Some st ->
+        Printf.printf "  live instance: %d conflicts, %d decisions, %d propagations, %d learned\n"
+          st.Smt.Sat.conflicts st.Smt.Sat.decisions st.Smt.Sat.propagations st.Smt.Sat.learned
+      | None -> ())
     rows;
   let oc = open_out "BENCH_solver.json" in
   Printf.fprintf oc "{ \"scenarios\": [";
   let jop = function Some x -> Printf.sprintf "%.0f" x | None -> "null" in
-  let leg (l : solver_leg) =
-    let inc_part =
-      if l.sl_inc.Smt.Solver.assumption_solves = 0 then ""
-      else
-        let learned, deleted =
-          match l.sl_sat with
-          | Some st -> (st.Smt.Sat.learned, st.Smt.Sat.deleted)
-          | None -> (0, 0)
-        in
-        Printf.sprintf
-          ", \"assumption_solves\": %d, \"group_hits\": %d, \"group_misses\": %d, \
-           \"retirements\": %d, \"learned\": %d, \"deleted\": %d"
-          l.sl_inc.Smt.Solver.assumption_solves l.sl_inc.Smt.Solver.group_hits
-          l.sl_inc.Smt.Solver.group_misses l.sl_inc.Smt.Solver.retirements learned deleted
-    in
-    Printf.sprintf
-      "{ \"paths\": %d, \"tests\": %d, \"errors\": %d, \"instructions\": %d, \
-       \"queries\": %d, \"trivial\": %d, \"range_hits\": %d, \"cache_hits\": %d, \
-       \"cex_hits\": %d, \"sat_calls\": %d, \"simplify_visits\": %d, \
-       \"simplify_rewrites\": %d, \"memo_hits\": %d, \"elapsed_s\": %.4f, \
-       \"ns_per_query\": %.0f, \"p50_ns\": %s, \"p99_ns\": %s%s }"
-      l.sl_r.ED.paths_explored (List.length l.sl_r.ED.tests) l.sl_r.ED.errors
-      l.sl_r.ED.instructions l.sl_ss.Smt.Solver.queries l.sl_ss.Smt.Solver.trivial
-      l.sl_ss.Smt.Solver.range_hits l.sl_ss.Smt.Solver.cache_hits l.sl_ss.Smt.Solver.cex_hits
-      l.sl_ss.Smt.Solver.sat_calls l.sl_rw.Smt.Simplify.visits l.sl_rw.Smt.Simplify.rewrites
-      l.sl_rw.Smt.Simplify.memo_hits l.sl_elapsed l.sl_nsq (jop l.sl_p50) (jop l.sl_p99)
-      inc_part
-  in
   List.iteri
-    (fun i (name, base, opt, inc) ->
-      Printf.fprintf oc "%s\n  { \"name\": %S, \"baseline\": %s, \"optimized\": %s, \"incremental\": %s }"
+    (fun i (name, (l : solver_run)) ->
+      let learned, deleted =
+        match l.sl_sat with
+        | Some st -> (st.Smt.Sat.learned, st.Smt.Sat.deleted)
+        | None -> (0, 0)
+      in
+      Printf.fprintf oc
+        "%s\n  { \"name\": %S, \"paths\": %d, \"tests\": %d, \"errors\": %d, \
+         \"instructions\": %d, \"queries\": %d, \"trivial\": %d, \"range_hits\": %d, \
+         \"cache_hits\": %d, \"cex_hits\": %d, \"sat_calls\": %d, \"simplify_visits\": %d, \
+         \"simplify_rewrites\": %d, \"memo_hits\": %d, \"elapsed_s\": %.4f, \
+         \"ns_per_query\": %.0f, \"p50_ns\": %s, \"p99_ns\": %s, \"assumption_solves\": %d, \
+         \"group_hits\": %d, \"group_misses\": %d, \"retirements\": %d, \"learned\": %d, \
+         \"deleted\": %d }"
         (if i = 0 then "" else ",")
-        name (leg base) (leg opt) (leg inc))
+        name l.sl_r.ED.paths_explored (List.length l.sl_r.ED.tests) l.sl_r.ED.errors
+        l.sl_r.ED.instructions l.sl_ss.Smt.Solver.queries l.sl_ss.Smt.Solver.trivial
+        l.sl_ss.Smt.Solver.range_hits l.sl_ss.Smt.Solver.cache_hits l.sl_ss.Smt.Solver.cex_hits
+        l.sl_ss.Smt.Solver.sat_calls l.sl_rw.Smt.Simplify.visits l.sl_rw.Smt.Simplify.rewrites
+        l.sl_rw.Smt.Simplify.memo_hits l.sl_elapsed l.sl_nsq (jop l.sl_p50) (jop l.sl_p99)
+        l.sl_inc.Smt.Solver.assumption_solves l.sl_inc.Smt.Solver.group_hits
+        l.sl_inc.Smt.Solver.group_misses l.sl_inc.Smt.Solver.retirements learned deleted)
     rows;
-  Printf.fprintf oc " ],\n  \"total_rewrites_baseline\": %d, \"total_rewrites_optimized\": %d, \"rewrite_reduction\": %.2f,\n  \"ok\": %b }\n"
-    rw_b rw_o ratio (!failures = []);
+  Printf.fprintf oc " ],\n  \"ok\": %b }\n" (!failures = []);
   close_out oc;
   Printf.printf "wrote BENCH_solver.json\n";
   if !failures <> [] then begin

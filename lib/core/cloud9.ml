@@ -76,8 +76,8 @@ let run_local ?obs ?(options = default_options) (t : target) =
     instructions = r.Engine.Driver.instructions;
     exhausted = r.Engine.Driver.exhausted;
     tests = r.Engine.Driver.tests;
-    solver_stats = Smt.Solver.stats solver;
-    inc_stats = Smt.Solver.copy_inc_stats solver;
+    solver_stats = r.Engine.Driver.solver_stats;
+    inc_stats = r.Engine.Driver.inc_stats;
   }
 
 (* OR coverage vectors together and return the covered fraction over

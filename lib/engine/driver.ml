@@ -21,7 +21,7 @@ type 'env result = {
   instructions : int;
   errors : int;
   solver_stats : Smt.Solver.stats; (* snapshot of this run's solver counters *)
-  inc_stats : Smt.Solver.inc_stats; (* incremental-solving counters (zero when disabled) *)
+  inc_stats : Smt.Solver.inc_stats; (* snapshot of this run's incremental-solving counters *)
 }
 
 let coverage_fraction cfg program =

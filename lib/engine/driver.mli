@@ -19,8 +19,7 @@ type 'env result = {
   solver_stats : Smt.Solver.stats;
       (** snapshot of this run's solver counters (see {!Smt.Solver.stats}) *)
   inc_stats : Smt.Solver.inc_stats;
-      (** incremental-solving counters (all zero when the solver was
-          created with [~use_incremental:false]) *)
+      (** snapshot of this run's incremental-solving counters *)
 }
 
 val coverage_fraction : 'env Executor.config -> Cvm.Program.t -> float

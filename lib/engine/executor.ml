@@ -73,11 +73,6 @@ type 'env config = {
      instead of fresh symbols, so a generated test case re-executes its
      exact path concretely *)
   mutable inputs_consumed : int;
-  use_incremental_pc : bool;
-  (* answer branch queries from the state's incrementally-maintained
-     normalized pc ([State.npc] + interval boxes) and fuse the two fork
-     polarities into one solver entry; disabled only for the baseline leg
-     of the solver microbenchmark *)
   obs : Obs.Sink.t option;
   (* observability sink scoped to the owning worker; [None] (the
      default) keeps the executor entirely unobserved — the only cost is
@@ -88,7 +83,7 @@ and 'env handler =
   'env config -> 'env State.t -> num:int -> dst:int -> args:E.t list -> 'env sys_outcome
 
 let make_config ?(max_steps = None) ?(check_div_zero = true) ?(global_alloc = None)
-    ?(preempt_interval = None) ?(concrete_inputs = None) ?(use_incremental_pc = true) ?obs
+    ?(preempt_interval = None) ?(concrete_inputs = None) ?obs
     ~solver ~handler ~nlines () =
   {
     solver;
@@ -101,7 +96,6 @@ let make_config ?(max_steps = None) ?(check_div_zero = true) ?(global_alloc = No
     preempt_interval;
     concrete_inputs;
     inputs_consumed = 0;
-    use_incremental_pc;
     obs;
   }
 
@@ -170,12 +164,8 @@ let concretize cfg (st : 'env State.t) e =
   match E.const_value e with
   | Some v -> (st, v)
   | None -> (
-    (* deterministic model: replaying workers concretize identically.
-       The normalized pc yields the same canonical constraint set as the
-       raw pc (same members, already simplified) without the O(|pc|)
-       re-simplification walk. *)
-    let pc = if cfg.use_incremental_pc then st.State.npc else st.State.pc in
-    match Smt.Solver.check_deterministic cfg.solver pc with
+    (* deterministic model: replaying workers concretize identically *)
+    match Smt.Solver.check_deterministic cfg.solver st.State.pc with
     | Smt.Solver.Unsat -> raise (Stuck (Errors.Invalid_op "path condition unsatisfiable"))
     | Smt.Solver.Sat m ->
       let v = Smt.Model.eval m e in
@@ -325,15 +315,10 @@ let fork_on cfg (st : 'env State.t) cond ~on_true ~on_false : 'env stepped =
   if E.is_true b then on_true st ~forked:false
   else if E.is_false b then on_false st ~forked:false
   else begin
+    (* one fused entry: shared simplify, interval boxes, and independence
+       slice for both polarities *)
     let t_ok, f_ok =
-      if cfg.use_incremental_pc then
-        (* one fused entry: shared simplify, interval boxes, and
-           independence slice for both polarities *)
-        Smt.Solver.fork_feasible cfg.solver ~npc:st.State.npc ?boxes:st.State.boxes b
-      else
-        let pc = st.State.pc in
-        ( Smt.Solver.branch_feasible cfg.solver ~pc b,
-          Smt.Solver.branch_feasible cfg.solver ~pc (E.not_ b) )
+      Smt.Solver.fork_feasible cfg.solver ~pc:st.State.pc ?boxes:st.State.boxes b
     in
     match (t_ok, f_ok) with
     | true, false -> on_true st ~forked:false
@@ -362,8 +347,7 @@ let resolve_access cfg (st : 'env State.t) addr_e len ~(k : 'env State.t -> int 
   match E.const_value addr_e with
   | Some v -> k st (Int64.to_int v)
   | None -> (
-    let pc = if cfg.use_incremental_pc then st.State.npc else st.State.pc in
-    match Smt.Solver.check_deterministic cfg.solver pc with
+    match Smt.Solver.check_deterministic cfg.solver st.State.pc with
     | Smt.Solver.Unsat -> finish st (Errors.Error (Errors.Invalid_op "path condition unsatisfiable"))
     | Smt.Solver.Sat m -> (
       let v = Int64.to_int (Smt.Model.eval m addr_e) in
@@ -767,9 +751,7 @@ and step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
     | [ cond_e ] ->
       let b = truth_expr cond_e in
       let feasible =
-        if cfg.use_incremental_pc then
-          Smt.Solver.branch_feasible_norm cfg.solver ~npc:st.State.npc ?boxes:st.State.boxes b
-        else Smt.Solver.branch_feasible cfg.solver ~pc:st.State.pc b
+        Smt.Solver.branch_feasible cfg.solver ~pc:st.State.pc ?boxes:st.State.boxes b
       in
       if feasible then reti (State.add_constraint st b) 0 else finish st Errors.Pruned
     | _ -> finish st (Errors.Error (Errors.Model_failure "assume expects (cond)"))

@@ -67,10 +67,6 @@ type 'env config = {
           instead of fresh symbols, so a generated test case re-executes
           its path concretely *)
   mutable inputs_consumed : int;
-  use_incremental_pc : bool;
-      (** answer branch queries from [State.npc] (incrementally normalized
-          pc + interval boxes) via the fused {!Smt.Solver.fork_feasible};
-          disable only for the baseline leg of benchmarks *)
   obs : Obs.Sink.t option;
       (** observability sink scoped to the owning worker; [None] keeps
           the executor unobserved at the cost of one branch per fork *)
@@ -85,7 +81,6 @@ val make_config :
   ?global_alloc:int ref option ->
   ?preempt_interval:int option ->
   ?concrete_inputs:(string * string) list option ->
-  ?use_incremental_pc:bool ->
   ?obs:Obs.Sink.t ->
   solver:Smt.Solver.t ->
   handler:'env handler ->

@@ -53,13 +53,12 @@ type 'env t = {
   next_pid : int;
   next_wlist : int;
   next_sym : int;
-  pc : Smt.Expr.t list; (* path condition, newest first *)
-  npc : Smt.Expr.t list;
+  pc : Smt.Expr.t list;
   (* normalized path condition, newest first: each member simplified,
      trivially-true members dropped — maintained incrementally by
      [add_constraint] so branch queries never re-simplify the whole pc *)
   boxes : Smt.Range.boxes option;
-  (* interval facts learned from [npc], also maintained incrementally
+  (* interval facts learned from [pc], also maintained incrementally
      (learning is a commutative meet, so one-at-a-time = from-scratch);
      [None] only if learning ever contradicted, which cannot happen while
      the pc stays satisfiable — treated as "recompute on demand" *)
@@ -82,7 +81,6 @@ type 'env t = {
 }
 
 let path t = List.rev t.path
-let path_condition t = t.pc
 
 (* --- threads ------------------------------------------------------------- *)
 
@@ -204,21 +202,19 @@ let fresh_sym t ~name ~width =
 
 let add_constraint t e =
   let e = Smt.Simplify.simplify (apply_subst t e) in
-  let subst =
-    match e.Smt.Expr.node with
-    | Smt.Expr.Binop (Smt.Expr.Eq, lhs, ({ node = Smt.Expr.Const _; _ } as c))
-      when not (Smt.Expr.is_const lhs) ->
-      (lhs, c) :: t.subst
-    | _ -> t.subst
-  in
-  (* [e] is already simplified: extending npc costs O(1), and the boxes
-     absorb the new constraint with a single meet *)
-  let npc = if Smt.Expr.is_true e then t.npc else e :: t.npc in
-  let boxes =
-    if Smt.Expr.is_true e then t.boxes
-    else match t.boxes with None -> None | Some bx -> Smt.Range.learn_boxes bx e
-  in
-  { t with pc = e :: t.pc; npc; boxes; subst }
+  if Smt.Expr.is_true e then t
+  else
+    let subst =
+      match e.Smt.Expr.node with
+      | Smt.Expr.Binop (Smt.Expr.Eq, lhs, ({ node = Smt.Expr.Const _; _ } as c))
+        when not (Smt.Expr.is_const lhs) ->
+        (lhs, c) :: t.subst
+      | _ -> t.subst
+    in
+    (* [e] is already simplified: extending the pc costs O(1), and the
+       boxes absorb the new constraint with a single meet *)
+    let boxes = match t.boxes with None -> None | Some bx -> Smt.Range.learn_boxes bx e in
+    { t with pc = e :: t.pc; boxes; subst }
 
 let push_choice t c = { t with path = c :: t.path; depth = t.depth + 1 }
 
@@ -266,7 +262,6 @@ let init program ~env ~args =
     next_wlist = 1;
     next_sym = 1;
     pc = [];
-    npc = [];
     boxes = Some Smt.Range.empty_boxes;
     subst = [];
     path = [];

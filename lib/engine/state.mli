@@ -45,13 +45,13 @@ type 'env t = {
   next_pid : int;
   next_wlist : int;
   next_sym : int;
-  pc : Smt.Expr.t list;  (** path condition, newest first *)
-  npc : Smt.Expr.t list;
-      (** normalized pc (members simplified, trivial truths dropped),
-          maintained incrementally by {!add_constraint}; feeds
-          {!Smt.Solver.fork_feasible}/{!Smt.Solver.branch_feasible_norm} *)
+  pc : Smt.Expr.t list;
+      (** path condition, newest first and normalized (members
+          simplified, trivial truths dropped), maintained incrementally
+          by {!add_constraint}; feeds {!Smt.Solver.fork_feasible} and
+          {!Smt.Solver.branch_feasible} *)
   boxes : Smt.Range.boxes option;
-      (** interval facts of [npc], maintained by the same increments;
+      (** interval facts of [pc], maintained by the same increments;
           [None] means "recompute on demand" *)
   subst : (Smt.Expr.t * Smt.Expr.t) list;
       (** pc-implied equalities applied when reading operands *)
@@ -71,8 +71,6 @@ type 'env t = {
 
 (** Root-first path of this state (its node address in the tree). *)
 val path : 'env t -> Path.t
-
-val path_condition : 'env t -> Smt.Expr.t list
 
 (** @raise Invalid_argument on unknown thread ids. *)
 val thread_exn : 'env t -> int -> thread
@@ -119,8 +117,9 @@ val fresh_input : 'env t -> name:string -> count:int -> 'env t * Smt.Expr.t list
 (** A fresh symbol not recorded as a test input. *)
 val fresh_sym : 'env t -> name:string -> width:int -> 'env t * Smt.Expr.t
 
-(** Conjoin a (simplified) constraint onto the path condition; equalities
-    with constants additionally feed the substitution. *)
+(** Conjoin a constraint onto the path condition, simplified after the
+    substitution (a trivially-true one is dropped); equalities with
+    constants additionally feed the substitution. *)
 val add_constraint : 'env t -> Smt.Expr.t -> 'env t
 
 (** Append a fork choice to the path. *)

@@ -21,7 +21,7 @@ let bytes_of_model model ids =
    Returns [None] only if the path condition is unsatisfiable, which
    would indicate an engine bug (every explored path is feasible). *)
 let of_state solver (st : 'env State.t) termination =
-  match Smt.Solver.get_model solver st.State.pc with
+  match Smt.Solver.check solver st.State.pc with
   | Smt.Solver.Unsat -> None
   | Smt.Solver.Sat model ->
     Some

@@ -174,12 +174,12 @@ let handle = Handler.handle
 
 (* Build an engine configuration wired to the POSIX model. *)
 let make_config ?max_steps ?check_div_zero ?global_alloc ?preempt_interval ?concrete_inputs
-    ?use_incremental_pc ?solver ?obs ~nlines () =
+    ?solver ?obs ~nlines () =
   let solver = match solver with Some s -> s | None -> Smt.Solver.create ?obs () in
   Engine.Executor.make_config ~solver ~handler:handle ~nlines
     ?max_steps:(Option.map Option.some max_steps)
     ?preempt_interval:(Option.map Option.some preempt_interval)
     ?concrete_inputs:(Option.map Option.some concrete_inputs)
-    ?check_div_zero ?global_alloc ?use_incremental_pc ?obs ()
+    ?check_div_zero ?global_alloc ?obs ()
 
 let initial_state program ~args = Engine.State.init program ~env:(Env.init ()) ~args

@@ -105,7 +105,6 @@ val make_config :
   ?global_alloc:int ref option ->
   ?preempt_interval:int ->
   ?concrete_inputs:(string * string) list ->
-  ?use_incremental_pc:bool ->
   ?solver:Smt.Solver.t ->
   ?obs:Obs.Sink.t ->
   nlines:int ->

@@ -250,13 +250,8 @@ let lookup_of_boxes boxes id = Imap.find_opt id boxes
    - Otherwise, learn [cond]'s own facts into the boxes: a contradiction
      proves the conjunction UNSAT (all facts are implied by it).
    [None]: undecided, fall through to the SAT solver. *)
-let quick_feasible_with boxes cond =
+let quick_feasible boxes cond =
   let r = eval (lookup_of_boxes boxes) cond in
   if r.lo = 1L then Some true
   else if r.hi = 0L then Some false
   else match learn boxes cond with None -> Some false | Some _ -> None
-
-let quick_feasible ~pc cond =
-  match boxes_of_pc pc with
-  | None -> None (* would mean pc unsat, violating the invariant: punt *)
-  | Some boxes -> quick_feasible_with boxes cond

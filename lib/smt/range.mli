@@ -39,10 +39,8 @@ val boxes_of_pc : Expr.t list -> boxes option
 val lookup_of_boxes : boxes -> int -> t option
 
 (** Fast verdict for "is [pc /\ cond] satisfiable?" given that [pc] is
-    satisfiable; [None] means undecided (fall through to SAT). *)
-val quick_feasible : pc:Expr.t list -> Expr.t -> bool option
-
-(** Same, but over pre-computed boxes for the path condition — lets one
-    set of boxes answer both polarities of a fork and be carried
-    incrementally in the execution state. *)
-val quick_feasible_with : boxes -> Expr.t -> bool option
+    satisfiable, over [pc]'s boxes (see {!boxes_of_pc}) — one set of
+    boxes answers both polarities of a fork and is carried incrementally
+    in the execution state; [None] means undecided (fall through to
+    SAT). *)
+val quick_feasible : boxes -> Expr.t -> bool option

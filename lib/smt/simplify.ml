@@ -178,31 +178,24 @@ let memo_key : (int, Expr.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
 let memo () = Domain.DLS.get memo_key
-let memo_enabled = Atomic.make true
 let memo_size () = Hashtbl.length (memo ())
 let clear_memo () = Hashtbl.reset (memo ())
 
-let set_memo enabled =
-  Atomic.set memo_enabled enabled;
-  if not enabled then clear_memo ()
-
 let rec simplify e =
-  if not (Atomic.get memo_enabled) then simplify_node e
-  else
-    let memo = memo () in
-    match Hashtbl.find_opt memo (Expr.id e) with
-    | Some r ->
-      let s = stats_live () in
-      s.memo_hits <- s.memo_hits + 1;
-      r
-    | None ->
-      let r = simplify_node e in
-      if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-      Hashtbl.replace memo (Expr.id e) r;
-      (* simplify is idempotent: record the result as its own fixpoint so
-         re-simplifying an already-canonical term is a single lookup *)
-      if not (Expr.equal r e) then Hashtbl.replace memo (Expr.id r) r;
-      r
+  let memo = memo () in
+  match Hashtbl.find_opt memo (Expr.id e) with
+  | Some r ->
+    let s = stats_live () in
+    s.memo_hits <- s.memo_hits + 1;
+    r
+  | None ->
+    let r = simplify_node e in
+    if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
+    Hashtbl.replace memo (Expr.id e) r;
+    (* simplify is idempotent: record the result as its own fixpoint so
+       re-simplifying an already-canonical term is a single lookup *)
+    if not (Expr.equal r e) then Hashtbl.replace memo (Expr.id r) r;
+    r
 
 and simplify_node e =
   let s = stats_live () in

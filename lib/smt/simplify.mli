@@ -3,7 +3,7 @@
 (** [simplify e] applies constant folding, algebraic identities, and
     commutative-operand normalization bottom-up, preserving the concrete
     semantics of {!Expr.eval} exactly.  Results are memoized per domain
-    by hashcons id (see {!set_memo}), so each distinct subterm is
+    by hashcons id, so each distinct subterm is
     rewritten at most once per domain — the memo is domain-local storage,
     keeping the solver's hottest lookup lock-free under parallelism. *)
 val simplify : Expr.t -> Expr.t
@@ -22,12 +22,6 @@ type rw_stats = { mutable visits : int; mutable rewrites : int; mutable memo_hit
 val stats : unit -> rw_stats
 
 val reset_stats : unit -> unit
-
-(** Enable/disable memoization (default enabled; the flag is global, the
-    tables are domain-local).  Disabling also clears the calling domain's
-    table; used by benchmarks to A/B the memoized rewriter against the
-    plain fixpoint walk. *)
-val set_memo : bool -> unit
 
 (** Number of entries memoized in the calling domain. *)
 val memo_size : unit -> int

@@ -12,7 +12,9 @@
    arithmetic: cache keys are id lists, canonical ordering is id order,
    and symbol-support sets are memoized per term.
 
-   Each feature can be disabled at construction for ablation benchmarks. *)
+   Caches, slicing and the interval fast path can each be disabled at
+   construction for ablation benchmarks; SAT calls always go to the
+   persistent incremental instance. *)
 
 type result = Sat of Model.t | Unsat
 
@@ -25,11 +27,11 @@ type stats = {
   mutable sat_calls : int;     (* full bit-blast + SAT runs *)
 }
 
-(* Counters of the incremental (persistent-instance) SAT path; all zero
-   when [use_incremental] is off.  [group_hits]/[group_misses] count
-   per-constraint clause-group lookups across all assumption solves: a
-   hit means the constraint was already blasted into the live instance
-   and contributed zero new clauses to this query. *)
+(* Counters of the incremental (persistent-instance) SAT path.
+   [group_hits]/[group_misses] count per-constraint clause-group lookups
+   across all assumption solves: a hit means the constraint was already
+   blasted into the live instance and contributed zero new clauses to
+   this query. *)
 type inc_stats = {
   mutable assumption_solves : int; (* sat_calls answered on the persistent instance *)
   mutable group_hits : int;
@@ -72,7 +74,6 @@ type t = {
   use_cex_cache : bool;
   use_independence : bool;
   use_range : bool;
-  use_incremental : bool;
   mutable inc : Cnf.ctx option;  (* the persistent incremental instance *)
   sat_cache : (int list, result) Hashtbl.t; (* key: ids of id-sorted constraints *)
   det_cache : (int list, result) Hashtbl.t;
@@ -146,7 +147,7 @@ let hashcons_lock_samples () =
   acq "uncontended" ls.Expr.lk_uncontended :: acq "contended" ls.Expr.lk_contended :: wait :: tops
 
 let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = true)
-    ?(use_range = true) ?(use_incremental = true) ?obs ?prof () =
+    ?(use_range = true) ?obs ?prof () =
   Option.iter
     (fun sink -> Obs.Sink.set_provider sink ~name:"hashcons_locks" hashcons_lock_samples)
     obs;
@@ -161,7 +162,6 @@ let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = 
     use_cex_cache;
     use_independence;
     use_range;
-    use_incremental;
     inc = None;
     sat_cache = Hashtbl.create 1024;
     det_cache = Hashtbl.create 256;
@@ -304,10 +304,10 @@ let slice ~seed constraints =
   done;
   !selected
 
-(* One-shot solve on a fresh context (the non-incremental path, and the
-   deterministic-model path, which must not depend on query history). *)
-let solve_fresh t constraints =
-  ignore t;
+(* One-shot solve on a fresh context: the deterministic-model path,
+   which must not depend on query history, and the fallback for a
+   corrupted incremental instance. *)
+let solve_fresh constraints =
   let ctx = Cnf.create () in
   List.iter (Cnf.assert_expr ctx) constraints;
   match Cnf.solve ctx with
@@ -373,7 +373,7 @@ let solve_incremental t constraints =
          answer from a fresh context rather than risk a wrong Unsat. *)
       t.inc_stats.retirements <- t.inc_stats.retirements + 1;
       t.inc <- None;
-      solve_fresh t constraints
+      solve_fresh constraints
     end
   | Sat.Satisfiable ->
     let syms =
@@ -390,11 +390,6 @@ let solve_incremental t constraints =
     (* Same soundness check as the fresh path. *)
     assert (Model.satisfies model constraints);
     Sat model
-
-let solve_raw t constraints =
-  t.stats.sat_calls <- t.stats.sat_calls + 1;
-  if t.use_incremental then solve_incremental t constraints
-  else solve_fresh t constraints
 
 let remember_model t m =
   if t.use_cex_cache then begin
@@ -427,7 +422,8 @@ let check_normalized t ~kind constraints =
         note t kind Obs.Event.Cex_cache true;
         Sat m
       | None ->
-        let r = solve_raw t constraints in
+        t.stats.sat_calls <- t.stats.sat_calls + 1;
+        let r = solve_incremental t constraints in
         note t kind Obs.Event.Sat_call (is_sat r);
         (match r with Sat m -> remember_model t m | Unsat -> ());
         r
@@ -472,7 +468,7 @@ let answer_polarity t ~kind ~boxes ~sliced cond =
   else
     let quick =
       match boxes with
-      | Some bx when t.use_range -> Range.quick_feasible_with bx cond
+      | Some bx when t.use_range -> Range.quick_feasible bx cond
       | _ -> None
     in
     match quick with
@@ -484,25 +480,27 @@ let answer_polarity t ~kind ~boxes ~sliced cond =
       let cs = List.sort_uniq Expr.compare (cond :: sliced) in
       match check_normalized t ~kind cs with Sat _ -> true | Unsat -> false)
 
-(* Interval boxes for an already-normalized pc: the caller's
-   incrementally-maintained boxes when available, else recomputed. *)
-let effective_boxes t ~npc boxes =
+(* Interval boxes for a normalized pc: the caller's incrementally
+   maintained boxes when available, else recomputed. *)
+let effective_boxes t ~pc boxes =
   if not t.use_range then None
-  else match boxes with Some _ -> boxes | None -> Range.boxes_of_pc npc
+  else match boxes with Some _ -> boxes | None -> Range.boxes_of_pc pc
 
-(* Branch-feasibility query over a pre-normalized path condition [npc]
-   (each member simplified, no trivially-true members — e.g.
-   {!State.t}'s incrementally-maintained [npc]).  Skips the O(|pc|)
-   re-simplification that {!branch_feasible} pays. *)
-let branch_feasible_norm t ~npc ?boxes cond =
+(* The constraints of [pc] relevant to a query over [syms]. *)
+let slice_pc t ~pc cond syms =
+  if t.use_independence && not (Expr.is_const cond) then slice ~seed:syms pc else pc
+
+(* Branch-feasibility query: is [pc /\ cond] satisfiable?  [pc] is
+   normalized (each member simplified, no trivially-true members, e.g.
+   {!State.t}'s incrementally-maintained [pc]), so only [cond] is
+   simplified here.  Independence slicing seeded by [cond]'s symbols is
+   sound because [pc] alone is satisfiable by invariant (every state's
+   path condition is feasible). *)
+let branch_feasible t ~pc ?boxes cond =
   t.q_t0 <- Obs.Profile.start t.prof;
   let cond = Simplify.simplify cond in
-  let boxes = effective_boxes t ~npc boxes in
-  let sliced =
-    if t.use_independence && not (Expr.is_const cond) then
-      slice ~seed:(Expr.sym_set cond) npc
-    else npc
-  in
+  let boxes = effective_boxes t ~pc boxes in
+  let sliced = slice_pc t ~pc cond (Expr.sym_set cond) in
   answer_polarity t ~kind:"branch" ~boxes ~sliced cond
 
 (* Fused fork query: answers feasibility of both [cond] and [not cond]
@@ -511,76 +509,17 @@ let branch_feasible_norm t ~npc ?boxes cond =
    polarities' symbols is sound: a larger seed only enlarges the closure,
    and the excluded remainder stays disjoint from both queries (and is
    satisfiable because the pc is).  Each polarity counts as one query. *)
-let fork_feasible t ~npc ?boxes cond =
+let fork_feasible t ~pc ?boxes cond =
   t.q_t0 <- Obs.Profile.start t.prof;
   let cond_t = Simplify.simplify cond in
   let cond_f = Simplify.simplify (Expr.not_ cond_t) in
-  let boxes = effective_boxes t ~npc boxes in
+  let boxes = effective_boxes t ~pc boxes in
   let sliced =
-    if t.use_independence && not (Expr.is_const cond_t) then
-      slice ~seed:(Expr.Iset.union (Expr.sym_set cond_t) (Expr.sym_set cond_f)) npc
-    else npc
+    slice_pc t ~pc cond_t (Expr.Iset.union (Expr.sym_set cond_t) (Expr.sym_set cond_f))
   in
   let ok_t = answer_polarity t ~kind:"branch" ~boxes ~sliced cond_t in
   let ok_f = answer_polarity t ~kind:"branch" ~boxes ~sliced cond_f in
   (ok_t, ok_f)
-
-(* Branch-feasibility query: is [pc /\ cond] satisfiable?  Uses
-   independence slicing seeded by the symbols of [cond]; this is sound for
-   satisfiability because [pc] alone is satisfiable by invariant (every
-   state's path condition is feasible).  Normalizes the whole [pc] on
-   every call; kept as the entry point for raw (un-normalized) pcs and as
-   the baseline for the incremental-pc benchmark. *)
-let branch_feasible t ~pc cond =
-  t.q_t0 <- Obs.Profile.start t.prof;
-  t.stats.queries <- t.stats.queries + 1;
-  let cond = Simplify.simplify cond in
-  if Expr.is_true cond then begin
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "branch" Obs.Event.Trivial true;
-    true
-  end
-  else if Expr.is_false cond then begin
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "branch" Obs.Event.Trivial false;
-    false
-  end
-  else
-    match normalize (cond :: pc) with
-    | None ->
-      t.stats.trivial <- t.stats.trivial + 1;
-      note t "branch" Obs.Event.Trivial false;
-      false
-    | Some [] ->
-      t.stats.trivial <- t.stats.trivial + 1;
-      note t "branch" Obs.Event.Trivial true;
-      true
-    | Some cs -> (
-      (* interval fast path: many branch conditions are decided by the
-         boxes the path condition already implies, without SAT.  Note the
-         boxes must come from pc alone, not from cs (which includes cond:
-         learning cond's own facts would make it vacuously "feasible"). *)
-      let quick = if t.use_range then Range.quick_feasible ~pc cond else None in
-      match quick with
-      | Some verdict ->
-        t.stats.range_hits <- t.stats.range_hits + 1;
-        note t "branch" Obs.Event.Range verdict;
-        verdict
-      | None ->
-        let cs =
-          if t.use_independence then
-            match slice ~seed:(Expr.sym_set cond) cs with
-            | [] -> [ cond ] (* cond itself is always in its own slice *)
-            | sliced -> List.sort_uniq Expr.compare sliced
-          else cs
-        in
-        (match check_normalized t ~kind:"branch" cs with Sat _ -> true | Unsat -> false))
-
-(* [must_be_true t ~pc cond] holds when [pc -> cond] is valid, i.e.
-   [pc /\ not cond] is unsatisfiable. *)
-let must_be_true t ~pc cond = not (branch_feasible t ~pc (Expr.not_ cond))
-
-let get_model t constraints = check t constraints
 
 (* Deterministic model construction: always solves from scratch on the
    canonical constraint set, never reusing history-dependent caches (the
@@ -619,7 +558,7 @@ let check_deterministic t constraints =
          instance's phases/activities depend on query history, and the
          whole point here is a history-independent model. *)
       t.stats.sat_calls <- t.stats.sat_calls + 1;
-      let r = solve_fresh t (List.sort Expr.compare_structural cs) in
+      let r = solve_fresh (List.sort Expr.compare_structural cs) in
       note t "det" Obs.Event.Sat_call (is_sat r);
       Hashtbl.replace t.det_cache k r;
       r)

@@ -1,8 +1,9 @@
 (** Query orchestration: simplification, constraint-independence slicing,
     satisfiability cache, and counterexample (model) cache on top of the
     bit blaster and CDCL SAT core — the same solver stack structure
-    KLEE/Cloud9 rely on.  Each optimization can be disabled at construction
-    for ablation experiments. *)
+    KLEE/Cloud9 rely on.  The caches, slicing and the interval fast path
+    can each be disabled at construction for ablation experiments; SAT
+    calls always go to a persistent incremental instance. *)
 
 type result = Sat of Model.t | Unsat
 
@@ -15,10 +16,10 @@ type stats = {
   mutable sat_calls : int;   (** full bit-blast + SAT runs *)
 }
 
-(** Counters of the incremental SAT path (all zero when
-    [use_incremental:false]).  [group_hits] counts constraints whose
-    clause group was already blasted into the live persistent instance —
-    a reused group contributes zero new clauses to its query. *)
+(** Counters of the incremental SAT path.  [group_hits] counts
+    constraints whose clause group was already blasted into the live
+    persistent instance — a reused group contributes zero new clauses to
+    its query. *)
 type inc_stats = {
   mutable assumption_solves : int;
       (** SAT calls answered by an assumption solve on the persistent
@@ -45,7 +46,6 @@ val create :
   ?use_cex_cache:bool ->
   ?use_independence:bool ->
   ?use_range:bool ->
-  ?use_incremental:bool ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Profile.t ->
   unit ->
@@ -62,8 +62,8 @@ val inc_stats : t -> inc_stats
 (** Immutable snapshot of {!inc_stats}. *)
 val copy_inc_stats : t -> inc_stats
 
-(** CDCL counters of the live persistent instance ([None] when disabled
-    or not yet built / retired). *)
+(** CDCL counters of the live persistent instance ([None] before the
+    first SAT call and right after a retirement). *)
 val inc_sat_stats : t -> Sat.stats option
 
 val zero_stats : unit -> stats
@@ -82,36 +82,23 @@ val clear_caches : t -> unit
     symbol mentioned in the constraints. *)
 val check : t -> Expr.t list -> result
 
-(** [branch_feasible t ~pc cond]: is [pc /\ cond] satisfiable?  Requires
-    the invariant that [pc] alone is satisfiable (true for every live
-    execution state); under it, independence slicing seeded by [cond] is
-    sound.  Re-normalizes the whole [pc] per call — prefer
-    {!branch_feasible_norm}/{!fork_feasible} when a normalized pc is
-    already at hand (e.g. [State.npc]). *)
-val branch_feasible : t -> pc:Expr.t list -> Expr.t -> bool
+(** [branch_feasible t ~pc ?boxes cond]: is [pc /\ cond] satisfiable?
+    [pc] is a normalized path condition (members simplified, no trivial
+    truths, e.g. {!State.t}'s [pc]) that is itself satisfiable — true for
+    every live execution state; under it, independence slicing seeded by
+    [cond] is sound.  Only [cond] is simplified.  [boxes] are the pc's
+    interval facts if the caller carries them; omitted, they are
+    recomputed from [pc]. *)
+val branch_feasible : t -> pc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool
 
-(** Same query over a pre-normalized path condition [npc] (each member
-    simplified, no trivially-true members, e.g. the incrementally
-    maintained [State.npc]); only [cond] is normalized.  [boxes] are the
-    pc's interval facts if the caller carries them; omitted, they are
-    recomputed from [npc]. *)
-val branch_feasible_norm :
-  t -> npc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool
-
-(** [fork_feasible t ~npc ?boxes cond] answers
+(** [fork_feasible t ~pc ?boxes cond] answers
     [(branch_feasible cond, branch_feasible (not cond))] in one entry
     point: the condition is simplified once and the interval boxes and
     independence slice are shared between the two polarities.  Each
     polarity still counts as one query in {!stats} (with exactly one tier
     hit), so reconciliation invariants are unchanged. *)
 val fork_feasible :
-  t -> npc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool * bool
-
-(** [must_be_true t ~pc cond] holds when [pc -> cond] is valid. *)
-val must_be_true : t -> pc:Expr.t list -> Expr.t -> bool
-
-(** Alias of {!check}, used when a full test-case model is wanted. *)
-val get_model : t -> Expr.t list -> result
+  t -> pc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool * bool
 
 (** Like {!check}, but the returned model depends only on the canonical
     constraint set — never on query history — so every worker computes the

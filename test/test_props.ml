@@ -412,6 +412,38 @@ let prop_substitute_sound =
       let lookup id = if Some id = (match sym_a.E.node with E.Sym { id; _ } -> Some id | _ -> None) then Some (Int64.of_int c) else None in
       E.eval lookup e = E.eval lookup e' && E.syms e' = [])
 
+(* --- path condition maintenance ------------------------------------------------------- *)
+
+let pc_x = E.fresh_sym ~name:"px" 8
+let pc_y = E.fresh_sym ~name:"py" 8
+
+(* Comparisons against constants (some trivially true, some pinning a
+   symbol and so feeding the substitution), possibly negated. *)
+let gen_constraint =
+  let open QCheck2.Gen in
+  let* lhs = oneofl [ pc_x; pc_y; E.add pc_x pc_y; E.zext (E.extract pc_x ~off:0 ~len:4) 8 ] in
+  let* k = map (fun v -> E.const ~width:8 (Int64.of_int v)) (int_bound 255) in
+  let* op = oneofl [ E.Ult; E.Ule; E.Eq; E.Slt ] in
+  let* flip = bool in
+  let* neg = bool in
+  let c = if flip then E.binop op k lhs else E.binop op lhs k in
+  return (if neg then E.not_ c else c)
+
+(* [State.add_constraint] keeps the pc normalized — every member a
+   simplify fixpoint (checked on an empty memo, so idempotence is really
+   re-derived) and none trivially true — and its one-at-a-time interval
+   boxes equal the boxes learned from the whole pc at once. *)
+let prop_add_constraint_normalized =
+  QCheck2.Test.make ~count:300 ~name:"add_constraint keeps pc normalized"
+    QCheck2.Gen.(list_size (int_range 1 12) gen_constraint)
+    (fun cs ->
+      let st = List.fold_left Engine.State.add_constraint searcher_st0 cs in
+      let pc = st.Engine.State.pc in
+      Smt.Simplify.clear_memo ();
+      List.for_all (fun c -> Smt.Simplify.simplify c == c && not (E.is_true c)) pc
+      && Option.equal (Smt.Range.Imap.equal ( = )) st.Engine.State.boxes
+           (Smt.Range.boxes_of_pc pc))
+
 (* --- solver determinism ---------------------------------------------------------------- *)
 
 let test_check_deterministic_history_independent () =
@@ -430,7 +462,9 @@ let test_check_deterministic_history_independent () =
   let s2 = Smt.Solver.create () in
   ignore (Smt.Solver.check s2 [ E.eq x (E.const ~width:8 123L) ]);
   ignore (Smt.Solver.check s2 [ E.eq y (E.const ~width:8 45L) ]);
-  ignore (Smt.Solver.branch_feasible s2 ~pc (E.eq x (E.const ~width:8 7L)));
+  ignore
+    (Smt.Solver.branch_feasible s2 ~pc:(List.map Smt.Simplify.simplify pc)
+       (E.eq x (E.const ~width:8 7L)));
   let m2 = model_of s2 in
   Alcotest.(check bool) "same model regardless of history" true (m1 = m2)
 
@@ -470,6 +504,7 @@ let () =
       );
       ("searcher", qsuite prop_searchers_match_model);
       ("substitution", qsuite [ prop_substitute_sound ]);
+      ("state", qsuite [ prop_add_constraint_normalized ]);
       ( "determinism",
         [
           Alcotest.test_case "solver history independence" `Quick

@@ -325,26 +325,32 @@ let prop_solver_matches_bruteforce =
 
 (* --- solver orchestration --------------------------------------------------- *)
 
+(* A path condition in the form the engine keeps it: members simplified,
+   trivially-true members dropped. *)
+let norm pc = List.filter (fun e -> not (E.is_true e)) (List.map Smt.Simplify.simplify pc)
+
+let is_sat = function Smt.Solver.Sat _ -> true | Smt.Solver.Unsat -> false
+
 let test_branch_feasible () =
   let solver = Smt.Solver.create () in
-  let pc = [ E.ult sym_a (i8 10) ] in
+  let pc = norm [ E.ult sym_a (i8 10) ] in
   Alcotest.(check bool) "a < 10 and a = 5 feasible" true
     (Smt.Solver.branch_feasible solver ~pc (E.eq sym_a (i8 5)));
   Alcotest.(check bool) "a < 10 and a = 20 infeasible" false
     (Smt.Solver.branch_feasible solver ~pc (E.eq sym_a (i8 20)));
-  Alcotest.(check bool) "a < 10 implies a <= 9" true
-    (Smt.Solver.must_be_true solver ~pc (E.ule sym_a (i8 9)))
+  Alcotest.(check bool) "a < 10 refutes a > 9" false
+    (Smt.Solver.branch_feasible solver ~pc (E.not_ (E.ule sym_a (i8 9))))
 
 let test_independence_slicing () =
   (* b's constraints are irrelevant to a query about a *)
   let solver = Smt.Solver.create () in
-  let pc = [ E.ult sym_a (i8 10); E.eq sym_b (i8 77) ] in
+  let pc = norm [ E.ult sym_a (i8 10); E.eq sym_b (i8 77) ] in
   Alcotest.(check bool) "sliced query" true
     (Smt.Solver.branch_feasible solver ~pc (E.eq sym_a (i8 3)))
 
 let test_cache_hits () =
   let solver = Smt.Solver.create () in
-  let pc = [ E.ult sym_a (i8 10) ] in
+  let pc = norm [ E.ult sym_a (i8 10) ] in
   let q () = ignore (Smt.Solver.branch_feasible solver ~pc (E.eq sym_a (i8 5))) in
   q ();
   q ();
@@ -369,7 +375,7 @@ let test_deterministic_models () =
   (* two solvers with different query histories *)
   let s1 = Smt.Solver.create () in
   ignore (Smt.Solver.check s1 [ E.eq sym_a (i8 7) ]);
-  ignore (Smt.Solver.branch_feasible s1 ~pc:[ E.ult sym_b (i8 100) ] (E.eq sym_b (i8 3)));
+  ignore (Smt.Solver.branch_feasible s1 ~pc:(norm [ E.ult sym_b (i8 100) ]) (E.eq sym_b (i8 3)));
   let s2 = Smt.Solver.create () in
   ignore (Smt.Solver.check s2 [ E.ult sym_b (i8 5); E.ult sym_a (i8 9) ]);
   let m1 = model_of s1 and m2 = model_of s2 in
@@ -393,11 +399,11 @@ let test_model_extraction () =
    clause groups from scratch and agree with a brand-new solver. *)
 let test_clear_caches_rebuild () =
   let solver = Smt.Solver.create () in
-  let pc = [ E.ult sym_a (i8 100); E.ult sym_b sym_a ] in
+  let pc = norm [ E.ult sym_a (i8 100); E.ult sym_b sym_a ] in
   let ask s =
     ( Smt.Solver.branch_feasible s ~pc (E.eq sym_a (i8 50)),
       Smt.Solver.branch_feasible s ~pc (E.ult (E.add sym_a sym_b) (i8 199)),
-      Smt.Solver.must_be_true s ~pc (E.ult sym_b (i8 99)),
+      Smt.Solver.fork_feasible s ~pc (E.ult sym_b (i8 99)),
       match Smt.Solver.check_deterministic s pc with
       | Smt.Solver.Sat m -> Some (Smt.Model.eval m sym_a, Smt.Model.eval m sym_b)
       | Smt.Solver.Unsat -> None )
@@ -419,23 +425,25 @@ let test_clear_caches_rebuild () =
   let fresh = ask (Smt.Solver.create ()) in
   Alcotest.(check bool) "agrees with a brand-new solver" true (before = fresh)
 
-(* The incremental solver (persistent assumption-queried instance) and the
-   per-query fresh solver must give the same verdict on every query of a
-   growing path, whatever the earlier queries taught the shared instance. *)
+(* The persistent assumption-queried instance must give the verdict of a
+   fresh from-scratch solve ({!Smt.Solver.check_deterministic} always
+   builds a new instance) on every query of a growing path, whatever the
+   earlier queries taught the shared instance.  The caches and the
+   interval fast path are off so every non-trivial query reaches it. *)
 let prop_incremental_matches_fresh =
   QCheck2.Test.make ~count:100 ~name:"incremental verdicts match fresh-instance solver"
     QCheck2.Gen.(list_size (int_range 1 8) gen_bool_expr)
     (fun conds ->
-      let si = Smt.Solver.create ~use_incremental:true () in
-      let sf = Smt.Solver.create ~use_incremental:false () in
+      let si = Smt.Solver.create ~use_sat_cache:false ~use_cex_cache:false ~use_range:false () in
+      let sf = Smt.Solver.create () in
       let ok = ref true in
-      let pc = ref [ E.ult sym_a (i8 200) ] in
+      let pc = ref (norm [ E.ult sym_a (i8 200) ]) in
       List.iter
         (fun c ->
           let vi = Smt.Solver.branch_feasible si ~pc:!pc c in
-          let vf = Smt.Solver.branch_feasible sf ~pc:!pc c in
+          let vf = is_sat (Smt.Solver.check_deterministic sf (c :: !pc)) in
           if vi <> vf then ok := false;
-          if vi then pc := c :: !pc)
+          if vi then pc := norm (c :: !pc))
         conds;
       !ok)
 
@@ -487,60 +495,49 @@ let test_trivial_true_counted () =
       && tier_sum st = st.Smt.Solver.queries)
   in
   let taut = E.eq sym_a sym_a in
-  let pc = [ E.ult sym_a (i8 10) ] in
+  let pc = norm [ E.ult sym_a (i8 10) ] in
+  check_entry "check" (fun s ->
+      Alcotest.(check bool) "sat" true (is_sat (Smt.Solver.check s [ taut ])));
+  check_entry "check_deterministic" (fun s ->
+      Alcotest.(check bool) "sat" true (is_sat (Smt.Solver.check_deterministic s [ taut ])));
   check_entry "branch_feasible" (fun s ->
       Alcotest.(check bool) "feasible" true (Smt.Solver.branch_feasible s ~pc taut));
-  check_entry "branch_feasible_norm" (fun s ->
-      Alcotest.(check bool) "feasible" true
-        (Smt.Solver.branch_feasible_norm s ~npc:[ Smt.Simplify.simplify (List.hd pc) ] taut));
   check_entry "fork_feasible" (fun s ->
-      let t, f = Smt.Solver.fork_feasible s ~npc:[ Smt.Simplify.simplify (List.hd pc) ] taut in
-      Alcotest.(check (pair bool bool)) "true branch only" (true, false) (t, f));
-  check_entry "must_be_true" (fun s ->
-      Alcotest.(check bool) "valid" true (Smt.Solver.must_be_true s ~pc taut))
+      let t, f = Smt.Solver.fork_feasible s ~pc taut in
+      Alcotest.(check (pair bool bool)) "true branch only" (true, false) (t, f))
 
 (* Invariant: every answered query lands in exactly one tier, across all
    entry points, on randomized query mixes. *)
 let prop_stats_reconcile =
   let gen =
-    QCheck2.Gen.(list_size (int_range 1 20) (pair (int_bound 5) gen_bool_expr))
+    QCheck2.Gen.(list_size (int_range 1 20) (pair (int_bound 3) gen_bool_expr))
   in
   QCheck2.Test.make ~count:100 ~name:"trivial+range+cache+cex+sat = queries" gen
     (fun ops ->
       let solver = Smt.Solver.create () in
-      let pc = [ E.ult sym_a (i8 200) ] in
-      let npc = List.map Smt.Simplify.simplify pc in
+      let pc = norm [ E.ult sym_a (i8 200) ] in
       List.iter
         (fun (op, c) ->
           match op with
           | 0 -> ignore (Smt.Solver.check solver (c :: pc))
           | 1 -> ignore (Smt.Solver.branch_feasible solver ~pc c)
-          | 2 -> ignore (Smt.Solver.must_be_true solver ~pc c)
-          | 3 -> ignore (Smt.Solver.check_deterministic solver (c :: pc))
-          | 4 -> ignore (Smt.Solver.branch_feasible_norm solver ~npc c)
-          | _ -> ignore (Smt.Solver.fork_feasible solver ~npc c))
+          | 2 -> ignore (Smt.Solver.check_deterministic solver (c :: pc))
+          | _ -> ignore (Smt.Solver.fork_feasible solver ~pc c))
         ops;
       let st = Smt.Solver.stats solver in
       st.Smt.Solver.queries > 0 && tier_sum st = st.Smt.Solver.queries)
 
-(* The fused fork entry point answers exactly what two independent
-   branch_feasible calls would. *)
-let prop_fork_matches_branch =
-  QCheck2.Test.make ~count:100 ~name:"fork_feasible = branch_feasible on both polarities"
+(* The fused fork entry point (shared simplify, boxes and slice) answers
+   exactly what a plain {!Smt.Solver.check} of the full, unsliced
+   conjunction does, on both polarities. *)
+let prop_fork_matches_check =
+  QCheck2.Test.make ~count:100 ~name:"fork_feasible = check on both polarities"
     QCheck2.Gen.(pair gen_bool_expr (int_bound 254))
     (fun (c, bound) ->
-      let pc = [ E.ule sym_a (E.const ~width:8 (Int64.of_int bound)) ] in
-      let npc =
-        List.filter (fun e -> not (E.is_true e)) (List.map Smt.Simplify.simplify pc)
-      in
-      let s1 = Smt.Solver.create () in
-      let fused = Smt.Solver.fork_feasible s1 ~npc c in
-      let s2 = Smt.Solver.create () in
-      let plain =
-        ( Smt.Solver.branch_feasible s2 ~pc c,
-          Smt.Solver.branch_feasible s2 ~pc (E.not_ c) )
-      in
-      fused = plain)
+      let pc = norm [ E.ule sym_a (E.const ~width:8 (Int64.of_int bound)) ] in
+      let fused = Smt.Solver.fork_feasible (Smt.Solver.create ()) ~pc c in
+      let s = Smt.Solver.create () in
+      fused = (is_sat (Smt.Solver.check s (c :: pc)), is_sat (Smt.Solver.check s (E.not_ c :: pc))))
 
 (* --- interval analysis --------------------------------------------------------- *)
 
@@ -571,9 +568,9 @@ let prop_range_agrees_with_sat =
   QCheck2.Test.make ~count:200 ~name:"range fast path agrees with SAT"
     QCheck2.Gen.(pair gen_bool_expr (int_bound 255))
     (fun (cond, bound) ->
-      let pc = [ Smt.Simplify.simplify (E.ule sym_a (E.const ~width:8 (Int64.of_int bound))) ] in
+      let pc = norm [ E.ule sym_a (E.const ~width:8 (Int64.of_int bound)) ] in
       let cond = Smt.Simplify.simplify cond in
-      match Smt.Range.quick_feasible ~pc cond with
+      match Option.bind (Smt.Range.boxes_of_pc pc) (fun bx -> Smt.Range.quick_feasible bx cond) with
       | None -> true
       | Some verdict ->
         let solver = Smt.Solver.create ~use_range:false () in
@@ -589,11 +586,11 @@ let test_range_basics () =
   Alcotest.(check bool) "empty meet" true
     (Smt.Range.meet box (Smt.Range.make ~width:8 30L 40L) = None);
   (* derived verdicts *)
-  let pc = [ Smt.Simplify.simplify (E.ult sym_a (i8 10)) ] in
+  let bx = Option.get (Smt.Range.boxes_of_pc (norm [ E.ult sym_a (i8 10) ])) in
   Alcotest.(check (option bool)) "a<10 implies a<=20" (Some true)
-    (Smt.Range.quick_feasible ~pc (Smt.Simplify.simplify (E.ult sym_a (i8 20))));
+    (Smt.Range.quick_feasible bx (Smt.Simplify.simplify (E.ult sym_a (i8 20))));
   Alcotest.(check (option bool)) "a<10 refutes a>=50" (Some false)
-    (Smt.Range.quick_feasible ~pc (Smt.Simplify.simplify (E.uge sym_a (i8 50))))
+    (Smt.Range.quick_feasible bx (Smt.Simplify.simplify (E.uge sym_a (i8 50))))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -638,7 +635,7 @@ let () =
             [
               prop_solver_matches_bruteforce;
               prop_stats_reconcile;
-              prop_fork_matches_branch;
+              prop_fork_matches_check;
               prop_incremental_matches_fresh;
             ] );
     ]
