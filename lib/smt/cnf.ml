@@ -30,7 +30,12 @@
    Dep records live in a dense array; every translated node is known by
    its index, so the per-query cone walk is pure array traversal (a
    stamped visited array, no hashing).  Only first-time translation pays
-   hashtable costs. *)
+   hashtable costs.
+
+   Recording happens only inside an open frame, i.e. under [activate]:
+   a one-shot context ([assert_expr] + [solve]) never walks a cone and
+   records nothing.  A context is used one way or the other, never both
+   (a node translated outside a frame has no dep record to reference). *)
 type dep = {
   dvars : int array;
   drefs : int array;
@@ -116,7 +121,20 @@ let pop_frame ctx =
 
 (* Record that the current frame's node references dep node [idx]. *)
 let note_ref ctx idx =
-  match ctx.frames with f :: _ -> f.frefs <- idx :: f.frefs | [] -> ()
+  match ctx.frames with
+  | f :: _ ->
+    assert (idx >= 0);
+    f.frefs <- idx :: f.frefs
+  | [] -> ()
+
+(* Run [f] as one dep node; returns its result and dep index. *)
+let framed ctx f =
+  push_frame ctx;
+  let r = f () in
+  (r, pop_frame ctx)
+
+(* [framed] when recording, else plainly with dep index -1. *)
+let in_frame ctx f = match ctx.frames with [] -> (f (), -1) | _ :: _ -> framed ctx f
 
 let ctx_new_var ctx =
   let v = Sat.new_var ctx.sat in
@@ -305,9 +323,7 @@ let rec translate ctx (e : Expr.t) : int array =
     note_ref ctx idx;
     bits
   | None ->
-    push_frame ctx;
-    let bits = translate_uncached ctx e in
-    let idx = pop_frame ctx in
+    let bits, idx = in_frame ctx (fun () -> translate_uncached ctx e) in
     Hashtbl.replace ctx.cache id (bits, idx);
     note_ref ctx idx;
     bits
@@ -318,26 +334,28 @@ and divmod ctx a b =
     note_ref ctx did;
     (q, r)
   | None ->
-    push_frame ctx;
-    let w = Expr.width a in
-    let av = translate ctx a and bv = translate ctx b in
-    let q = Array.init w (fun _ -> fresh_lit ctx) in
-    let r = Array.init w (fun _ -> fresh_lit ctx) in
-    let bnz = Array.fold_left (fun acc l -> g_or ctx acc l) (lit_false ctx) bv in
-    (* b = 0: q = all-ones, r = a (matching Expr.eval_binop) *)
-    imply_vec_eq ctx (neg bnz) q (Array.make w (lit_true ctx));
-    imply_vec_eq ctx (neg bnz) r av;
-    (* b <> 0: a = q*b + r at double width (no wraparound), and r < b *)
-    let pad v = Array.append v (Array.make w (lit_false ctx)) in
-    let prod = vec_mul ctx (pad q) (pad bv) in
-    let sum = vec_add ctx prod (pad r) in
-    imply_vec_eq ctx bnz sum (pad av);
-    let rlt = vec_ult ctx r bv in
-    Sat.add_clause ctx.sat [ neg bnz; rlt ];
-    let did = pop_frame ctx in
+    let (q, r), did = in_frame ctx (fun () -> divmod_uncached ctx a b) in
     Hashtbl.replace ctx.divmod_cache (Expr.id a, Expr.id b) (q, r, did);
     note_ref ctx did;
     (q, r)
+
+and divmod_uncached ctx a b =
+  let w = Expr.width a in
+  let av = translate ctx a and bv = translate ctx b in
+  let q = Array.init w (fun _ -> fresh_lit ctx) in
+  let r = Array.init w (fun _ -> fresh_lit ctx) in
+  let bnz = Array.fold_left (fun acc l -> g_or ctx acc l) (lit_false ctx) bv in
+  (* b = 0: q = all-ones, r = a (matching Expr.eval_binop) *)
+  imply_vec_eq ctx (neg bnz) q (Array.make w (lit_true ctx));
+  imply_vec_eq ctx (neg bnz) r av;
+  (* b <> 0: a = q*b + r at double width (no wraparound), and r < b *)
+  let pad v = Array.append v (Array.make w (lit_false ctx)) in
+  let prod = vec_mul ctx (pad q) (pad bv) in
+  let sum = vec_add ctx prod (pad r) in
+  imply_vec_eq ctx bnz sum (pad av);
+  let rlt = vec_ult ctx r bv in
+  Sat.add_clause ctx.sat [ neg bnz; rlt ];
+  (q, r)
 
 and translate_uncached ctx (e : Expr.t) : int array =
   match e.Expr.node with
@@ -409,17 +427,22 @@ let activate ctx e =
   | None ->
     let lowered = Simplify.lower e in
     assert (Expr.width lowered = 1);
-    push_frame ctx;
-    let bits = translate ctx lowered in
-    let a = fresh_lit ctx in
-    (* the guard clause must close before the frame does, so it lands in
-       the group's clause range and gets marked with the cone *)
-    Sat.add_clause ctx.sat [ neg a; bits.(0) ];
-    let did = pop_frame ctx in
+    let a, did =
+      framed ctx (fun () ->
+          let bits = translate ctx lowered in
+          let a = fresh_lit ctx in
+          (* the guard clause must close before the frame does, so it
+             lands in the group's clause range and gets marked with the
+             cone *)
+          Sat.add_clause ctx.sat [ neg a; bits.(0) ];
+          a)
+    in
     Hashtbl.replace ctx.groups (Expr.id e) (a, did);
     (a, true)
 
 let solve ctx = Sat.solve ctx.sat
+
+let recording ctx f = fst (framed ctx f)
 
 (* Mark the transitive cone of dep node [idx] as relevant in the SAT
    core.  Pure array traversal: the visited stamp lives in a dense array
@@ -459,6 +482,7 @@ let solve_activated ctx es =
     gs;
   Sat.solve_with_assumptions ctx.sat (List.map fst gs)
 let num_clauses ctx = Sat.num_clauses ctx.sat
+let num_vars ctx = Sat.num_vars ctx.sat
 let num_groups ctx = Hashtbl.length ctx.groups
 let sat_stats ctx = Sat.stats ctx.sat
 let is_ok ctx = Sat.is_ok ctx.sat

@@ -3,8 +3,9 @@
     Each expression translates to a vector of SAT literals (least
     significant bit first); translations are memoized per context so shared
     subterms share circuitry.  A context either accumulates hard
-    assertions for one satisfiability query ({!assert_expr} + {!solve}),
-    or serves as a persistent incremental instance: {!activate} blasts
+    assertions for one satisfiability query ({!assert_expr} + {!solve},
+    recording no cone dependencies), or serves as a persistent
+    incremental instance: {!activate} blasts
     each constraint once behind an activation literal, and
     {!solve_activated} turns an arbitrary subset of the blasted
     constraints on per query while retaining everything the CDCL core
@@ -30,6 +31,13 @@ val activate : ctx -> Expr.t -> int * bool
 
 val solve : ctx -> Sat.result
 
+(** [recording ctx f] runs [f] with cone recording on, as inside
+    {!activate}: every node [f] translates gets a dependency record.
+    A one-shot context ({!assert_expr} + {!solve}) records none; this
+    lets tests check that recording leaves the emitted instance
+    unchanged. *)
+val recording : ctx -> (unit -> 'a) -> 'a
+
 (** Decide the conjunction of previously {!activate}d constraints:
     assumes their activation literals and restricts CDCL branching to the
     union of their translation cones.  Learned clauses, activities and
@@ -40,6 +48,9 @@ val solve_activated : ctx -> Expr.t list -> Sat.result
 (** Monotone clause count of the underlying instance (for retirement
     policies bounding persistent-instance growth). *)
 val num_clauses : ctx -> int
+
+(** Variables allocated in the underlying instance. *)
+val num_vars : ctx -> int
 
 (** Number of activated constraint groups. *)
 val num_groups : ctx -> int

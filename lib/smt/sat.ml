@@ -55,8 +55,6 @@ type t = {
   mutable cmark : int array;          (* clause -> relevance stamp; -1 = always *)
   mutable mark_stamp : int;
   mutable use_marks : bool;           (* restrict decisions to marked vars *)
-  mutable skipped : int array;        (* unmarked vars popped off the heap *)
-  mutable nskipped : int;
   mutable nmarked_open : int;         (* marked vars currently unassigned *)
 }
 
@@ -93,8 +91,6 @@ let create () =
     cmark = Array.make 16 0;
     mark_stamp = 0;
     use_marks = false;
-    skipped = Array.make 16 0;
-    nskipped = 0;
     nmarked_open = 0;
   }
 
@@ -170,11 +166,6 @@ let new_var s =
   s.phase <- grow_array s.phase s.nvars false;
   s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
   s.trail <- grow_array s.trail s.nvars 0;
-  s.heap_pos.(v) <- -1;
-  s.assign.(v) <- Unassigned;
-  s.activity.(v) <- 0.0;
-  s.phase.(v) <- false;
-  s.reason.(v) <- -1;
   if Array.length s.watches < 2 * s.nvars then begin
     let w = Array.make (max (2 * s.nvars) (2 * Array.length s.watches)) [] in
     Array.blit s.watches 0 w 0 (Array.length s.watches);
@@ -182,7 +173,7 @@ let new_var s =
   end;
   s.watches.((2 * v)) <- [];
   s.watches.((2 * v) + 1) <- [];
-  heap_insert s v;
+  if not s.use_marks then heap_insert s v;
   v
 
 (* --- relevance marks ---------------------------------------------------
@@ -190,12 +181,13 @@ let new_var s =
    A caller that knows which variables the current query can actually
    depend on (the transitive cone of the constraints being assumed, see
    {!Cnf}) may restrict branching to them: [begin_marks] opens a fresh
-   mark generation and arms the restriction for the next
-   [solve_with_assumptions]; [mark_var] adds one variable.  The search
-   then never *decides* an unmarked variable (propagation may still
-   assign them), and answers [Satisfiable] once every marked variable is
-   assigned without conflict.  This is sound whenever the unmarked
-   remainder of the instance is extendable — true by construction for
+   mark generation, empties the branching heap and arms the restriction
+   for the next [solve_with_assumptions]; [mark_var] adds one variable
+   to the marks and the heap, and backtracking re-queues only marked
+   ones.  The search then never *decides* an unmarked variable nor pops
+   one (propagation may still assign them), and answers [Satisfiable]
+   once every marked variable is assigned without conflict.  This is
+   sound whenever the unmarked remainder of the instance is extendable — true by construction for
    bit-blasted circuitry: unmarked clauses are Tseitin gate definitions
    (evaluate bottom-up from any input assignment) or activation guards
    (satisfied by leaving the group's activation literal false). *)
@@ -205,18 +197,23 @@ let begin_marks s =
   s.cmark <- grow_array s.cmark (max 16 s.nclauses) 0;
   s.mark_stamp <- s.mark_stamp + 1;
   s.use_marks <- true;
-  s.nmarked_open <- 0
+  s.nmarked_open <- 0;
+  for i = 0 to s.heap_size - 1 do s.heap_pos.(s.heap.(i)) <- -1 done;
+  s.heap_size <- 0
 
 (* [nmarked_open] counts marked variables not yet assigned, so the search
    can answer Satisfiable the instant the cone is fully assigned instead
    of draining the instance-wide branching heap past the mark filter.
    Marking may happen while the previous query's trail is still in place:
-   variables it still holds assigned are not counted here, and the
-   [cancel_until 0] at the head of the next solve counts them back in. *)
+   variables it still holds assigned are neither counted nor queued here,
+   and the [cancel_until 0] at the head of the next solve does both. *)
 let mark_var s v =
   if s.mark.(v) <> s.mark_stamp then begin
     s.mark.(v) <- s.mark_stamp;
-    if s.assign.(v) = Unassigned then s.nmarked_open <- s.nmarked_open + 1
+    if s.assign.(v) = Unassigned then begin
+      s.nmarked_open <- s.nmarked_open + 1;
+      heap_insert s v
+    end
   end
 
 let marked s v = v < Array.length s.mark && s.mark.(v) = s.mark_stamp
@@ -265,7 +262,7 @@ let cancel_until s lvl =
       if s.use_marks && marked s v then s.nmarked_open <- s.nmarked_open + 1;
       s.assign.(v) <- Unassigned;
       s.reason.(v) <- -1;
-      heap_insert s v
+      if (not s.use_marks) || marked s v then heap_insert s v
     done;
     s.trail_size <- bound;
     s.qhead <- bound;
@@ -339,29 +336,40 @@ let note_learnt s ci =
 (* Add a problem clause.  Clauses may be added between queries on a
    persistent instance: any leftover non-root assignment from the previous
    [solve] is undone first, so the literal filtering below only ever uses
-   root-level (implied) facts. *)
+   root-level (implied) facts.  The literals are insertion-sorted in place
+   (problem clauses are short) and stored in ascending order. *)
 let add_clause s lits =
   if decision_level s > 0 then cancel_until s 0;
   if s.ok then begin
-    (* Remove duplicates and false literals; detect tautologies. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.exists (fun l' -> l' = l lxor 1) lits) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_value s l <> False) lits in
-      if List.exists (fun l -> lit_value s l = True) lits then ()
+    let c = Array.of_list lits in
+    for i = 1 to Array.length c - 1 do
+      let l = c.(i) and j = ref i in
+      while !j > 0 && c.(!j - 1) > l do
+        c.(!j) <- c.(!j - 1);
+        decr j
+      done;
+      c.(!j) <- l
+    done;
+    (* Compact to the first [n] slots, dropping duplicates and false
+       literals; -1 for a satisfied clause or a tautology (once sorted, a
+       literal sits next to its negation). *)
+    let rec keep i n =
+      if i = Array.length c then n
+      else if i > 0 && c.(i - 1) = c.(i) lxor 1 then -1
+      else if i > 0 && c.(i - 1) = c.(i) then keep (i + 1) n
       else
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] -> enqueue s l (-1)
-        | l0 :: l1 :: _ ->
-          let c = Array.of_list lits in
-          let ci = push_clause s c in
-          ignore l0;
-          ignore l1;
-          attach_clause s ci
-    end
+        match lit_value s c.(i) with
+        | True -> -1
+        | False -> keep (i + 1) n
+        | Unassigned ->
+          c.(n) <- c.(i);
+          keep (i + 1) (n + 1)
+    in
+    match keep 0 0 with
+    | -1 -> ()
+    | 0 -> s.ok <- false
+    | 1 -> enqueue s c.(0) (-1)
+    | n -> attach_clause s (push_clause s (if n = Array.length c then c else Array.sub c 0 n))
   end
 
 (* --- propagation --------------------------------------------------------- *)
@@ -517,30 +525,20 @@ let luby y i =
   in
   outer i
 
-(* Pop until an unassigned (and, under marks, relevant) variable surfaces.
-   Unmarked variables are stashed off the heap for the rest of the query
-   ([restore_skipped] puts them back before [solve_aux] returns). *)
-let pick_branch_var s =
-  let rec loop () =
-    if s.heap_size = 0 then -1
-    else
-      let v = heap_pop s in
-      if s.assign.(v) <> Unassigned then loop ()
-      else if s.use_marks && not (marked s v) then begin
-        s.skipped <- grow_array s.skipped (s.nskipped + 1) 0;
-        s.skipped.(s.nskipped) <- v;
-        s.nskipped <- s.nskipped + 1;
-        loop ()
-      end
-      else v
-  in
-  loop ()
+(* Pop until an unassigned variable surfaces.  Under marks the heap holds
+   only the cone (see [begin_marks]). *)
+let rec pick_branch_var s =
+  if s.heap_size = 0 then -1
+  else
+    let v = heap_pop s in
+    if s.assign.(v) <> Unassigned then pick_branch_var s else v
 
-let restore_skipped s =
-  for i = 0 to s.nskipped - 1 do
-    heap_insert s s.skipped.(i)
-  done;
-  s.nskipped <- 0
+(* An unmarked solve branches anywhere: re-queue what marked solves left
+   off the heap (a no-op on an instance that never saw marks). *)
+let refill_heap s =
+  for v = 0 to s.nvars - 1 do
+    if s.heap_pos.(v) < 0 && s.assign.(v) = Unassigned then heap_insert s v
+  done
 
 type result = Satisfiable | Unsatisfiable
 
@@ -588,6 +586,7 @@ let solve_aux s assumps =
   end
   else begin
     cancel_until s 0;
+    if not s.use_marks then refill_heap s;
     if s.nlearnts > learnt_limit s then reduce_learnts s;
     let nassumps = Array.length assumps in
     let restart_base = 64.0 in
@@ -638,7 +637,6 @@ let solve_aux s assumps =
         end
       end
     done;
-    restore_skipped s;
     s.use_marks <- false;
     match !result with Some r -> r | None -> assert false
   end
@@ -649,6 +647,7 @@ let solve s =
 let solve_with_assumptions s assumps = solve_aux s (Array.of_list assumps)
 
 let num_clauses s = s.nclauses
+let clause s ci = Array.copy s.clauses.(ci)
 let num_vars s = s.nvars
 let is_ok s = s.ok
 

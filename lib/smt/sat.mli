@@ -48,9 +48,12 @@ val solve_with_assumptions : t -> int list -> result
 (** Relevance restriction for persistent instances.  [begin_marks] opens
     a fresh mark generation and arms the restriction for the next
     {!solve_with_assumptions} call only; {!mark_var} adds one variable to
-    the relevant set.  The armed search never branches on an unmarked
-    variable and answers [Satisfiable] as soon as every marked variable
-    is assigned without conflict — sound iff the unmarked remainder of
+    the relevant set.  The branching heap holds only marked variables
+    from [begin_marks] until the next unmarked solve, which re-queues
+    every unassigned variable first, so a marked query's cost follows
+    its cone, not the instance.  The armed search never branches on an
+    unmarked variable and answers [Satisfiable] as soon as every marked
+    variable is assigned without conflict — sound iff the unmarked remainder of
     the instance is always extendable to a full model (true for Tseitin
     gate definitions and activation-guard clauses, the only clauses
     {!Cnf} emits outside a query's cone).  Callers must mark the full
@@ -79,6 +82,11 @@ val value : t -> int -> bool
 val num_clauses : t -> int
 
 val num_vars : t -> int
+
+(** [clause s ci] is a copy of the literals of arena clause [ci] (in
+    insertion order, see {!num_clauses}) as currently stored: empty for
+    a deleted learnt slot.  For tests. *)
+val clause : t -> int -> int array
 
 (** [false] once a root-level conflict has been derived: the clause
     database itself is contradictory and every further query answers

@@ -3,7 +3,8 @@
    This mirrors the solver stack KLEE/Cloud9 sit on:
    - a canonicalizing simplifier pass,
    - constraint-independence slicing (only constraints transitively
-     sharing symbols with the query are sent to the solver),
+     sharing symbols with the query are sent to the solver; a full
+     [check] is split into its independent components),
    - a satisfiability cache keyed on the canonical constraint set,
    - a counterexample (model) cache: recent models are probed by concrete
      evaluation before invoking the SAT solver.
@@ -324,6 +325,9 @@ let solve_fresh constraints =
     assert (Model.satisfies model constraints);
     Sat model
 
+let syms_of cs =
+  List.fold_left (fun acc c -> Expr.Iset.union acc (Expr.sym_set c)) Expr.Iset.empty cs
+
 (* Retire the persistent instance when its clause arena outgrows this
    bound: a fresh instance re-blasts only the live path's constraints,
    shedding circuits (and tombstoned learnts) of long-dead branches. *)
@@ -376,16 +380,11 @@ let solve_incremental t constraints =
       solve_fresh constraints
     end
   | Sat.Satisfiable ->
-    let syms =
-      List.fold_left
-        (fun acc c -> Expr.Iset.union acc (Expr.sym_set c))
-        Expr.Iset.empty constraints
-    in
     let model =
       Expr.Iset.fold
         (fun id m ->
           match Cnf.sym_value ctx id with Some v -> Model.add id v m | None -> m)
-        syms Model.empty
+        (syms_of constraints) Model.empty
     in
     (* Same soundness check as the fresh path. *)
     assert (Model.satisfies model constraints);
@@ -431,22 +430,62 @@ let check_normalized t ~kind constraints =
     if t.use_sat_cache then Hashtbl.replace t.sat_cache k r;
     r
 
-(* Full check: is the conjunction of [constraints] satisfiable?  The model
-   returned covers all symbols mentioned in the constraints (others are
-   unconstrained and default to zero on evaluation). *)
+(* The symbol-connected components of an id-sorted constraint list, each
+   with its symbol set and its members in id order. *)
+let components cs =
+  List.fold_left
+    (fun groups c ->
+      let syms = Expr.sym_set c in
+      let joined, apart =
+        List.partition (fun (s, _) -> not (Expr.Iset.disjoint s syms)) groups
+      in
+      List.fold_left
+        (fun (s, ms) (s', ms') -> (Expr.Iset.union s s', List.rev_append ms' ms))
+        (syms, [ c ]) joined
+      :: apart)
+    [] cs
+  |> List.rev_map (fun (s, ms) -> (s, List.sort Expr.compare ms))
+
+(* Full check: is the conjunction of [constraints] satisfiable?  With
+   independence on, each symbol-connected component is its own query:
+   a component usually equals the key of the branch query that created
+   it, so it is a cache hit.  Each component's model is restricted to
+   the component's symbols (a cached model may bind others) before the
+   models are merged; the first Unsat component answers the whole check.
+   The model binds only symbols of the normalized constraints (others
+   are unconstrained and default to zero on evaluation). *)
 let check t constraints =
   t.q_t0 <- Obs.Profile.start t.prof;
-  t.stats.queries <- t.stats.queries + 1;
   match normalize constraints with
   | None ->
+    t.stats.queries <- t.stats.queries + 1;
     t.stats.trivial <- t.stats.trivial + 1;
     note t "check" Obs.Event.Trivial false;
     Unsat
   | Some [] ->
+    t.stats.queries <- t.stats.queries + 1;
     t.stats.trivial <- t.stats.trivial + 1;
     note t "check" Obs.Event.Trivial true;
     Sat Model.empty
-  | Some cs -> check_normalized t ~kind:"check" cs
+  | Some cs ->
+    let parts = if t.use_independence then components cs else [ (syms_of cs, cs) ] in
+    let rec go merged = function
+      | [] ->
+        assert (Model.satisfies merged cs);
+        Sat merged
+      | (syms, part) :: rest -> (
+        t.stats.queries <- t.stats.queries + 1;
+        match check_normalized t ~kind:"check" part with
+        | Unsat -> Unsat
+        | Sat m ->
+          go
+            (Expr.Iset.fold
+               (fun id acc ->
+                 match Model.get m id with Some v -> Model.add id v acc | None -> acc)
+               syms merged)
+            rest)
+    in
+    go Model.empty parts
 
 (* Answer one fork polarity.  [cond] is already simplified, [sliced] is
    the subset of the (already-normalized) path condition relevant to it,

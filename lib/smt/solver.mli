@@ -78,8 +78,12 @@ val accum_stats : stats -> stats -> unit
     section 6, "Constraint Caches"). *)
 val clear_caches : t -> unit
 
-(** Is the conjunction satisfiable?  On [Sat], the model covers every
-    symbol mentioned in the constraints. *)
+(** Is the conjunction satisfiable?  On [Sat], the model binds only
+    symbols of the normalized constraints (unbound ones read as zero).
+    With independence on, each symbol-connected component of the
+    normalized set is answered (and counted) as its own query through
+    the caches, stopping at the first [Unsat] component; the component
+    models, restricted to their own symbols, are merged. *)
 val check : t -> Expr.t list -> result
 
 (** [branch_feasible t ~pc ?boxes cond]: is [pc /\ cond] satisfiable?

@@ -12,6 +12,7 @@ let i32 v = E.const ~width:32 (Int64.of_int v)
 
 let sym_a = E.fresh_sym ~name:"a" 8
 let sym_b = E.fresh_sym ~name:"b" 8
+let sym_c = E.fresh_sym ~name:"c" 8
 
 let sym_id (e : E.t) = match e.node with E.Sym { id; _ } -> id | _ -> assert false
 
@@ -20,13 +21,13 @@ let lookup_of_pair (va, vb) id =
 
 (* --- random expression generator --------------------------------------- *)
 
-let gen_expr =
+let gen_expr_over syms =
   let open QCheck2.Gen in
   let leaf w =
     oneof
       [
         map (fun v -> E.const ~width:w (Int64.of_int v)) (int_bound 255);
-        (if w = 8 then oneofl [ sym_a; sym_b ] else map (fun v -> E.const ~width:w (Int64.of_int v)) (int_bound 255));
+        (if w = 8 then oneofl syms else map (fun v -> E.const ~width:w (Int64.of_int v)) (int_bound 255));
       ]
   in
   let binops =
@@ -36,7 +37,7 @@ let gen_expr =
     ]
   in
   let cmpops = [ E.Ult; E.Ule; E.Slt; E.Sle; E.Eq ] in
-  (* Generates width-8 expressions over sym_a/sym_b. *)
+  (* Generates width-8 expressions over [syms]. *)
   let rec expr8 depth =
     if depth = 0 then leaf 8
     else
@@ -70,12 +71,16 @@ let gen_expr =
   in
   expr8 3
 
-let gen_bool_expr =
+let gen_expr = gen_expr_over [ sym_a; sym_b ]
+
+let gen_bool_over syms =
   let open QCheck2.Gen in
-  let* a = gen_expr in
-  let* b = gen_expr in
+  let* a = gen_expr_over syms in
+  let* b = gen_expr_over syms in
   let* op = oneofl [ E.Ult; E.Ule; E.Slt; E.Sle; E.Eq ] in
   return (E.binop op a b)
+
+let gen_bool_expr = gen_bool_over [ sym_a; sym_b ]
 
 let gen_byte = QCheck2.Gen.map Int64.of_int (QCheck2.Gen.int_bound 255)
 
@@ -276,7 +281,107 @@ let prop_assumptions_match_units =
           got = expected)
         assump_sets)
 
+(* The list-based {!Smt.Sat.add_clause} the in-place array version
+   replaced, kept as the reference: given the root assignment ([value l]
+   is [Some b] for an assigned literal), what adding [lits] does. *)
+module Ref_add_clause = struct
+  let outcome value lits =
+    let lits = List.sort_uniq compare lits in
+    if List.exists (fun l -> List.exists (fun l' -> l' = l lxor 1) lits) lits then `Skip
+    else
+      let lits = List.filter (fun l -> value l <> Some false) lits in
+      if List.exists (fun l -> value l = Some true) lits then `Skip
+      else match lits with [] -> `Empty | [ l ] -> `Unit l | _ -> `Clause (Array.of_list lits)
+end
+
+(* Root units on distinct variables, then one clause with duplicates,
+   complementary pairs and root-false/true literals mixed in: the stored
+   clause (or unit, skip, contradiction) equals the reference's. *)
+let prop_add_clause_matches_list =
+  let gen =
+    let open QCheck2.Gen in
+    let* nvars = int_range 2 6 in
+    let lit_gen = pair (int_bound (nvars - 1)) bool in
+    let* units = list_size (int_bound nvars) lit_gen in
+    let* clause = list_size (int_bound 7) lit_gen in
+    return (nvars, units, clause)
+  in
+  QCheck2.Test.make ~count:500 ~name:"array add_clause stores what the list version stored" gen
+    (fun (nvars, units, clause) ->
+      let s = Smt.Sat.create () in
+      let vars = Array.init nvars (fun _ -> Smt.Sat.new_var s) in
+      let lit (v, sign) = Smt.Sat.lit ~positive:sign vars.(v) in
+      let units = List.sort_uniq (fun (v, _) (v', _) -> compare v v') units in
+      List.iter (fun u -> Smt.Sat.add_clause s [ lit u ]) units;
+      let value l =
+        List.find_map
+          (fun (v, sign) ->
+            if vars.(v) = Smt.Sat.var_of_lit l then Some (sign = Smt.Sat.lit_sign l) else None)
+          units
+      in
+      let lits = List.map lit clause in
+      let n0 = Smt.Sat.num_clauses s in
+      Smt.Sat.add_clause s lits;
+      let unchanged = Smt.Sat.num_clauses s = n0 && Smt.Sat.is_ok s in
+      match Ref_add_clause.outcome value lits with
+      | `Skip -> unchanged
+      | `Empty -> not (Smt.Sat.is_ok s)
+      | `Unit l ->
+        unchanged
+        && Smt.Sat.solve s = Smt.Sat.Satisfiable
+        && Smt.Sat.value s (Smt.Sat.var_of_lit l) = Smt.Sat.lit_sign l
+      | `Clause c -> Smt.Sat.num_clauses s = n0 + 1 && Smt.Sat.clause s n0 = c)
+
+(* A marked solve leaves unmarked variables off the branching heap; an
+   unmarked [solve] on the same instance must still assign every
+   variable.  The unmarked clause [z \/ w] is false under the all-false
+   default, so a solve that skipped z and w would fail the check. *)
+let test_unmarked_solve_after_marked () =
+  let s = Smt.Sat.create () in
+  let p b v = Smt.Sat.lit ~positive:b v in
+  let x = Smt.Sat.new_var s and y = Smt.Sat.new_var s and g = Smt.Sat.new_var s in
+  let a = Smt.Sat.new_var s and z = Smt.Sat.new_var s and w = Smt.Sat.new_var s in
+  (* cone: g = x /\ y guarded by activation a; outside it: z \/ w *)
+  let cone =
+    [
+      [ p false x; p false y; p true g ];
+      [ p true x; p false g ];
+      [ p true y; p false g ];
+      [ p false a; p true g ];
+    ]
+  in
+  let rest = [ [ p true z; p true w ] ] in
+  List.iter (Smt.Sat.add_clause s) (cone @ rest);
+  Smt.Sat.begin_marks s;
+  List.iter (Smt.Sat.mark_var s) [ x; y; g; a ];
+  List.iteri (fun ci _ -> Smt.Sat.mark_clause s ci) cone;
+  Alcotest.(check bool) "marked solve sat" true
+    (Smt.Sat.solve_with_assumptions s [ p true a ] = Smt.Sat.Satisfiable);
+  Alcotest.(check bool) "cone assigned" true (Smt.Sat.value s x && Smt.Sat.value s y);
+  Alcotest.(check bool) "unmarked solve sat" true (Smt.Sat.solve s = Smt.Sat.Satisfiable);
+  let holds l = Smt.Sat.value s (Smt.Sat.var_of_lit l) = Smt.Sat.lit_sign l in
+  Alcotest.(check bool) "every clause satisfied" true
+    (List.for_all (List.exists holds) (cone @ rest))
+
 (* --- bit blasting ----------------------------------------------------------- *)
+
+(* A one-shot context records no cone dependencies.  Recording must not
+   change what is emitted: the same variables, the same clauses, and so
+   the same solve and model as a context translated under recording. *)
+let prop_untracked_matches_tracked =
+  QCheck2.Test.make ~count:100 ~name:"untracked one-shot context = tracked one"
+    QCheck2.Gen.(list_size (int_range 1 2) gen_bool_expr)
+    (fun cs ->
+      let untracked = Smt.Cnf.create () and tracked = Smt.Cnf.create () in
+      List.iter (Smt.Cnf.assert_expr untracked) cs;
+      Smt.Cnf.recording tracked (fun () -> List.iter (Smt.Cnf.assert_expr tracked) cs);
+      let answer ctx =
+        ( Smt.Cnf.num_vars ctx,
+          Smt.Cnf.num_clauses ctx,
+          Smt.Cnf.solve ctx,
+          List.map (fun e -> Smt.Cnf.sym_value ctx (sym_id e)) [ sym_a; sym_b ] )
+      in
+      answer untracked = answer tracked)
 
 (* For a random expression [e] and full assignment [sigma]:
    pinning the symbols to sigma and asserting [e = eval_sigma(e)] must be
@@ -529,15 +634,55 @@ let prop_stats_reconcile =
 
 (* The fused fork entry point (shared simplify, boxes and slice) answers
    exactly what a plain {!Smt.Solver.check} of the full, unsliced
-   conjunction does, on both polarities. *)
+   conjunction does, on both polarities.  The reference runs without
+   independence, so it shares neither the slice nor the split [check]. *)
 let prop_fork_matches_check =
   QCheck2.Test.make ~count:100 ~name:"fork_feasible = check on both polarities"
     QCheck2.Gen.(pair gen_bool_expr (int_bound 254))
     (fun (c, bound) ->
       let pc = norm [ E.ule sym_a (E.const ~width:8 (Int64.of_int bound)) ] in
       let fused = Smt.Solver.fork_feasible (Smt.Solver.create ()) ~pc c in
-      let s = Smt.Solver.create () in
+      let s = Smt.Solver.create ~use_independence:false () in
       fused = (is_sat (Smt.Solver.check s (c :: pc)), is_sat (Smt.Solver.check s (E.not_ c :: pc))))
+
+(* [check] splits the pc into symbol-connected components and merges
+   their models.  Path conditions over a and b (one group) and c (the
+   other), grown one constraint at a time on one solver whose
+   counterexample cache was first seeded with models binding all three
+   symbols: every verdict equals a whole-pc check without independence,
+   and every merged model satisfies the pc and binds only its symbols
+   (a cached model of one component must not leak another's bindings
+   into the merge). *)
+let prop_check_split_matches_whole =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 3) (gen_bool_over [ sym_a; sym_b; sym_c ]))
+        (list_size (int_range 2 6) (oneof [ gen_bool_expr; gen_bool_over [ sym_c ] ])))
+  in
+  QCheck2.Test.make ~count:60 ~name:"split check = whole check, merged model sound" gen
+    (fun (seeds, conds) ->
+      let split = Smt.Solver.create () in
+      List.iter (fun c -> ignore (Smt.Solver.check split [ c ])) seeds;
+      let pc = ref [] in
+      List.for_all
+        (fun c ->
+          let pc' = norm (c :: !pc) in
+          let whole = Smt.Solver.check (Smt.Solver.create ~use_independence:false ()) pc' in
+          let syms =
+            List.fold_left (fun acc e -> E.Iset.union acc (E.sym_set e)) E.Iset.empty pc'
+          in
+          let ok =
+            match (Smt.Solver.check split pc', whole) with
+            | Smt.Solver.Sat m, Smt.Solver.Sat _ ->
+              Smt.Model.satisfies m pc'
+              && List.for_all (fun (id, _) -> E.Iset.mem id syms) (Smt.Model.bindings m)
+            | Smt.Solver.Unsat, Smt.Solver.Unsat -> true
+            | _ -> false
+          in
+          if is_sat whole then pc := pc';
+          ok)
+        conds)
 
 (* --- interval analysis --------------------------------------------------------- *)
 
@@ -615,9 +760,16 @@ let () =
           Alcotest.test_case "basic sat" `Quick test_sat_basic;
           Alcotest.test_case "basic unsat" `Quick test_sat_unsat;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
+          Alcotest.test_case "unmarked solve after a marked one" `Quick
+            test_unmarked_solve_after_marked;
         ]
-        @ qsuite [ prop_sat_matches_bruteforce; prop_assumptions_match_units ] );
-      ("cnf", qsuite [ prop_cnf_agrees_with_eval ]);
+        @ qsuite
+            [
+              prop_sat_matches_bruteforce;
+              prop_assumptions_match_units;
+              prop_add_clause_matches_list;
+            ] );
+      ("cnf", qsuite [ prop_cnf_agrees_with_eval; prop_untracked_matches_tracked ]);
       ( "range",
         Alcotest.test_case "basics" `Quick test_range_basics
         :: qsuite [ prop_range_sound; prop_range_agrees_with_sat ] );
@@ -636,6 +788,7 @@ let () =
               prop_solver_matches_bruteforce;
               prop_stats_reconcile;
               prop_fork_matches_check;
+              prop_check_split_matches_whole;
               prop_incremental_matches_fresh;
             ] );
     ]
