@@ -19,10 +19,11 @@
    Same-variant artifacts get the numeric rules: keys counting paths,
    errors or tenants must match exactly (the runtimes are exactness-
    gated elsewhere, so any drift is a real behavior change); wall-clock
-   and host-shape keys are never compared; everything else numeric gets
-   a loose relative tolerance that only gross movement breaks — parallel
-   runtime counters (transfers, steals, replay) are scheduling-
-   dependent. *)
+   and host-shape keys are never compared; parallel runtime counters
+   that depend on where real domains are when a steal or a crash lands
+   (transfers, steals, recovery replay) are notes; everything else
+   numeric gets a loose relative tolerance that only gross movement
+   breaks. *)
 
 type outcome = { regressions : string list; notes : string list }
 
@@ -66,7 +67,12 @@ let in_ignored_subtree path =
 let exact_key k =
   ends_with ~suffix:"paths" k || ends_with ~suffix:"errors" k || k = "tenants" || k = "tests"
 
-let default_tolerance = 0.5 (* +/-50%: catches collapses, forgives scheduling noise *)
+(* Scheduling-dependent keys: on real domains the same run can steal 1
+   or 3 jobs and replay 0 or 742 instructions after a crash, so a change
+   in them is a note, never a regression. *)
+let scheduling_key k = k = "recovery_replay_instrs" || k = "transfers" || k = "steals"
+
+let default_tolerance = 0.5 (* +/-50%: catches collapses, forgives run-to-run noise *)
 
 let render_num = Json.number_to_string
 
@@ -78,6 +84,12 @@ let num_diff ~path k base cur =
       regression
         (Printf.sprintf "%s: expected %s, got %s (exact key)" path (render_num base)
            (render_num cur))
+  else if scheduling_key k then
+    if base = cur then empty
+    else
+      note
+        (Printf.sprintf "%s: %s -> %s (scheduling-dependent, not compared)" path
+           (render_num base) (render_num cur))
   else
     let denom = Float.max (Float.abs base) 1e-9 in
     let drift = Float.abs (cur -. base) /. denom in

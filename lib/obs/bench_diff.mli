@@ -5,7 +5,9 @@
     true -> false, a deterministic metric — path / error / tenant
     counts — moved at all, another numeric moved beyond a loose
     tolerance, or a value changed JSON type) and [notes] (keys or rows
-    on one side only, string changes, timing keys, and all numeric drift
+    on one side only, string changes, timing keys, the scheduling-
+    dependent parallel counters [transfers], [steals] and
+    [recovery_replay_instrs], and all numeric drift
     between artifacts of different "quick" variants, which are only
     comparable on their gates). *)
 

@@ -4,7 +4,8 @@
    - a canonicalizing simplifier pass,
    - constraint-independence slicing (only constraints transitively
      sharing symbols with the query are sent to the solver; a full
-     [check] is split into its independent components),
+     [check] or [check_deterministic] is split into its independent
+     components),
    - a satisfiability cache keyed on the canonical constraint set,
    - a counterexample (model) cache: recent models are probed by concrete
      evaluation before invoking the SAT solver.
@@ -390,6 +391,8 @@ let solve_incremental t constraints =
     assert (Model.satisfies model constraints);
     Sat model
 
+let is_sat = function Sat _ -> true | Unsat -> false
+
 let remember_model t m =
   if t.use_cex_cache then begin
     let keep = List.filteri (fun i _ -> i < t.cex_limit - 1) t.cex_models in
@@ -400,7 +403,6 @@ let remember_model t m =
    normalized (id-sorted) and non-empty.  [kind] labels the trace event
    with the querying entry point. *)
 let check_normalized t ~kind constraints =
-  let is_sat = function Sat _ -> true | Unsat -> false in
   let k = if t.use_sat_cache then key_of constraints else [] in
   let cached = if t.use_sat_cache then Hashtbl.find_opt t.sat_cache k else None in
   match cached with
@@ -446,26 +448,29 @@ let components cs =
     [] cs
   |> List.rev_map (fun (s, ms) -> (s, List.sort Expr.compare ms))
 
-(* Full check: is the conjunction of [constraints] satisfiable?  With
-   independence on, each symbol-connected component is its own query:
-   a component usually equals the key of the branch query that created
-   it, so it is a cache hit.  Each component's model is restricted to
-   the component's symbols (a cached model may bind others) before the
-   models are merged; the first Unsat component answers the whole check.
-   The model binds only symbols of the normalized constraints (others
-   are unconstrained and default to zero on evaluation). *)
-let check t constraints =
+(* The split/answer/merge loop shared by [check] and
+   [check_deterministic], which differ only in [answer], the per-component
+   answerer.  With independence on, each symbol-connected component of
+   the normalized set is its own query, counted as one query in exactly
+   one tier by [answer]; the first Unsat component answers the whole
+   check.  Each component's model is restricted to the component's
+   symbols (a cached model may bind others) before the models are
+   merged, so the merged model binds only symbols of the normalized
+   constraints (others are unconstrained and default to zero on
+   evaluation). *)
+let check_components t ~kind ~answer constraints =
   t.q_t0 <- Obs.Profile.start t.prof;
+  let trivial sat =
+    t.stats.queries <- t.stats.queries + 1;
+    t.stats.trivial <- t.stats.trivial + 1;
+    note t kind Obs.Event.Trivial sat
+  in
   match normalize constraints with
   | None ->
-    t.stats.queries <- t.stats.queries + 1;
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "check" Obs.Event.Trivial false;
+    trivial false;
     Unsat
   | Some [] ->
-    t.stats.queries <- t.stats.queries + 1;
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "check" Obs.Event.Trivial true;
+    trivial true;
     Sat Model.empty
   | Some cs ->
     let parts = if t.use_independence then components cs else [ (syms_of cs, cs) ] in
@@ -475,7 +480,7 @@ let check t constraints =
         Sat merged
       | (syms, part) :: rest -> (
         t.stats.queries <- t.stats.queries + 1;
-        match check_normalized t ~kind:"check" part with
+        match answer part with
         | Unsat -> Unsat
         | Sat m ->
           go
@@ -486,6 +491,13 @@ let check t constraints =
             rest)
     in
     go Model.empty parts
+
+(* Full check: is the conjunction of [constraints] satisfiable?  Each
+   component goes through the caches and the incremental instance; a
+   component usually equals the key of the branch query that created it,
+   so it is a cache hit. *)
+let check t constraints =
+  check_components t ~kind:"check" ~answer:(check_normalized t ~kind:"check") constraints
 
 (* Answer one fork polarity.  [cond] is already simplified, [sliced] is
    the subset of the (already-normalized) path condition relevant to it,
@@ -560,44 +572,35 @@ let fork_feasible t ~pc ?boxes cond =
   let ok_f = answer_polarity t ~kind:"branch" ~boxes ~sliced cond_f in
   (ok_t, ok_f)
 
-(* Deterministic model construction: always solves from scratch on the
-   canonical constraint set, never reusing history-dependent caches (the
-   counterexample cache returns whichever cached model happens to satisfy
-   the query, which depends on query order).  The constraints are handed
-   to the SAT core in *structural* order: hashcons ids depend on interning
+(* Deterministic model construction: each component is solved from
+   scratch, never through history-dependent caches (the counterexample
+   cache returns whichever cached model happens to satisfy the query,
+   which depends on query order, and the persistent instance's phases and
+   activities depend on query history).  The constraints are handed to
+   the SAT core in *structural* order: hashcons ids depend on interning
    history (and weak-table evictions), so id order is not reproducible
-   across workers, but the structural order depends only on the constraint
-   set itself.  Two workers replaying the same path therefore obtain the
-   same model — the solver-side requirement for replay determinism (paper
-   section 6, "Broken Replays").  Results are memoized in a dedicated
+   across workers, but the structural order depends only on the
+   constraint set itself.  A component's model is therefore a pure
+   function of the component, and the merged model of the path condition
+   is one too: two workers replaying the same path obtain the same model
+   — the solver-side requirement for replay determinism (paper section 6,
+   "Broken Replays").  Results are memoized per component in a dedicated
    cache whose entries are themselves deterministic, keyed by id for O(1)
-   hashing (a key miss just means a deterministic recompute). *)
-let check_deterministic t constraints =
-  t.q_t0 <- Obs.Profile.start t.prof;
-  t.stats.queries <- t.stats.queries + 1;
-  let is_sat = function Sat _ -> true | Unsat -> false in
-  match normalize constraints with
+   hashing (a key miss just means a deterministic recompute); a new
+   branch changes one component, so only that one is re-solved. *)
+let solve_deterministic t part =
+  let k = key_of part in
+  match Hashtbl.find_opt t.det_cache k with
+  | Some r ->
+    t.stats.cache_hits <- t.stats.cache_hits + 1;
+    note t "det" Obs.Event.Det_cache (is_sat r);
+    r
   | None ->
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "det" Obs.Event.Trivial false;
-    Unsat
-  | Some [] ->
-    t.stats.trivial <- t.stats.trivial + 1;
-    note t "det" Obs.Event.Trivial true;
-    Sat Model.empty
-  | Some cs -> (
-    let k = key_of cs in
-    match Hashtbl.find_opt t.det_cache k with
-    | Some r ->
-      t.stats.cache_hits <- t.stats.cache_hits + 1;
-      note t "det" Obs.Event.Det_cache (is_sat r);
-      r
-    | None ->
-      (* Always a fresh, from-scratch solve: the persistent incremental
-         instance's phases/activities depend on query history, and the
-         whole point here is a history-independent model. *)
-      t.stats.sat_calls <- t.stats.sat_calls + 1;
-      let r = solve_fresh (List.sort Expr.compare_structural cs) in
-      note t "det" Obs.Event.Sat_call (is_sat r);
-      Hashtbl.replace t.det_cache k r;
-      r)
+    t.stats.sat_calls <- t.stats.sat_calls + 1;
+    let r = solve_fresh (List.sort Expr.compare_structural part) in
+    note t "det" Obs.Event.Sat_call (is_sat r);
+    Hashtbl.replace t.det_cache k r;
+    r
+
+let check_deterministic t constraints =
+  check_components t ~kind:"det" ~answer:(solve_deterministic t) constraints

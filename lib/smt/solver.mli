@@ -107,7 +107,11 @@ val fork_feasible :
 (** Like {!check}, but the returned model depends only on the canonical
     constraint set — never on query history — so every worker computes the
     same model for the same path condition.  Required for replay-stable
-    concretization (paper section 6). *)
+    concretization (paper section 6).  It shares {!check}'s component
+    loop: each symbol-connected component is answered from a memo of
+    earlier deterministic answers or solved from scratch in structural
+    order, counted as one query in exactly one tier, so a component's
+    model is a function of that component alone. *)
 val check_deterministic : t -> Expr.t list -> result
 
 (** Refresh the cache-size / hashcons gauges on the attached obs sink (a

@@ -683,6 +683,45 @@ let test_bench_diff_rules () =
   Alcotest.(check bool) "variant mismatch: ok flip still flagged" false
     (BD.ok (BD.compare base quick_bad))
 
+(* Parallel-runtime counters that depend on where real domains are when
+   a steal or a crash lands are notes however far they move; the exact
+   counts beside them and the ok gates still regress. *)
+let test_bench_diff_scheduling_notes () =
+  let module BD = Obs.Bench_diff in
+  let artifact ?(paths = 706) ?(errors = 134) ?(tests = 706) ?(ok = true) ~replay ~transfers
+      ~steals () =
+    J.Obj
+      [
+        ("bench", J.Str "faults");
+        ("quick", J.Bool false);
+        ( "runs",
+          J.Arr
+            [
+              J.Obj
+                [
+                  ("name", J.Str "crash");
+                  ("paths", J.Num (float_of_int paths));
+                  ("errors", J.Num (float_of_int errors));
+                  ("tests", J.Num (float_of_int tests));
+                  ("recovery_replay_instrs", J.Num replay);
+                  ("transfers", J.Num transfers);
+                  ("steals", J.Num steals);
+                ];
+            ] );
+        ("ok", J.Bool ok);
+      ]
+  in
+  let base = artifact ~replay:624.0 ~transfers:32.0 ~steals:3.0 () in
+  let moved = BD.compare base (artifact ~replay:0.0 ~transfers:16.0 ~steals:1.0 ()) in
+  Alcotest.(check bool) "scheduling drift is not a regression" true (BD.ok moved);
+  Alcotest.(check int) "one note per moved counter" 3 (List.length moved.BD.notes);
+  let regresses name cur = Alcotest.(check bool) name false (BD.ok (BD.compare base cur)) in
+  let replay = 742.0 and transfers = 24.0 and steals = 2.0 in
+  regresses "paths drift flagged" (artifact ~paths:705 ~replay ~transfers ~steals ());
+  regresses "errors drift flagged" (artifact ~errors:135 ~replay ~transfers ~steals ());
+  regresses "tests drift flagged" (artifact ~tests:700 ~replay ~transfers ~steals ());
+  regresses "gate flip flagged" (artifact ~ok:false ~replay ~transfers ~steals ())
+
 (* --- prometheus exposition ------------------------------------------------- *)
 
 let test_prometheus_exposition () =
@@ -761,6 +800,11 @@ let () =
           Alcotest.test_case "bounded-confidence ETA" `Quick test_progress_eta_confidence;
           Alcotest.test_case "rate + histogram signals" `Quick test_progress_signals;
         ] );
-      ("bench diff", [ Alcotest.test_case "rules" `Quick test_bench_diff_rules ]);
+      ( "bench diff",
+        [
+          Alcotest.test_case "rules" `Quick test_bench_diff_rules;
+          Alcotest.test_case "scheduling-dependent counters are notes" `Quick
+            test_bench_diff_scheduling_notes;
+        ] );
       ("prometheus", [ Alcotest.test_case "text exposition" `Quick test_prometheus_exposition ]);
     ]

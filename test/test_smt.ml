@@ -13,6 +13,7 @@ let i32 v = E.const ~width:32 (Int64.of_int v)
 let sym_a = E.fresh_sym ~name:"a" 8
 let sym_b = E.fresh_sym ~name:"b" 8
 let sym_c = E.fresh_sym ~name:"c" 8
+let sym_d = E.fresh_sym ~name:"d" 8
 
 let sym_id (e : E.t) = match e.node with E.Sym { id; _ } -> id | _ -> assert false
 
@@ -531,22 +532,22 @@ let test_clear_caches_rebuild () =
   Alcotest.(check bool) "agrees with a brand-new solver" true (before = fresh)
 
 (* The persistent assumption-queried instance must give the verdict of a
-   fresh from-scratch solve ({!Smt.Solver.check_deterministic} always
-   builds a new instance) on every query of a growing path, whatever the
-   earlier queries taught the shared instance.  The caches and the
-   interval fast path are off so every non-trivial query reaches it. *)
+   fresh from-scratch solve ({!Smt.Solver.check_deterministic} on a
+   solver created for that query, so no cache is warm) on every query of
+   a growing path, whatever the earlier queries taught the shared
+   instance.  The caches and the interval fast path are off so every
+   non-trivial query reaches it. *)
 let prop_incremental_matches_fresh =
   QCheck2.Test.make ~count:100 ~name:"incremental verdicts match fresh-instance solver"
     QCheck2.Gen.(list_size (int_range 1 8) gen_bool_expr)
     (fun conds ->
       let si = Smt.Solver.create ~use_sat_cache:false ~use_cex_cache:false ~use_range:false () in
-      let sf = Smt.Solver.create () in
       let ok = ref true in
       let pc = ref (norm [ E.ult sym_a (i8 200) ]) in
       List.iter
         (fun c ->
           let vi = Smt.Solver.branch_feasible si ~pc:!pc c in
-          let vf = is_sat (Smt.Solver.check_deterministic sf (c :: !pc)) in
+          let vf = is_sat (Smt.Solver.check_deterministic (Smt.Solver.create ()) (c :: !pc)) in
           if vi <> vf then ok := false;
           if vi then pc := norm (c :: !pc))
         conds;
@@ -629,8 +630,17 @@ let prop_stats_reconcile =
           | 2 -> ignore (Smt.Solver.check_deterministic solver (c :: pc))
           | _ -> ignore (Smt.Solver.fork_feasible solver ~pc c))
         ops;
+      (* a two-component pc asked twice: the c component is new (a fresh
+         solve), and the second ask hits the det memo on both *)
+      let det_pc = norm [ E.ult sym_c (i8 7); E.ult sym_a (i8 200) ] in
+      let s0 = Smt.Solver.copy_stats solver in
+      ignore (Smt.Solver.check_deterministic solver det_pc);
+      ignore (Smt.Solver.check_deterministic solver det_pc);
       let st = Smt.Solver.stats solver in
-      st.Smt.Solver.queries > 0 && tier_sum st = st.Smt.Solver.queries)
+      tier_sum st = st.Smt.Solver.queries
+      && st.Smt.Solver.queries - s0.Smt.Solver.queries = 4
+      && st.Smt.Solver.sat_calls > s0.Smt.Solver.sat_calls
+      && st.Smt.Solver.cache_hits - s0.Smt.Solver.cache_hits >= 2)
 
 (* The fused fork entry point (shared simplify, boxes and slice) answers
    exactly what a plain {!Smt.Solver.check} of the full, unsliced
@@ -683,6 +693,82 @@ let prop_check_split_matches_whole =
           if is_sat whole then pc := pc';
           ok)
         conds)
+
+(* [check_deterministic] answers one component at a time, so a
+   component's bindings depend only on the component: conjoining a
+   constraint over symbols the pc does not mention leaves every binding
+   of the pc's own symbols unchanged.  Each side runs on its own new
+   solver, so neither sees the other's memo. *)
+let prop_det_independence_invariant =
+  let gen =
+    QCheck2.Gen.(pair (list_size (int_range 1 5) gen_bool_expr) (gen_bool_over [ sym_c; sym_d ]))
+  in
+  QCheck2.Test.make ~count:200 ~name:"det model unchanged by an unrelated constraint" gen
+    (fun (pc, extra) ->
+      let det cs = Smt.Solver.check_deterministic (Smt.Solver.create ()) cs in
+      match (det pc, det (extra :: pc)) with
+      | Smt.Solver.Sat m, Smt.Solver.Sat m' ->
+        List.for_all (fun s -> Smt.Model.get m (sym_id s) = Smt.Model.get m' (sym_id s))
+          [ sym_a; sym_b ]
+      | Smt.Solver.Unsat, Smt.Solver.Sat _ -> false
+      | _, Smt.Solver.Unsat -> true)
+
+(* A deterministic model depends only on the constraint set: a solver
+   asked the pc first and one asked it in shuffled order after a polluted
+   history — incremental queries, test-case checks and deterministic
+   solves of other sets, including some of the pc's own components —
+   return identical models. *)
+let prop_det_history_independent =
+  let gen =
+    QCheck2.Gen.(
+      let* pc =
+        list_size (int_range 1 6)
+          (oneof [ gen_bool_expr; gen_bool_over [ sym_c ]; gen_bool_over [ sym_c; sym_d ] ])
+      in
+      let* shuffled = shuffle_l pc in
+      let* history = list_size (int_range 1 4) (gen_bool_over [ sym_a; sym_b; sym_c; sym_d ]) in
+      return (pc, shuffled, history))
+  in
+  QCheck2.Test.make ~count:80 ~name:"det model is history-independent" gen
+    (fun (pc, shuffled, history) ->
+      let bindings s cs =
+        match Smt.Solver.check_deterministic s cs with
+        | Smt.Solver.Sat m -> Some (Smt.Model.bindings m)
+        | Smt.Solver.Unsat -> None
+      in
+      let cold = bindings (Smt.Solver.create ()) pc in
+      let warm = Smt.Solver.create () in
+      List.iter
+        (fun h ->
+          ignore (Smt.Solver.check warm [ h ]);
+          ignore (Smt.Solver.fork_feasible warm ~pc:(norm [ E.ult sym_a (i8 250) ]) h);
+          ignore (Smt.Solver.check_deterministic warm [ h ]))
+        history;
+      ignore (Smt.Solver.check_deterministic warm (history @ pc));
+      List.iteri
+        (fun i _ ->
+          ignore (Smt.Solver.check_deterministic warm (List.filteri (fun j _ -> j <> i) pc)))
+        pc;
+      cold = bindings warm shuffled)
+
+(* The merged deterministic model satisfies the pc and binds only its
+   symbols, and the verdict equals a whole-pc check without
+   independence. *)
+let prop_det_sound =
+  QCheck2.Test.make ~count:150 ~name:"det merged model satisfies the pc"
+    QCheck2.Gen.(
+      list_size (int_range 1 6)
+        (oneof [ gen_bool_expr; gen_bool_over [ sym_c ]; gen_bool_over [ sym_c; sym_d ] ]))
+    (fun pc ->
+      let whole = Smt.Solver.check (Smt.Solver.create ~use_independence:false ()) pc in
+      let pc' = norm pc in
+      let syms = List.fold_left (fun acc e -> E.Iset.union acc (E.sym_set e)) E.Iset.empty pc' in
+      match (Smt.Solver.check_deterministic (Smt.Solver.create ()) pc, whole) with
+      | Smt.Solver.Sat m, Smt.Solver.Sat _ ->
+        Smt.Model.satisfies m pc
+        && List.for_all (fun (id, _) -> E.Iset.mem id syms) (Smt.Model.bindings m)
+      | Smt.Solver.Unsat, Smt.Solver.Unsat -> true
+      | _ -> false)
 
 (* --- interval analysis --------------------------------------------------------- *)
 
@@ -790,5 +876,8 @@ let () =
               prop_fork_matches_check;
               prop_check_split_matches_whole;
               prop_incremental_matches_fresh;
+              prop_det_independence_invariant;
+              prop_det_history_independent;
+              prop_det_sound;
             ] );
     ]
