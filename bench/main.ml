@@ -847,21 +847,21 @@ let micro () =
            let searcher = Engine.Searcher.dfs () in
            ignore (ED.run_pure ~searcher program ~args:[])))
   in
-  let single_step =
+  let quantum_step =
     let program = Lazy.force mc2_small in
     let solver = Smt.Solver.create () in
     let cfg = Posix.Api.make_config ~solver ~nlines:program.Cvm.Program.nlines () in
     let st0 = Posix.Api.initial_state program ~args:[] in
-    (* drive forward a while so the state is representative *)
+    (* drive forward 500 instructions so the state is representative *)
     let rec go st n =
       if n = 0 then st
       else
-        match Engine.Executor.step cfg st with
+        match Engine.Executor.step cfg ~fuel:1 st with
         | { Engine.Executor.running = st' :: _; _ } -> go st' (n - 1)
         | _ -> st
     in
     let st = go st0 500 in
-    Test.make ~name:"engine.single step (posix state)"
+    Test.make ~name:"engine.quantum step (posix state)"
       (Staged.stage (fun () -> ignore (Engine.Executor.step cfg st)))
   in
   let replay_jobs =
@@ -884,7 +884,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"cloud9"
-      [ branch_query; sat_solve; concrete_run; single_step; replay_jobs ]
+      [ branch_query; sat_solve; concrete_run; quantum_step; replay_jobs ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in

@@ -56,7 +56,6 @@ type 'env t = {
   rng : Random.State.t;
   policy : policy;
   weight : ('env State.t -> float) option;
-  quantum : int; (* instructions to run a state before reselecting *)
   collect_tests : int;
   (* snapshot cache: recently seen states at fork points, so replays start
      from the deepest known ancestor instead of the root — the paper's
@@ -100,7 +99,7 @@ type 'env t = {
   mutable replay_t0 : int; (* wall-clock start of the replay in flight (profiling only) *)
 }
 
-let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
+let create ?(policy = Interleaved) ?weight ?(collect_tests = 0)
     ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~seed () =
   let w =
     {
@@ -113,7 +112,6 @@ let create ?(policy = Interleaved) ?weight ?(quantum = 50) ?(collect_tests = 0)
       rng = Random.State.make [| seed; id |];
       policy;
       weight;
-      quantum;
       collect_tests;
       snapshots = Hashtbl.create 256;
       snap_queue = Queue.create ();
@@ -336,12 +334,20 @@ let ban_paths w paths = List.iter (fun p -> Trie.add w.banned p ()) paths
    cost of reconstructing a crashed worker's orphans is visible. *)
 let replay_kind recov = if recov then Obs.Profile.Recovery_replay else Obs.Profile.Job_replay
 
-(* One replay step.  Returns the instruction count consumed (always 1). *)
-let replay_step w ~target ~remaining ~rstate ~recov =
-  let { Executor.running; finished } = Executor.step w.cfg ~replay:true rstate in
-  let depth_before = List.length rstate.State.path in
-  let forked st = List.length st.State.path > depth_before in
-  match (running, remaining) with
+(* Instructions retired so far, useful and replayed. *)
+let retired w =
+  let s = w.cfg.Executor.stats in
+  s.Executor.useful_instrs + s.Executor.replay_instrs
+
+(* One replay quantum: it stops at the first choice, so at most one is
+   consumed.  Returns the instructions the quantum retired. *)
+let replay_step w ~fuel ~target ~remaining ~rstate ~recov =
+  let before = retired w in
+  let { Executor.running; finished } = Executor.step w.cfg ~replay:true ~fuel rstate in
+  let n = retired w - before in
+  if recov then w.recovery_replay_instrs <- w.recovery_replay_instrs + n;
+  let forked st = st.State.path != rstate.State.path in
+  (match (running, remaining) with
   | [ st ], _ when not (forked st) ->
     (* deterministic step: stay on course *)
     w.mode <- Replaying { target; remaining; rstate = st; recov }
@@ -394,7 +400,8 @@ let replay_step w ~target ~remaining ~rstate ~recov =
         unpin_target w target;
         ignore (Obs.Profile.record w.prof (replay_kind recov) ~start_ns:w.replay_t0);
         emit w (Obs.Event.Replay_end { outcome = Obs.Event.Broken; recovery = recov });
-        w.mode <- Exploring))
+        w.mode <- Exploring)));
+  n
 
 (* --- main execution loop ------------------------------------------------------------------ *)
 
@@ -404,11 +411,10 @@ let execute w ~budget =
   let used = ref 0 in
   let idle = ref false in
   while !used < budget && not !idle do
+    let fuel = min Executor.quantum (budget - !used) in
     match w.mode with
     | Replaying { target; remaining; rstate; recov } ->
-      incr used;
-      if recov then w.recovery_replay_instrs <- w.recovery_replay_instrs + 1;
-      replay_step w ~target ~remaining ~rstate ~recov
+      used := !used + replay_step w ~fuel ~target ~remaining ~rstate ~recov
     | Exploring -> (
       match select w with
       | None -> idle := true
@@ -436,25 +442,14 @@ let execute w ~budget =
             w.mode <-
               Replaying { target = entry.epath; remaining; rstate; recov = entry.erecovery }
           end
-        | Some st ->
-          (* run this state for a quantum *)
-          let continue = ref (Some st) in
-          let q = ref 0 in
-          while !continue <> None && !q < w.quantum && !used < budget do
-            match !continue with
-            | None -> ()
-            | Some st ->
-              incr used;
-              incr q;
-              let { Executor.running; finished } = Executor.step w.cfg st in
-              List.iter (record_finished w) finished;
-              (match running with
-              | [ one ] -> continue := Some one
-              | _ ->
-                add_running w (filter_banned w running);
-                continue := None)
-          done;
-          (match !continue with Some st -> add_running w [ st ] | None -> ())))
+        | Some st -> (
+          let before = retired w in
+          let { Executor.running; finished } = Executor.step w.cfg ~fuel st in
+          used := !used + (retired w - before);
+          List.iter (record_finished w) finished;
+          match running with
+          | [ one ] when one.State.path == st.State.path -> add_running w running
+          | _ -> add_running w (filter_banned w running))))
   done;
   !used
 

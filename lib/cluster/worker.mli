@@ -41,7 +41,6 @@ type 'env t = {
   rng : Random.State.t;
   policy : policy;
   weight : ('env Engine.State.t -> float) option;
-  quantum : int;
   collect_tests : int;
   snapshots : (string, 'env Engine.State.t) Hashtbl.t;
   snap_queue : string Queue.t;
@@ -81,16 +80,17 @@ type 'env t = {
 }
 
 (** [weight] replaces the coverage-optimized weighting (used e.g. by a
-    fewest-faults-first strategy); [quantum] is how many instructions a
-    selected state runs before reselection; [snap_limit] bounds the
-    replay snapshot cache (0 disables it, forcing replay from the root);
+    fewest-faults-first strategy).  A selected state runs for one
+    {!Engine.Executor.step} quantum, as does each replay step; a replay
+    quantum stops at the first choice, so it consumes at most one.
+    [snap_limit] bounds the replay snapshot cache (0 disables it,
+    forcing replay from the root);
     [prof] records each from-path replay as a wall-clock [job_replay]
     span (snapshot-exact materializations are skipped — there is no
     replay to time). *)
 val create :
   ?policy:policy ->
   ?weight:('env Engine.State.t -> float) ->
-  ?quantum:int ->
   ?collect_tests:int ->
   ?snap_limit:int ->
   ?prof:Obs.Profile.t ->

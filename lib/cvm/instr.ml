@@ -10,6 +10,9 @@ type operand =
   | Reg of reg
   | Imm of { width : int; value : int64 }
   | Glob of string (* address of a named global, resolved at state setup *)
+  | Const of Smt.Expr.t
+  (* an interned constant: what the engine resolves [Imm] and [Glob] to,
+     once per program; the compiler never emits it *)
 
 type cast_kind = Zext | Sext | Trunc
 
@@ -49,10 +52,29 @@ let is_terminator i =
   | Free _ | Call _ | Syscall _ | Assert _ ->
     false
 
+let map_operands f = function
+  | Binop b -> Binop { b with a = f b.a; b = f b.b }
+  | Unop u -> Unop { u with a = f u.a }
+  | Cast c -> Cast { c with a = f c.a }
+  | Select s -> Select { s with cond = f s.cond; a = f s.a; b = f s.b }
+  | Mov m -> Mov { m with a = f m.a }
+  | Load l -> Load { l with addr = f l.addr }
+  | Store s -> Store { addr = f s.addr; value = f s.value }
+  | Alloc a -> Alloc { a with size = f a.size }
+  | Free { addr } -> Free { addr = f addr }
+  | Br b -> Br { b with cond = f b.cond }
+  | Call c -> Call { c with args = List.map f c.args }
+  | Ret a -> Ret (Option.map f a)
+  | Halt a -> Halt (f a)
+  | Syscall s -> Syscall { s with args = List.map f s.args }
+  | Assert a -> Assert { a with cond = f a.cond }
+  | (Frame _ | Jmp _) as op -> op
+
 let pp_operand fmt = function
   | Reg r -> Format.fprintf fmt "r%d" r
   | Imm { width; value } -> Format.fprintf fmt "%Lu:%d" value width
   | Glob name -> Format.fprintf fmt "@%s" name
+  | Const e -> Smt.Expr.pp fmt e
 
 let cast_name = function Zext -> "zext" | Sext -> "sext" | Trunc -> "trunc"
 

@@ -8,6 +8,9 @@ type operand =
   | Reg of reg
   | Imm of { width : int; value : int64 }
   | Glob of string  (** address of a named global, resolved at state setup *)
+  | Const of Smt.Expr.t
+      (** an interned constant: what the engine resolves [Imm] and [Glob]
+          operands to, once per program; the compiler never emits it *)
 
 type cast_kind = Zext | Sext | Trunc
 
@@ -39,6 +42,9 @@ val make : line:int -> op -> t
 (** True for [Jmp], [Br], [Ret], and [Halt] — the only ops allowed (and
     required) at the end of a basic block. *)
 val is_terminator : t -> bool
+
+(** Rewrite every operand of an instruction. *)
+val map_operands : (operand -> operand) -> op -> op
 
 val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit

@@ -22,6 +22,9 @@ type t = {
   globals : global list;
   entry : string;
   nlines : int;
+  resolved : (string * func) list option Atomic.t;
+  (* [funcs] with every [Imm] and [Glob] operand replaced by its interned
+     [Const]; filled by the first [resolved] call *)
 }
 
 exception Invalid of string
@@ -65,6 +68,7 @@ let validate t =
                 | Instr.Glob g ->
                   if not (List.exists (fun gl -> gl.gname = g) t.globals) then
                     invalid "%s.%d.%d: unknown global %s" name bi ii g
+                | Instr.Const _ -> ()
               in
               let check_target l =
                 if l < 0 || l >= Array.length f.blocks then
@@ -126,7 +130,26 @@ let validate t =
     t.funcs;
   t
 
-let create ~entry ~funcs ~globals ~nlines = validate { funcs; globals; entry; nlines }
+let create ~entry ~funcs ~globals ~nlines =
+  validate { funcs; globals; entry; nlines; resolved = Atomic.make None }
+
+(* Racing domains may both resolve; the first published copy wins, so every
+   state of a program shares one set of function records. *)
+let resolved t ~global_addr =
+  match Atomic.get t.resolved with
+  | Some funcs -> funcs
+  | None ->
+    let operand = function
+      | Instr.Imm { width; value } -> Instr.Const (Smt.Expr.const ~width value)
+      | Instr.Glob g -> Instr.Const (Smt.Expr.const ~width:64 (Int64.of_int (global_addr g)))
+      | (Instr.Reg _ | Instr.Const _) as o -> o
+    in
+    let instr i = { i with Instr.op = Instr.map_operands operand i.Instr.op } in
+    let funcs =
+      List.map (fun (name, f) -> (name, { f with blocks = Array.map (Array.map instr) f.blocks })) t.funcs
+    in
+    ignore (Atomic.compare_and_set t.resolved None (Some funcs));
+    Option.get (Atomic.get t.resolved)
 
 let instruction_count t =
   List.fold_left

@@ -17,6 +17,7 @@ type t = {
   globals : global list;
   entry : string;
   nlines : int;
+  resolved : (string * func) list option Atomic.t;  (** internal: use {!resolved} *)
 }
 
 exception Invalid of string
@@ -26,6 +27,12 @@ exception Invalid of string
     out-of-range registers, unknown callees/globals, arity mismatches). *)
 val create :
   entry:string -> funcs:(string * func) list -> globals:global list -> nlines:int -> t
+
+(** [funcs] with every [Imm] and [Glob] operand replaced by its interned
+    [Const], globals placed by [global_addr].  Computed at the first call
+    and shared by every later one, so [global_addr] must be a function of
+    the program alone. *)
+val resolved : t -> global_addr:(string -> int) -> (string * func) list
 
 (** Re-run structural validation; returns the program unchanged. *)
 val validate : t -> t

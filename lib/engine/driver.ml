@@ -1,6 +1,7 @@
 (* Single-node exploration driver: the classic KLEE loop.  Pick a state
-   with the searcher, execute one step, insert the successors, record test
-   cases at terminations — until a goal is met or the tree is exhausted.
+   with the searcher, run it for one quantum, insert the successors, record
+   test cases at terminations — until a goal is met or the tree is
+   exhausted.
 
    The cluster layer (lib/cluster) replaces this loop with per-worker
    frontier management; this driver is what a "1-worker Cloud9" runs and
@@ -83,11 +84,18 @@ let run ?(collect_tests = max_int) ?(goal = Exhaust) cfg searcher (st0 : 'env St
       in
       Obs.Sink.event s (Obs.Event.Path_done { verdict })
   in
+  (* an instruction goal stays exact: the last quantum gets only what is left *)
+  let fuel () =
+    match goal with
+    | Instructions n ->
+      Some (min Executor.quantum (n - cfg.Executor.stats.Executor.useful_instrs))
+    | Exhaust | Coverage _ | Paths _ -> None
+  in
   while (not !stop) && searcher.Searcher.size () > 0 do
     match searcher.Searcher.select () with
     | None -> stop := true
     | Some st ->
-      let { Executor.running; finished } = Executor.step cfg st in
+      let { Executor.running; finished } = Executor.step cfg ?fuel:(fuel ()) st in
       List.iter searcher.Searcher.add running;
       sample_obs ();
       List.iter

@@ -25,8 +25,11 @@ type 'env result = {
 val coverage_fraction : 'env Executor.config -> Cvm.Program.t -> float
 
 (** Explore from [st0] until the goal is met or the tree is exhausted.
-    [collect_tests] bounds how many test cases are materialized (solving
-    for inputs is the expensive part); path counting is unaffected. *)
+    Each selection runs the state for one {!Executor.step} quantum; under
+    an [Instructions] goal the last quantum gets only the remaining
+    budget, so the count is exact.  [collect_tests] bounds how many test
+    cases are materialized (solving for inputs is the expensive part);
+    path counting is unaffected. *)
 val run :
   ?collect_tests:int ->
   ?goal:goal ->

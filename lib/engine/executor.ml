@@ -1,12 +1,23 @@
-(* The symbolic executor: single-instruction stepping of execution states,
-   forking at symbolic branches, scheduling decisions, and forking system
-   calls.  This is the KLEE-analogue at the heart of each Cloud9 worker.
+(* The symbolic executor: quantum stepping of execution states, forking
+   at symbolic branches, scheduling decisions, and forking system calls.
+   This is the KLEE-analogue at the heart of each Cloud9 worker.
 
-   Stepping is purely functional over {!State.t}: one step returns the set
-   of successor states (one, or several on forks) plus any terminated
-   states.  Every fork appends a {!Path.choice} to each successor's path,
-   so a state's path uniquely addresses its node in the execution tree and
-   serves as the transfer encoding for jobs. *)
+   [step] runs a state for one quantum, the batch of instructions a KLEE
+   searcher's pick buys (paper section 7): instructions retire until one
+   pushes a {!Path.choice} (a fork, including one whose other arm
+   terminated), the path terminates, or [fuel] instructions have retired.
+   Seen from outside, stepping is purely functional over {!State.t}: it
+   returns the successor states (one, or several on forks) plus any
+   terminated states.  Every fork appends a choice to each successor's
+   path, so a state's path uniquely addresses its node in the execution
+   tree and serves as the transfer encoding for jobs.
+
+   Inside a quantum, straight-line instructions update only a private
+   cursor over the current thread's block, index, top-frame registers,
+   memory and step counters.  The cursor is committed to a persistent
+   state once, when the quantum ends or before an instruction that needs
+   one (a fork, a concretization, a call or a system call): KLEE's
+   copy-on-fork discipline.  Nothing mutable escapes [step]. *)
 
 module Imap = State.Imap
 module Instr = Cvm.Instr
@@ -113,14 +124,15 @@ let no_env_handler : unit handler =
 
 let line_covered cfg line = Char.code (Bytes.get cfg.coverage (line / 8)) land (1 lsl (line mod 8)) <> 0
 
-let cover cfg (st : 'env State.t) line =
-  if line_covered cfg line then st
-  else begin
-    let b = Char.code (Bytes.get cfg.coverage (line / 8)) in
-    Bytes.set cfg.coverage (line / 8) (Char.chr (b lor (1 lsl (line mod 8))));
-    cfg.stats.covered_lines <- cfg.stats.covered_lines + 1;
-    { st with State.last_new_cover = st.State.steps }
-  end
+(* Mark [line] covered; true if it was new. *)
+let cover cfg line =
+  (not (line_covered cfg line))
+  && begin
+       let b = Char.code (Bytes.get cfg.coverage (line / 8)) in
+       Bytes.set cfg.coverage (line / 8) (Char.chr (b lor (1 lsl (line mod 8))));
+       cfg.stats.covered_lines <- cfg.stats.covered_lines + 1;
+       true
+     end
 
 let coverage_count cfg = cfg.stats.covered_lines
 
@@ -232,74 +244,21 @@ let yield cfg (st : 'env State.t) : 'env stepped =
 (* The global-counter mode deliberately recreates the broken-replay
    behaviour of a host-wide allocator (paper section 6): addresses then
    depend on allocations made by *other* states. *)
-let alloc_update cfg (st : 'env State.t) ~pid ~size =
+let alloc_mem cfg mem ~pid ~size =
   let mem =
     match cfg.global_alloc with
-    | None -> st.State.mem
-    | Some counter -> Memory.set_next_addr st.State.mem !counter
+    | None -> mem
+    | Some counter -> Memory.set_next_addr mem !counter
   in
   let mem, base = Memory.alloc mem ~pid ~size in
   (match cfg.global_alloc with
   | Some counter -> counter := max !counter (Memory.next_addr mem)
   | None -> ());
+  (mem, base)
+
+let alloc_update cfg (st : 'env State.t) ~pid ~size =
+  let mem, base = alloc_mem cfg st.State.mem ~pid ~size in
   ({ st with State.mem }, base)
-
-(* --- function calls ------------------------------------------------------------------ *)
-
-let enter_function cfg (st : 'env State.t) ~callee ~args ~ret_reg =
-  let f = Program.func_exn st.State.program callee in
-  let th = State.current st in
-  let pid = th.State.pid in
-  let st, frame_base =
-    if f.Program.frame_size > 0 then alloc_update cfg st ~pid ~size:f.Program.frame_size
-    else (st, 0)
-  in
-  let th = State.current st in
-  let frame =
-    State.make_frame f ~frame_base ~args ~ret_reg ~ret_block:th.State.block
-      ~ret_index:(th.State.index + 1)
-  in
-  State.update_thread st
-    { th with State.frames = frame :: th.State.frames; block = 0; index = 0 }
-
-(* Return from the current function; [value] fills the caller's
-   destination register.  Returns [None] if the thread finished. *)
-let leave_function (st : 'env State.t) ~value =
-  let th = State.current st in
-  match th.State.frames with
-  | [] -> invalid_arg "leave_function: no frames"
-  | frame :: rest -> (
-    let st =
-      if frame.State.frame_base <> 0 then
-        { st with State.mem = Memory.free st.State.mem ~pid:th.State.pid ~addr:frame.State.frame_base }
-      else st
-    in
-    match rest with
-    | [] ->
-      (* thread finished *)
-      let st = State.update_thread st { th with State.frames = []; status = State.Exited } in
-      let st =
-        match (th.State.tid, value) with
-        | 0, Some _ -> st (* exit code recorded by the caller of [step] below *)
-        | _ -> st
-      in
-      `Thread_exit st
-    | caller :: _ ->
-      let caller =
-        match (frame.State.ret_reg, value) with
-        | Some r, Some v -> { caller with State.regs = Imap.add r v caller.State.regs }
-        | _, _ -> caller
-      in
-      let st =
-        State.update_thread st
-          {
-            th with
-            State.frames = caller :: List.tl rest;
-            block = frame.State.ret_block;
-            index = frame.State.ret_index;
-          }
-      in
-      `Returned st)
 
 (* --- branching --------------------------------------------------------------------------- *)
 
@@ -312,8 +271,8 @@ let truth_expr c =
    is extended. *)
 let fork_on cfg (st : 'env State.t) cond ~on_true ~on_false : 'env stepped =
   let b = truth_expr cond in
-  if E.is_true b then on_true st ~forked:false
-  else if E.is_false b then on_false st ~forked:false
+  if E.is_true b then on_true st
+  else if E.is_false b then on_false st
   else begin
     (* one fused entry: shared simplify, interval boxes, and independence
        slice for both polarities *)
@@ -321,16 +280,16 @@ let fork_on cfg (st : 'env State.t) cond ~on_true ~on_false : 'env stepped =
       Smt.Solver.fork_feasible cfg.solver ~pc:st.State.pc ?boxes:st.State.boxes b
     in
     match (t_ok, f_ok) with
-    | true, false -> on_true st ~forked:false
-    | false, true -> on_false st ~forked:false
+    | true, false -> on_true st
+    | false, true -> on_false st
     | false, false -> finish st (Errors.Error (Errors.Invalid_op "infeasible path condition"))
     | true, true ->
       cfg.stats.forks <- cfg.stats.forks + 1;
       note_fork cfg st ~arms:2;
       let st_t = State.push_choice (State.add_constraint st b) (Path.Branch true) in
       let st_f = State.push_choice (State.add_constraint st (E.not_ b)) (Path.Branch false) in
-      let r1 = on_true st_t ~forked:true in
-      let r2 = on_false st_f ~forked:true in
+      let r1 = on_true st_t in
+      let r2 = on_false st_f in
       { running = r1.running @ r2.running; finished = r1.finished @ r2.finished }
   end
 
@@ -362,9 +321,9 @@ let resolve_access cfg (st : 'env State.t) addr_e len ~(k : 'env State.t -> int 
           E.and_ (E.ule (c64 base) addr_e) (E.ule (E.add addr_e (c64 len)) (c64 (base + size)))
         in
         fork_on cfg st in_bounds
-          ~on_true:(fun st ~forked:_ ->
+          ~on_true:(fun st ->
             k (State.add_constraint st (E.eq addr_e (c64 v))) v)
-          ~on_false:(fun st ~forked:_ ->
+          ~on_false:(fun st ->
             finish st
               (Errors.Error
                  (Errors.Memory_fault
@@ -392,27 +351,22 @@ let prim_make_symbolic cfg st args =
         | Some (iname, data) when iname = name -> Some data
         | Some _ | None -> List.assoc_opt name inputs)
     in
-    (match bytes with
-    | Some data ->
-      let mem =
-        List.fold_left
-          (fun (mem, i) () ->
-            let byte = if i < String.length data then Char.code data.[i] else 0 in
-            (Memory.store mem ~pid ~addr:(addr + i) (E.const ~width:8 (Int64.of_int byte)), i + 1))
-          (st.State.mem, 0)
-          (List.init (Int64.to_int len) (fun _ -> ()))
-        |> fst
-      in
-      Sys_ret ({ st with State.mem }, E.const ~width:64 0L)
-    | None ->
-      let st, syms = State.fresh_input st ~name ~count:(Int64.to_int len) in
-      let mem =
-        List.fold_left
-          (fun (mem, i) s -> (Memory.store mem ~pid ~addr:(addr + i) s, i + 1))
-          (st.State.mem, 0) syms
-        |> fst
-      in
-      Sys_ret ({ st with State.mem }, E.const ~width:64 0L))
+    let st, bytes =
+      match bytes with
+      | Some data ->
+        ( st,
+          Array.init (Int64.to_int len) (fun i ->
+              E.const ~width:8 (Int64.of_int (if i < String.length data then Char.code data.[i] else 0)))
+        )
+      | None ->
+        let st, syms = State.fresh_input st ~name ~count:(Int64.to_int len) in
+        (st, Array.of_list syms)
+    in
+    let mem = ref st.State.mem in
+    for i = 0 to Array.length bytes - 1 do
+      mem := Memory.store !mem ~pid ~addr:(addr + i) bytes.(i)
+    done;
+    Sys_ret ({ st with State.mem = !mem }, E.const ~width:64 0L)
   | _ -> Sys_err (st, Errors.Model_failure "make_symbolic expects (addr, len, name)")
 
 let prim_thread_create cfg st args =
@@ -420,7 +374,7 @@ let prim_thread_create cfg st args =
   | [ fname_e; arg_e ] ->
     let st, fname_addr = concretize_addr cfg st fname_e in
     let fname = Memory.read_cstring st.State.mem ~pid:(State.current_pid st) ~addr:fname_addr in
-    (match Program.func st.State.program fname with
+    (match State.func st fname with
     | None -> Sys_err (st, Errors.Model_failure ("thread_create: unknown function " ^ fname))
     | Some f ->
       let pid = State.current_pid st in
@@ -440,15 +394,23 @@ let prim_thread_create cfg st args =
       Sys_ret (st, E.const ~width:64 (Int64.of_int tid)))
   | _ -> Sys_err (st, Errors.Model_failure "thread_create expects (func_name, arg)")
 
-let prim_process_fork (st : 'env State.t) =
+let prim_process_fork (st : 'env State.t) ~dst =
   let th = State.current st in
   let child_pid = st.State.next_pid in
   let mem = Memory.clone_space st.State.mem ~parent:th.State.pid ~child:child_pid in
   let child_tid = st.State.next_tid in
   (* the child is a copy of the calling thread only, in the new space;
      it resumes after the fork call with return value 0 *)
+  let frames =
+    match th.State.frames with
+    | f :: rest ->
+      let regs = Array.copy f.State.regs in
+      regs.(dst) <- E.const ~width:64 0L;
+      { f with State.regs } :: rest
+    | [] -> []
+  in
   let child =
-    { th with State.tid = child_tid; pid = child_pid; index = th.State.index + 1 }
+    { th with State.tid = child_tid; pid = child_pid; frames; index = th.State.index + 1 }
   in
   let st =
     {
@@ -459,8 +421,7 @@ let prim_process_fork (st : 'env State.t) =
       threads = Imap.add child_tid child st.State.threads;
     }
   in
-  (* write 0 into the child's syscall destination register *)
-  (st, child_tid, child_pid)
+  (st, child_pid)
 
 let prim_process_terminate cfg (st : 'env State.t) args =
   let code_e = match args with [ c ] -> c | _ -> E.const ~width:64 0L in
@@ -475,142 +436,9 @@ let prim_process_terminate cfg (st : 'env State.t) args =
   let st = if pid = 0 then { st with State.exit_code = code } else st in
   st
 
-(* --- the step function ------------------------------------------------------------------------- *)
+(* --- system calls ------------------------------------------------------------------------------- *)
 
-let record_instr cfg ~replay (st : 'env State.t) line =
-  if replay then cfg.stats.replay_instrs <- cfg.stats.replay_instrs + 1
-  else cfg.stats.useful_instrs <- cfg.stats.useful_instrs + 1;
-  let st =
-    { st with State.steps = st.State.steps + 1; since_sched = st.State.since_sched + 1 }
-  in
-  cover cfg st line
-
-let rec step cfg ?(replay = false) (st : 'env State.t) : 'env stepped =
-  match cfg.max_steps with
-  | Some cap when st.State.steps >= cap -> finish st (Errors.Error Errors.Instruction_limit)
-  | Some _ | None
-    when (match cfg.preempt_interval with
-         | Some k -> st.State.since_sched >= k && List.length (State.runnable_tids st) > 1
-         | None -> false) ->
-    (* instruction-level preemption point *)
-    yield cfg st
-  | Some _ | None -> (
-    let instr = State.current_instr st in
-    let st = record_instr cfg ~replay st instr.Instr.line in
-    let ev = State.eval_operand st in
-    try
-      match instr.Instr.op with
-      | Instr.Binop { dst; op; a; b } -> (
-        let ea = ev a and eb = ev b in
-        let compute st =
-          let r = Smt.Simplify.simplify (E.binop op ea eb) in
-          continue (State.advance (State.set_reg st dst r))
-        in
-        match op with
-        | (E.Udiv | E.Urem | E.Sdiv | E.Srem) when cfg.check_div_zero ->
-          let w = E.width eb in
-          fork_on cfg st
-            (E.ne eb (E.const ~width:w 0L))
-            ~on_true:(fun st ~forked:_ -> compute st)
-            ~on_false:(fun st ~forked:_ -> finish st (Errors.Error Errors.Division_by_zero))
-        | _ -> compute st)
-      | Instr.Unop { dst; op; a } ->
-        let r = Smt.Simplify.simplify (E.unop op (ev a)) in
-        continue (State.advance (State.set_reg st dst r))
-      | Instr.Cast { dst; kind; a; width } ->
-        let e = ev a in
-        let r =
-          match kind with
-          | Instr.Zext -> E.zext e width
-          | Instr.Sext -> E.sext e width
-          | Instr.Trunc -> E.extract e ~off:0 ~len:width
-        in
-        continue (State.advance (State.set_reg st dst (Smt.Simplify.simplify r)))
-      | Instr.Select { dst; cond; a; b } ->
-        let c = truth_expr (ev cond) in
-        let r = Smt.Simplify.simplify (E.ite c (ev a) (ev b)) in
-        continue (State.advance (State.set_reg st dst r))
-      | Instr.Mov { dst; a } -> continue (State.advance (State.set_reg st dst (ev a)))
-      | Instr.Frame { dst; off } ->
-        let th = State.current st in
-        let base = (State.top_frame th).State.frame_base in
-        if base = 0 then finish st (Errors.Error (Errors.Invalid_op "Frame in frameless function"))
-        else
-          continue
-            (State.advance (State.set_reg st dst (E.const ~width:64 (Int64.of_int (base + off)))))
-      | Instr.Load { dst; addr; len } ->
-        resolve_access cfg st (ev addr) len ~k:(fun st a ->
-            try
-              let v = Memory.load st.State.mem ~pid:(State.current_pid st) ~addr:a ~len in
-              continue (State.advance (State.set_reg st dst v))
-            with Memory.Fault f ->
-              finish st (Errors.Error (Errors.Memory_fault (Memory.fault_to_string f))))
-      | Instr.Store { addr; value } ->
-        let value = ev value in
-        resolve_access cfg st (ev addr) (E.width value / 8) ~k:(fun st a ->
-            try
-              let mem = Memory.store st.State.mem ~pid:(State.current_pid st) ~addr:a value in
-              continue (State.advance { st with State.mem })
-            with Memory.Fault f ->
-              finish st (Errors.Error (Errors.Memory_fault (Memory.fault_to_string f))))
-      | Instr.Alloc { dst; size } ->
-        let st, size = concretize cfg st (ev size) in
-        let size = Int64.to_int size in
-        let pid = State.current_pid st in
-        let over_limit =
-          match st.State.heap_limit with
-          | Some lim -> Memory.footprint st.State.mem ~pid + size > lim
-          | None -> false
-        in
-        if over_limit then
-          (* symbolic low-memory condition: allocation fails with NULL *)
-          continue (State.advance (State.set_reg st dst (E.const ~width:64 0L)))
-        else begin
-          let st, base = alloc_update cfg st ~pid ~size in
-          continue (State.advance (State.set_reg st dst (E.const ~width:64 (Int64.of_int base))))
-        end
-      | Instr.Free { addr } -> (
-        let st, a = concretize_addr cfg st (ev addr) in
-        try continue (State.advance { st with State.mem = Memory.free st.State.mem ~pid:(State.current_pid st) ~addr:a })
-        with Memory.Fault f ->
-          finish st (Errors.Error (Errors.Memory_fault (Memory.fault_to_string f))))
-      | Instr.Jmp l -> continue (State.goto st l)
-      | Instr.Br { cond; then_; else_ } ->
-        fork_on cfg st (ev cond)
-          ~on_true:(fun st ~forked:_ -> continue (State.goto st then_))
-          ~on_false:(fun st ~forked:_ -> continue (State.goto st else_))
-      | Instr.Call { dst; func; args } ->
-        continue (enter_function cfg st ~callee:func ~args:(List.map ev args) ~ret_reg:dst)
-      | Instr.Ret value -> (
-        let v = Option.map ev value in
-        let th = State.current st in
-        let is_main = th.State.tid = 0 && List.length th.State.frames = 1 in
-        match leave_function st ~value:v with
-        | `Returned st -> continue st
-        | `Thread_exit st ->
-          let st =
-            if is_main then
-              match v with
-              | Some ve ->
-                let st, code = concretize cfg st ve in
-                { st with State.exit_code = code }
-              | None -> st
-            else st
-          in
-          yield cfg st)
-      | Instr.Halt code ->
-        let st, code = concretize cfg st (ev code) in
-        finish st (Errors.Exit code)
-      | Instr.Assert { cond; msg } ->
-        fork_on cfg st (ev cond)
-          ~on_true:(fun st ~forked:_ -> continue (State.advance st))
-          ~on_false:(fun st ~forked:_ -> finish st (Errors.Error (Errors.Assert_failed msg)))
-      | Instr.Syscall { dst; num; args } -> step_syscall cfg st ~dst ~num ~args:(List.map ev args)
-    with
-    | Stuck err -> finish st (Errors.Error err)
-    | Memory.Fault f -> finish st (Errors.Error (Errors.Memory_fault (Memory.fault_to_string f))))
-
-and step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
+let step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
   (* Set the destination register, advance past the syscall, and yield if
      the model put the current thread to sleep or terminated it (e.g. the
      POSIX exit() model marks the process's threads Exited). *)
@@ -630,19 +458,18 @@ and step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
       let st = State.update_thread st { th with State.status = State.Sleeping wl } in
       yield cfg st
     | Sys_choices variants ->
-      cfg.stats.forks <- cfg.stats.forks + List.length variants - 1;
-      if List.length variants > 1 then note_fork cfg st ~arms:(List.length variants);
+      let n = List.length variants in
+      cfg.stats.forks <- cfg.stats.forks + n - 1;
+      if n > 1 then note_fork cfg st ~arms:n;
       let stepped =
         List.mapi
-          (fun i (st, v) ->
-            let st = if List.length variants > 1 then State.push_choice st (Path.Sys i) else st in
-            resume st v)
+          (fun i (st, v) -> resume (if n > 1 then State.push_choice st (Path.Sys i) else st) v)
           variants
       in
-      List.fold_left
-        (fun acc r -> { running = acc.running @ r.running; finished = acc.finished @ r.finished })
-        { running = []; finished = [] }
-        stepped
+      {
+        running = List.concat_map (fun r -> r.running) stepped;
+        finished = List.concat_map (fun r -> r.finished) stepped;
+      }
     | Sys_err (st, e) -> finish st (Errors.Error e)
   else if num = Sysno.make_shared then begin
     match args with
@@ -664,17 +491,8 @@ and step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
     yield cfg st
   end
   else if num = Sysno.process_fork then begin
-    let st, child_tid, child_pid = prim_process_fork st in
-    (* parent returns the child pid; patch the child's copy of the
-       destination register to 0 *)
-    let child = State.thread_exn st child_tid in
-    let child =
-      match child.State.frames with
-      | f :: rest ->
-        { child with State.frames = { f with State.regs = Imap.add dst (E.const ~width:64 0L) f.State.regs } :: rest }
-      | [] -> child
-    in
-    let st = State.update_thread st child in
+    (* the parent returns the child pid, the child 0 *)
+    let st, child_pid = prim_process_fork st ~dst in
     reti st child_pid
   end
   else if num = Sysno.process_terminate then yield cfg (prim_process_terminate cfg st args)
@@ -757,3 +575,347 @@ and step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
     | _ -> finish st (Errors.Error (Errors.Model_failure "assume expects (cond)"))
   end
   else finish st (Errors.Error (Errors.Model_failure (Printf.sprintf "unknown syscall %d" num)))
+
+(* --- the stepping cursor ------------------------------------------------------------------------ *)
+
+(* The mutable half of a state inside one quantum: the current thread's
+   call stack and position, its top-frame registers, memory and the step
+   counters.  [base] is the persistent state the cursor was opened on,
+   stale in exactly these fields until [commit]. *)
+type 'env cursor = {
+  base : 'env State.t;
+  th : State.thread; (* [base]'s current thread *)
+  mutable frame : State.frame; (* top frame; its registers live in [regs] *)
+  mutable callers : State.frame list; (* the frames under it *)
+  mutable block : int;
+  mutable code : Instr.t array; (* [frame.func]'s block [block] *)
+  mutable index : int;
+  mutable regs : E.t array;
+  mutable owned : bool; (* [regs] is a private copy, written in place *)
+  mutable mem : Memory.t;
+  mutable steps : int;
+  mutable since_sched : int;
+  mutable last_new_cover : int;
+}
+
+let cursor (st : 'env State.t) =
+  let th = State.current st in
+  let frame, callers =
+    match th.State.frames with
+    | f :: rest -> (f, rest)
+    | [] -> invalid_arg "Executor: current thread has no frames"
+  in
+  {
+    base = st;
+    th;
+    frame;
+    callers;
+    block = th.State.block;
+    code = frame.State.func.Program.blocks.(th.State.block);
+    index = th.State.index;
+    regs = frame.State.regs;
+    owned = false;
+    mem = st.State.mem;
+    steps = st.State.steps;
+    since_sched = st.State.since_sched;
+    last_new_cover = st.State.last_new_cover;
+  }
+
+(* Fold [regs] back into the top frame record. *)
+let sync_frame c =
+  if c.regs != c.frame.State.regs then c.frame <- { c.frame with State.regs = c.regs }
+
+(* The persistent state at the cursor.  Its registers are now shared, so
+   the next write copies them. *)
+let commit c =
+  sync_frame c;
+  c.owned <- false;
+  let th = { c.th with State.frames = c.frame :: c.callers; block = c.block; index = c.index } in
+  {
+    c.base with
+    State.threads = Imap.add th.State.tid th c.base.State.threads;
+    mem = c.mem;
+    steps = c.steps;
+    since_sched = c.since_sched;
+    last_new_cover = c.last_new_cover;
+  }
+
+let set c r e =
+  if not c.owned then begin
+    c.regs <- Array.copy c.regs;
+    c.owned <- true
+  end;
+  c.regs.(r) <- e
+
+let operand c = function
+  | Instr.Reg r -> State.apply_subst c.base c.regs.(r)
+  | Instr.Const e -> e
+  | Instr.Imm _ | Instr.Glob _ -> invalid_arg "Executor: operand of an unresolved program"
+
+let retire cfg ~replay c line =
+  if replay then cfg.stats.replay_instrs <- cfg.stats.replay_instrs + 1
+  else cfg.stats.useful_instrs <- cfg.stats.useful_instrs + 1;
+  c.steps <- c.steps + 1;
+  c.since_sched <- c.since_sched + 1;
+  if cover cfg line then c.last_new_cover <- c.steps
+
+(* --- one instruction ------------------------------------------------------------------------------ *)
+
+(* Constants fold in the smart constructors on Int64; only symbolic
+   results go through the rewriter's memo. *)
+let simplify e = if E.is_const e then e else Smt.Simplify.simplify e
+
+(* A concrete condition folds to [E.true_]/[E.false_] without building
+   the [ne] term. *)
+let truth e =
+  match e.E.node with
+  | E.Const { value; _ } -> if Int64.equal value 0L then E.false_ else E.true_
+  | _ -> truth_expr e
+
+let fault st f = finish st (Errors.Error (Errors.Memory_fault (Memory.fault_to_string f)))
+
+(* Fast-path continuations; [None] means "the cursor moved on". *)
+let next c =
+  c.index <- c.index + 1;
+  None
+
+let jump c l =
+  c.block <- l;
+  c.code <- c.frame.State.func.Program.blocks.(l);
+  c.index <- 0;
+  None
+
+(* The rest of the instruction needs a persistent state: commit and run
+   [f] on it. *)
+let on_state c f =
+  let st = commit c in
+  Some
+    (try f st with
+    | Stuck err -> finish st (Errors.Error err)
+    | Memory.Fault flt -> fault st flt)
+
+let is_div = function E.Udiv | E.Urem | E.Sdiv | E.Srem -> true | _ -> false
+
+let call cfg c ~callee ~args ~ret_reg =
+  let f = State.func_exn c.base callee in
+  let args = List.map (operand c) args in
+  let frame_base =
+    if f.Program.frame_size > 0 then begin
+      let mem, base = alloc_mem cfg c.mem ~pid:c.th.State.pid ~size:f.Program.frame_size in
+      c.mem <- mem;
+      base
+    end
+    else 0
+  in
+  sync_frame c;
+  c.callers <- c.frame :: c.callers;
+  c.frame <- State.make_frame f ~frame_base ~args ~ret_reg ~ret_block:c.block ~ret_index:(c.index + 1);
+  (* the callee's registers are fresh: no copy before the first write *)
+  c.regs <- c.frame.State.regs;
+  c.owned <- true;
+  jump c 0
+
+(* Return to [caller], the frame under the top one. *)
+let return c ~caller ~callers value =
+  let callee = c.frame in
+  if callee.State.frame_base <> 0 then
+    c.mem <- Memory.free c.mem ~pid:c.th.State.pid ~addr:callee.State.frame_base;
+  c.frame <- caller;
+  c.callers <- callers;
+  c.regs <- caller.State.regs;
+  c.owned <- false;
+  (match (callee.State.ret_reg, value) with Some r, Some v -> set c r v | _, _ -> ());
+  c.block <- callee.State.ret_block;
+  c.code <- caller.State.func.Program.blocks.(c.block);
+  c.index <- callee.State.ret_index;
+  None
+
+(* The current thread returns from its last frame; the main thread's
+   return value is the exit code. *)
+let thread_exit cfg (st : 'env State.t) value =
+  let th = State.current st in
+  let frame = State.top_frame th in
+  let st =
+    if frame.State.frame_base <> 0 then
+      { st with State.mem = Memory.free st.State.mem ~pid:th.State.pid ~addr:frame.State.frame_base }
+    else st
+  in
+  let st = State.update_thread st { th with State.frames = []; status = State.Exited } in
+  let st =
+    match value with
+    | Some v when th.State.tid = 0 ->
+      let st, code = concretize cfg st v in
+      { st with State.exit_code = code }
+    | Some _ | None -> st
+  in
+  yield cfg st
+
+(* Execute the instruction at the cursor, which [retire] has counted. *)
+let exec cfg c (instr : Instr.t) : 'env stepped option =
+  match instr.Instr.op with
+  | Instr.Binop { dst; op; a; b } ->
+    let ea = operand c a and eb = operand c b in
+    if cfg.check_div_zero && is_div op && not (E.is_const eb) then
+      on_state c (fun st ->
+          fork_on cfg st
+            (E.ne eb (E.const ~width:(E.width eb) 0L))
+            ~on_true:(fun st ->
+              continue (State.advance (State.set_reg st dst (simplify (E.binop op ea eb)))))
+            ~on_false:(fun st -> finish st (Errors.Error Errors.Division_by_zero)))
+    else if cfg.check_div_zero && is_div op && E.const_value eb = Some 0L then
+      on_state c (fun st -> finish st (Errors.Error Errors.Division_by_zero))
+    else begin
+      set c dst (simplify (E.binop op ea eb));
+      next c
+    end
+  | Instr.Unop { dst; op; a } ->
+    set c dst (simplify (E.unop op (operand c a)));
+    next c
+  | Instr.Cast { dst; kind; a; width } ->
+    let e = operand c a in
+    set c dst
+      (simplify
+         (match kind with
+         | Instr.Zext -> E.zext e width
+         | Instr.Sext -> E.sext e width
+         | Instr.Trunc -> E.extract e ~off:0 ~len:width));
+    next c
+  | Instr.Select { dst; cond; a; b } ->
+    set c dst (simplify (E.ite (truth (operand c cond)) (operand c a) (operand c b)));
+    next c
+  | Instr.Mov { dst; a } ->
+    set c dst (operand c a);
+    next c
+  | Instr.Frame { dst; off } ->
+    let base = c.frame.State.frame_base in
+    if base = 0 then
+      on_state c (fun st -> finish st (Errors.Error (Errors.Invalid_op "Frame in frameless function")))
+    else begin
+      set c dst (E.const ~width:64 (Int64.of_int (base + off)));
+      next c
+    end
+  | Instr.Load { dst; addr; len } -> (
+    let addr_e = simplify (operand c addr) in
+    match addr_e.E.node with
+    | E.Const { value; _ } -> (
+      match Memory.load c.mem ~pid:c.th.State.pid ~addr:(Int64.to_int value) ~len with
+      | v ->
+        set c dst v;
+        next c
+      | exception Memory.Fault f -> on_state c (fun st -> fault st f))
+    | _ ->
+      on_state c (fun st ->
+          resolve_access cfg st addr_e len ~k:(fun st a ->
+              match Memory.load st.State.mem ~pid:(State.current_pid st) ~addr:a ~len with
+              | v -> continue (State.advance (State.set_reg st dst v))
+              | exception Memory.Fault f -> fault st f)))
+  | Instr.Store { addr; value } -> (
+    let value = operand c value and addr_e = simplify (operand c addr) in
+    match addr_e.E.node with
+    | E.Const { value = a; _ } -> (
+      match Memory.store c.mem ~pid:c.th.State.pid ~addr:(Int64.to_int a) value with
+      | mem ->
+        c.mem <- mem;
+        next c
+      | exception Memory.Fault f -> on_state c (fun st -> fault st f))
+    | _ ->
+      on_state c (fun st ->
+          resolve_access cfg st addr_e (E.width value / 8) ~k:(fun st a ->
+              match Memory.store st.State.mem ~pid:(State.current_pid st) ~addr:a value with
+              | mem -> continue (State.advance { st with State.mem })
+              | exception Memory.Fault f -> fault st f)))
+  | Instr.Alloc { dst; size } ->
+    let size = operand c size in
+    on_state c (fun st ->
+        let st, size = concretize cfg st size in
+        let size = Int64.to_int size in
+        let pid = State.current_pid st in
+        let over_limit =
+          match st.State.heap_limit with
+          | Some lim -> Memory.footprint st.State.mem ~pid + size > lim
+          | None -> false
+        in
+        if over_limit then
+          (* symbolic low-memory condition: allocation fails with NULL *)
+          continue (State.advance (State.set_reg st dst (E.const ~width:64 0L)))
+        else begin
+          let st, base = alloc_update cfg st ~pid ~size in
+          continue (State.advance (State.set_reg st dst (E.const ~width:64 (Int64.of_int base))))
+        end)
+  | Instr.Free { addr } ->
+    let addr = operand c addr in
+    on_state c (fun st ->
+        let st, a = concretize_addr cfg st addr in
+        match Memory.free st.State.mem ~pid:(State.current_pid st) ~addr:a with
+        | mem -> continue (State.advance { st with State.mem })
+        | exception Memory.Fault f -> fault st f)
+  | Instr.Jmp l -> jump c l
+  | Instr.Br { cond; then_; else_ } ->
+    let b = truth (operand c cond) in
+    if E.is_true b then jump c then_
+    else if E.is_false b then jump c else_
+    else
+      on_state c (fun st ->
+          fork_on cfg st b
+            ~on_true:(fun st -> continue (State.goto st then_))
+            ~on_false:(fun st -> continue (State.goto st else_)))
+  | Instr.Assert { cond; msg } ->
+    let b = truth (operand c cond) in
+    if E.is_true b then next c
+    else
+      on_state c (fun st ->
+          fork_on cfg st b
+            ~on_true:(fun st -> continue (State.advance st))
+            ~on_false:(fun st -> finish st (Errors.Error (Errors.Assert_failed msg))))
+  | Instr.Call { dst; func; args } -> call cfg c ~callee:func ~args ~ret_reg:dst
+  | Instr.Ret value -> (
+    let value = Option.map (operand c) value in
+    match c.callers with
+    | caller :: callers -> (
+      try return c ~caller ~callers value with Memory.Fault f -> on_state c (fun st -> fault st f))
+    | [] -> on_state c (fun st -> thread_exit cfg st value))
+  | Instr.Halt code ->
+    let code = operand c code in
+    on_state c (fun st ->
+        let st, code = concretize cfg st code in
+        finish st (Errors.Exit code))
+  | Instr.Syscall { dst; num; args } ->
+    let args = List.map (operand c) args in
+    on_state c (fun st -> step_syscall cfg st ~dst ~num ~args)
+
+(* --- the quantum ------------------------------------------------------------------------------------ *)
+
+let quantum = 50
+
+let preempt_due cfg c =
+  match cfg.preempt_interval with
+  | Some k -> c.since_sched >= k && List.length (State.runnable_tids c.base) > 1
+  | None -> false
+
+(* The loop behind every driver: retire instructions on the cursor until
+   the quantum ends.  [max_steps] and preemption are checked before each
+   instruction, as a per-instruction step would. *)
+let step cfg ?(replay = false) ?(fuel = quantum) (st : 'env State.t) : 'env stepped =
+  let path0 = st.State.path in
+  let rec run c fuel =
+    if fuel = 0 then continue (commit c)
+    else
+      match cfg.max_steps with
+      | Some cap when c.steps >= cap -> finish (commit c) (Errors.Error Errors.Instruction_limit)
+      | Some _ | None ->
+        if preempt_due cfg c then rejoin (yield cfg (commit c)) fuel
+        else begin
+          let instr = c.code.(c.index) in
+          retire cfg ~replay c instr.Instr.line;
+          match exec cfg c instr with
+          | None -> run c (fuel - 1)
+          | Some r -> rejoin r (fuel - 1)
+        end
+  (* a committed instruction that neither forked nor terminated continues
+     the quantum on a fresh cursor *)
+  and rejoin r fuel =
+    match r with
+    | { running = [ st ]; finished = [] } when st.State.path == path0 && fuel > 0 -> run (cursor st) fuel
+    | r -> r
+  in
+  run (cursor st) (max 1 fuel)

@@ -1,12 +1,17 @@
-(** The symbolic executor: single-instruction stepping of execution
-    states, forking at symbolic branches, scheduling decisions, and
-    forking system calls — the KLEE-analogue at the heart of each worker.
+(** The symbolic executor: quantum stepping of execution states, forking
+    at symbolic branches, scheduling decisions, and forking system calls
+    — the KLEE-analogue at the heart of each worker.
 
-    Stepping is purely functional over {!State.t}: one step returns the
-    successor states (one, or several on forks) plus any terminated
-    states.  Every fork appends a {!Path.choice} to each successor's
-    path, so a state's path uniquely addresses its execution-tree node
-    and serves as the job-transfer encoding. *)
+    {!step} runs a state for one quantum, the batch of instructions a
+    searcher's pick buys (paper section 7).  Seen from outside it is
+    purely functional over {!State.t}: it returns the successor states
+    (one, or several on forks) plus terminated states.  Every fork
+    appends a {!Path.choice} to each successor's path, so a state's path
+    uniquely addresses its execution-tree node and serves as the
+    job-transfer encoding.  Inside the quantum, straight-line
+    instructions update a private cursor that is committed to a
+    persistent state once, at the quantum's end or before an instruction
+    that needs one; nothing mutable escapes. *)
 
 (** Engine-primitive system call numbers (paper Table 1 plus the
     symbolic-test primitives of Table 2 the engine itself implements).
@@ -111,15 +116,21 @@ val concretize : 'env config -> 'env State.t -> Smt.Expr.t -> 'env State.t * int
 val concretize_addr : 'env config -> 'env State.t -> Smt.Expr.t -> 'env State.t * int
 
 (** The engine primitive behind POSIX fork(): duplicate the address space
-    and the calling thread.  Returns (state, child tid, child pid); the
-    caller must set the child's return register. *)
-val prim_process_fork : 'env State.t -> 'env State.t * int * int
+    and the calling thread, whose copy gets 0 in register [dst].  Returns
+    the state and the child pid. *)
+val prim_process_fork : 'env State.t -> dst:int -> 'env State.t * int
 
 (** Terminate every thread of the calling process, recording the exit
     code (args = [[code]]). *)
 val prim_process_terminate : 'env config -> 'env State.t -> Smt.Expr.t list -> 'env State.t
 
-(** Execute one instruction of the state's current thread.  [replay]
-    routes the instruction count to the replay counter instead of the
-    useful-work counter. *)
-val step : 'env config -> ?replay:bool -> 'env State.t -> 'env stepped
+(** Instructions a state runs per selection unless [fuel] says less. *)
+val quantum : int
+
+(** Run the state's current thread for one quantum: instructions retire
+    until one pushes a {!Path.choice} (a fork, including one whose other
+    arm terminates), the path terminates, or [fuel] (default {!quantum},
+    at least 1) instructions have retired.  [max_steps] and preemption
+    apply per instruction.  [replay] routes the instruction count to the
+    replay counter instead of the useful-work counter. *)
+val step : 'env config -> ?replay:bool -> ?fuel:int -> 'env State.t -> 'env stepped

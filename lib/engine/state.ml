@@ -1,8 +1,10 @@
 (* An execution state: one node's worth of program state in the symbolic
    execution tree.
 
-   Everything is persistent (maps and lists), so cloning a state at a fork
-   is O(1) and two states never alias mutable data.  The state embeds:
+   Everything is persistent (maps, lists, and register arrays that are
+   never written once they are in a state), so cloning a state at a fork
+   is O(1) and two states never alias data either one mutates.  The
+   state embeds:
    - the thread table (each thread: call stack, program counter, status),
      covering multiple processes — process ids select address spaces in
      {!Cvm.Memory} (paper section 4.2);
@@ -22,8 +24,10 @@ module Program = Cvm.Program
 module Memory = Cvm.Memory
 
 type frame = {
-  fname : string;
-  regs : Smt.Expr.t Imap.t;
+  func : Program.func; (* operand-resolved: see [Program.resolved] *)
+  regs : Smt.Expr.t array;
+  (* [func.nregs] slots; never written once the frame is in a state, so
+     writers copy first (the executor's cursor copies once per quantum) *)
   frame_base : int; (* 0 when the function has no frame object *)
   ret_reg : int option;
   ret_block : int;
@@ -67,6 +71,7 @@ type 'env t = {
      operands so expressions stay small (KLEE-style constraint-based
      simplification — without it, loops guarded by pinned symbolic values
      grow expressions without bound) *)
+  subst_syms : Smt.Expr.Iset.t; (* symbols of the [subst] left-hand sides *)
   path : Path.choice list; (* choices from the root, newest first *)
   sym_inputs : (string * int list) list; (* input name -> byte symbol ids, oldest first *)
   steps : int; (* instructions executed along this path *)
@@ -125,25 +130,16 @@ let top_frame th =
   | f :: _ -> f
   | [] -> invalid_arg "State: thread has no frames"
 
-let get_reg t r =
-  match Imap.find_opt r (top_frame (current t)).regs with
-  | Some e -> e
-  | None -> Smt.Expr.const ~width:64 0L (* uninitialized registers read as 0 *)
-
 let set_reg t r e =
   let th = current t in
   match th.frames with
-  | f :: rest -> update_thread t { th with frames = { f with regs = Imap.add r e f.regs } :: rest }
+  | f :: rest ->
+    let regs = Array.copy f.regs in
+    regs.(r) <- e;
+    update_thread t { th with frames = { f with regs } :: rest }
   | [] -> invalid_arg "State: thread has no frames"
 
 (* --- program counter --------------------------------------------------------- *)
-
-let func_of t th = Program.func_exn t.program (top_frame th).fname
-
-let current_instr t =
-  let th = current t in
-  let f = func_of t th in
-  f.Program.blocks.(th.block).(th.index)
 
 let advance t =
   let th = current t in
@@ -151,23 +147,31 @@ let advance t =
 
 let goto t block = update_thread t { (current t) with block; index = 0 }
 
-(* --- operand evaluation --------------------------------------------------------- *)
+(* --- functions and operands ------------------------------------------------------ *)
 
 let global_addr t name =
   match List.assoc_opt name t.globals with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "State: unknown global %s" name)
 
+(* [init] resolved the program, so this is the cached copy *)
+let func t name = List.assoc_opt name (Program.resolved t.program ~global_addr:(global_addr t))
+
+let func_exn t name =
+  match func t name with
+  | Some f -> f
+  | None -> invalid_arg (Printf.sprintf "State: unknown function %s" name)
+
+(* A term sharing no symbol with a left-hand side contains none of them. *)
 let apply_subst t e =
   match t.subst with
   | [] -> e
   | pairs -> (
-    match e.Smt.Expr.node with Smt.Expr.Const _ -> e | _ -> Smt.Expr.substitute pairs e)
-
-let eval_operand t = function
-  | Instr.Reg r -> apply_subst t (get_reg t r)
-  | Instr.Imm { width; value } -> Smt.Expr.const ~width value
-  | Instr.Glob name -> Smt.Expr.const ~width:64 (Int64.of_int (global_addr t name))
+    match e.Smt.Expr.node with
+    | Smt.Expr.Const _ -> e
+    | _ ->
+      if Smt.Expr.Iset.disjoint (Smt.Expr.sym_set e) t.subst_syms then e
+      else Smt.Expr.substitute pairs e)
 
 (* --- symbols ---------------------------------------------------------------------- *)
 
@@ -204,30 +208,33 @@ let add_constraint t e =
   let e = Smt.Simplify.simplify (apply_subst t e) in
   if Smt.Expr.is_true e then t
   else
-    let subst =
+    let t =
       match e.Smt.Expr.node with
       | Smt.Expr.Binop (Smt.Expr.Eq, lhs, ({ node = Smt.Expr.Const _; _ } as c))
         when not (Smt.Expr.is_const lhs) ->
-        (lhs, c) :: t.subst
-      | _ -> t.subst
+        {
+          t with
+          subst = (lhs, c) :: t.subst;
+          subst_syms = Smt.Expr.Iset.union (Smt.Expr.sym_set lhs) t.subst_syms;
+        }
+      | _ -> t
     in
     (* [e] is already simplified: extending the pc costs O(1), and the
        boxes absorb the new constraint with a single meet *)
     let boxes = match t.boxes with None -> None | Some bx -> Smt.Range.learn_boxes bx e in
-    { t with pc = e :: t.pc; boxes; subst }
+    { t with pc = e :: t.pc; boxes }
 
 let push_choice t c = { t with path = c :: t.path; depth = t.depth + 1 }
 
 (* --- construction ------------------------------------------------------------------ *)
 
-let make_frame (f : Program.func) ~frame_base ~args ~ret_reg ~ret_block ~ret_index =
-  let regs =
-    List.fold_left
-      (fun (i, regs) a -> (i + 1, Imap.add i a regs))
-      (0, Imap.empty) args
-    |> snd
-  in
-  { fname = f.Program.name; regs; frame_base; ret_reg; ret_block; ret_index }
+(* Uninitialized registers read as 64-bit zero. *)
+let zero64 = Smt.Expr.const ~width:64 0L
+
+let make_frame (func : Program.func) ~frame_base ~args ~ret_reg ~ret_block ~ret_index =
+  let regs = Array.make func.Program.nregs zero64 in
+  List.iteri (fun i a -> regs.(i) <- a) args;
+  { func; regs; frame_base; ret_reg; ret_block; ret_index }
 
 (* Initial state: globals allocated in process 0's space, one thread
    running the entry function with the given argument expressions. *)
@@ -242,7 +249,8 @@ let init program ~env ~args =
         (mem, (g.Program.gname, base) :: acc))
       (mem, []) program.Program.globals
   in
-  let entry = Program.func_exn program program.Program.entry in
+  let global_addr g = List.assoc g globals in
+  let entry = List.assoc program.Program.entry (Program.resolved program ~global_addr) in
   if List.length args <> entry.Program.nparams then
     invalid_arg "State.init: wrong number of entry arguments";
   let mem, frame_base =
@@ -264,6 +272,7 @@ let init program ~env ~args =
     pc = [];
     boxes = Some Smt.Range.empty_boxes;
     subst = [];
+    subst_syms = Smt.Expr.Iset.empty;
     path = [];
     sym_inputs = [];
     steps = 0;

@@ -1,8 +1,9 @@
 (** An execution state: one node's worth of program state in the symbolic
     execution tree.
 
-    Everything is persistent, so cloning at a fork is O(1) and states
-    never alias mutable data.  A state spans multiple processes (address
+    Everything is persistent (a frame's register array is never written
+    once it is in a state), so cloning at a fork is O(1) and states never
+    alias data either one mutates.  A state spans multiple processes (address
     spaces live in {!Cvm.Memory}) and threads under a cooperative
     scheduler (paper section 4.2).  The opaque ['env] slot carries the
     environment model's own state (e.g. the POSIX model's descriptor
@@ -11,8 +12,10 @@
 module Imap : Map.S with type key = int
 
 type frame = {
-  fname : string;
-  regs : Smt.Expr.t Imap.t;
+  func : Cvm.Program.func;  (** operand-resolved: see {!Cvm.Program.resolved} *)
+  regs : Smt.Expr.t array;
+      (** [func.nregs] slots; never written once the frame is in a state,
+          so a writer copies first *)
   frame_base : int;  (** address of the frame object; 0 when frameless *)
   ret_reg : int option;
   ret_block : int;
@@ -55,6 +58,7 @@ type 'env t = {
           [None] means "recompute on demand" *)
   subst : (Smt.Expr.t * Smt.Expr.t) list;
       (** pc-implied equalities applied when reading operands *)
+  subst_syms : Smt.Expr.Iset.t;  (** symbols of the [subst] left-hand sides *)
   path : Path.choice list;  (** choices from the root, newest first *)
   sym_inputs : (string * int list) list;
       (** input name -> byte symbol ids, oldest input first *)
@@ -91,11 +95,9 @@ val wake_all : 'env t -> int -> 'env t
 val sleeping_on : 'env t -> int -> int list
 val top_frame : thread -> frame
 
-(** Uninitialized registers read as 64-bit zero. *)
-val get_reg : 'env t -> int -> Smt.Expr.t
-
+(** Write a register of the current thread's top frame (copying its
+    register array). *)
 val set_reg : 'env t -> int -> Smt.Expr.t -> 'env t
-val current_instr : 'env t -> Cvm.Instr.t
 
 (** Move to the next instruction of the current block. *)
 val advance : 'env t -> 'env t
@@ -105,10 +107,15 @@ val goto : 'env t -> int -> 'env t
 
 val global_addr : 'env t -> string -> int
 
-(** Rewrite an expression with the pc-implied equality substitution. *)
-val apply_subst : 'env t -> Smt.Expr.t -> Smt.Expr.t
+(** A function of the state's operand-resolved program. *)
+val func : 'env t -> string -> Cvm.Program.func option
 
-val eval_operand : 'env t -> Cvm.Instr.operand -> Smt.Expr.t
+(** @raise Invalid_argument on unknown functions. *)
+val func_exn : 'env t -> string -> Cvm.Program.func
+
+(** Rewrite an expression with the pc-implied equality substitution;
+    terms sharing no symbol with [subst_syms] come back unchanged. *)
+val apply_subst : 'env t -> Smt.Expr.t -> Smt.Expr.t
 
 (** Create [count] fresh width-8 symbols with deterministic per-state ids
     (replay creates identical symbols) and record them as a named input. *)
@@ -125,6 +132,8 @@ val add_constraint : 'env t -> Smt.Expr.t -> 'env t
 (** Append a fork choice to the path. *)
 val push_choice : 'env t -> Path.choice -> 'env t
 
+(** A frame for an operand-resolved function (see {!func}); registers
+    beyond the arguments read as 64-bit zero. *)
 val make_frame :
   Cvm.Program.func ->
   frame_base:int ->
@@ -135,7 +144,8 @@ val make_frame :
   frame
 
 (** Initial state: globals allocated in process 0, one thread at the
-    entry function with the given argument expressions. *)
+    entry function with the given argument expressions.  The first call
+    for a program resolves its operands ({!Cvm.Program.resolved}). *)
 val init : Cvm.Program.t -> env:'env -> args:Smt.Expr.t list -> 'env t
 
 val map_env : 'env t -> ('env -> 'env) -> 'env t

@@ -9,18 +9,26 @@
 
    Snapshots are immutable copies supporting [diff]: counters and
    histogram buckets subtract (rate over an interval), gauges keep the
-   newer sample. *)
+   newer sample.  A histogram's copy is made once per change and shared
+   by the snapshots taken until the next observation, so polling a
+   registry costs O(changed histograms), not O(buckets). *)
 
 type labels = (string * string) list
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
+type value =
+  | Vcounter of int
+  | Vgauge of float
+  | Vhistogram of { vbounds : float array; vcounts : int array; vsum : float; vcount : int }
+
 type histogram = {
-  bounds : float array; (* upper bounds, ascending; implicit +inf last *)
+  bounds : float array; (* upper bounds, ascending; implicit +inf last; never written *)
   counts : int array;   (* length = Array.length bounds + 1 *)
   mutable hsum : float;
   mutable hcount : int;
+  mutable snap : value option; (* the current contents' snapshot, once taken *)
 }
 
 type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -86,6 +94,7 @@ let histogram t ?(labels = []) ?(buckets = default_buckets) name =
           counts = Array.make (Array.length buckets + 1) 0;
           hsum = 0.0;
           hcount = 0;
+          snap = None;
         }
       in
       (h, Histogram h))
@@ -104,7 +113,8 @@ let observe h v =
   let i = slot 0 in
   h.counts.(i) <- h.counts.(i) + 1;
   h.hsum <- h.hsum +. v;
-  h.hcount <- h.hcount + 1
+  h.hcount <- h.hcount + 1;
+  h.snap <- None
 
 (* Merge [src]'s instruments into [into]: counters and histogram buckets
    add, gauges take [src]'s sample.  Instruments missing from [into] are
@@ -121,16 +131,12 @@ let merge_into ~into src =
         if Array.length dh.counts = Array.length h.counts then begin
           Array.iteri (fun i c -> dh.counts.(i) <- dh.counts.(i) + c) h.counts;
           dh.hsum <- dh.hsum +. h.hsum;
-          dh.hcount <- dh.hcount + h.hcount
+          dh.hcount <- dh.hcount + h.hcount;
+          dh.snap <- None
         end)
     (List.rev src.order)
 
 (* --- snapshots --------------------------------------------------------- *)
-
-type value =
-  | Vcounter of int
-  | Vgauge of float
-  | Vhistogram of { vbounds : float array; vcounts : int array; vsum : float; vcount : int }
 
 type sample = { s_name : string; s_labels : labels; s_value : value }
 
@@ -143,14 +149,16 @@ let snapshot t =
         match instr with
         | Counter c -> Vcounter c.c
         | Gauge g -> Vgauge g.g
-        | Histogram h ->
-          Vhistogram
-            {
-              vbounds = Array.copy h.bounds;
-              vcounts = Array.copy h.counts;
-              vsum = h.hsum;
-              vcount = h.hcount;
-            }
+        | Histogram h -> (
+          match h.snap with
+          | Some v -> v
+          | None ->
+            let v =
+              Vhistogram
+                { vbounds = h.bounds; vcounts = Array.copy h.counts; vsum = h.hsum; vcount = h.hcount }
+            in
+            h.snap <- Some v;
+            v)
       in
       { s_name = name; s_labels = labels; s_value = v })
     t.order

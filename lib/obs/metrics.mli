@@ -53,6 +53,8 @@ type sample = { s_name : string; s_labels : labels; s_value : value }
 (** Samples in registration order. *)
 type snapshot = sample list
 
+(** A histogram's arrays are shared with later snapshots taken before its
+    next observation (and its bounds with the registry): read-only. *)
 val snapshot : t -> snapshot
 
 (** Counters and histograms report the delta since [base]; gauges keep

@@ -689,22 +689,13 @@ let sys_make_symbolic_file cfg st path_e size_e =
   Executor.Sys_ret (with_env st env, i64 0)
 
 (* POSIX fork(): the engine primitive duplicates the address space and the
-   calling thread; the model additionally gives the child a copy of the
-   parent's descriptor table, and patches the child's return value to 0. *)
+   calling thread and gives the child the return value 0; the model
+   additionally gives the child a copy of the parent's descriptor table. *)
 let sys_fork cfg st ~dst =
   ignore cfg;
-  let st, child_tid, child_pid = Executor.prim_process_fork st in
+  let st, child_pid = Executor.prim_process_fork st ~dst in
   let env = Env.clone_table (env_of st) ~parent:(State.current_pid st) ~child:child_pid in
-  let st = with_env st env in
-  let child = State.thread_exn st child_tid in
-  let child =
-    match child.State.frames with
-    | f :: rest ->
-      { child with State.frames = { f with State.regs = State.Imap.add dst (i64 0) f.State.regs } :: rest }
-    | [] -> child
-  in
-  let st = State.update_thread st child in
-  Executor.Sys_ret (st, i64 child_pid)
+  Executor.Sys_ret (with_env st env, i64 child_pid)
 
 (* --- dispatcher ----------------------------------------------------------------------------------------------------- *)
 

@@ -519,18 +519,32 @@ let syms e = Iset.elements (sym_set e)
    when the path condition contains [e = c], any occurrence of [e] may be
    replaced by [c].  Lookup is by physical identity — sound because
    interning makes structural equality coincide with it. *)
-let rec substitute pairs e =
-  let e' =
+let substitute pairs e =
+  let subst e' = match List.assq_opt e' pairs with Some r -> r | None -> e' in
+  (* memoized by id: a shared subterm is rebuilt once, not once per path
+     through the DAG to it *)
+  let memo = Hashtbl.create 16 in
+  let rec go e =
+    match e.node with
+    | Const _ | Sym _ -> subst e
+    | Unop _ | Binop _ | Ite _ | Extract _ | Zext _ | Sext _ -> (
+      match Hashtbl.find_opt memo e.id with
+      | Some r -> r
+      | None ->
+        let r = subst (rebuild e) in
+        Hashtbl.add memo e.id r;
+        r)
+  and rebuild e =
     match e.node with
     | Const _ | Sym _ -> e
-    | Unop (op, a) -> unop op (substitute pairs a)
-    | Binop (op, a, b) -> binop op (substitute pairs a) (substitute pairs b)
-    | Ite (c, a, b) -> ite (substitute pairs c) (substitute pairs a) (substitute pairs b)
-    | Extract { e = a; off; len } -> extract (substitute pairs a) ~off ~len
-    | Zext (a, w) -> zext (substitute pairs a) w
-    | Sext (a, w) -> sext (substitute pairs a) w
+    | Unop (op, a) -> unop op (go a)
+    | Binop (op, a, b) -> binop op (go a) (go b)
+    | Ite (c, a, b) -> ite (go c) (go a) (go b)
+    | Extract { e = a; off; len } -> extract (go a) ~off ~len
+    | Zext (a, w) -> zext (go a) w
+    | Sext (a, w) -> sext (go a) w
   in
-  match List.assq_opt e' pairs with Some r -> r | None -> e'
+  go e
 
 let rec size e =
   match e.node with

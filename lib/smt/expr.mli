@@ -167,7 +167,8 @@ val sym_set : t -> Iset.t
 
 (** [substitute pairs e] replaces every occurrence of each [fst] subterm
     with its [snd], bottom-up.  Sound when each pair is an equality
-    implied by the context (e.g. the path condition). *)
+    implied by the context (e.g. the path condition).  Each distinct
+    subterm is rebuilt once per call, so shared DAGs cost O(nodes). *)
 val substitute : (t * t) list -> t -> t
 
 (** Node count, used by caches and cost heuristics. *)

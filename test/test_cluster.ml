@@ -157,6 +157,33 @@ let test_worker_replays_virtual_jobs () =
   Alcotest.(check bool) "replay instructions accounted" true
     (dst.Cluster.Worker.cfg.Engine.Executor.stats.Engine.Executor.replay_instrs > 0)
 
+(* Replays run executor quanta that stop at each choice, and a budget of
+   7 cuts quanta short mid-replay: every job must still land, every
+   [execute] must report exactly the instructions it retired, and the two
+   workers together must explore the single-node tree. *)
+let test_worker_replay_quanta () =
+  let retired w =
+    let s = w.Cluster.Worker.cfg.Engine.Executor.stats in
+    s.Engine.Executor.useful_instrs + s.Engine.Executor.replay_instrs
+  in
+  let src = make_worker workload 0 in
+  Cluster.Worker.seed_root src;
+  ignore (Cluster.Worker.execute src ~budget:800);
+  let jobs = Cluster.Worker.transfer_out src ~count:(Cluster.Worker.queue_length src) in
+  let dst = make_worker workload 1 in
+  Cluster.Worker.receive_jobs dst jobs;
+  let exact = ref true in
+  while not (Cluster.Worker.is_idle dst) do
+    let before = retired dst in
+    let used = Cluster.Worker.execute dst ~budget:7 in
+    if used > 7 || used <> retired dst - before then exact := false
+  done;
+  Alcotest.(check int) "every job landed" (List.length jobs) dst.Cluster.Worker.replays_done;
+  Alcotest.(check int) "no broken replays" 0 dst.Cluster.Worker.broken_replays;
+  Alcotest.(check bool) "budgets exact" true !exact;
+  Alcotest.(check int) "the two workers explore the whole tree" (Lazy.force reference_path_count)
+    (src.Cluster.Worker.paths_completed + dst.Cluster.Worker.paths_completed)
+
 let test_worker_caps_collected_tests () =
   let w = make_worker ~collect_tests:3 workload 0 in
   Cluster.Worker.seed_root w;
@@ -399,6 +426,7 @@ let () =
         [
           Alcotest.test_case "transfer fences source" `Quick test_worker_transfer_fences_source;
           Alcotest.test_case "replay of virtual jobs" `Quick test_worker_replays_virtual_jobs;
+          Alcotest.test_case "replay lands in quanta" `Quick test_worker_replay_quanta;
           Alcotest.test_case "collected tests capped" `Quick test_worker_caps_collected_tests;
         ] );
       ( "prefix-handoff",

@@ -243,16 +243,12 @@ let selection_trace strategy =
   |> List.map (fun (p, k) -> (if p = "" then "." else p) ^ if k = 1 then "" else "*" ^ string_of_int k)
   |> String.concat " "
 
-(* Pinned from the per-key ordering the slot-table core replaced: dfs and
-   bfs must select the same paths in the same order. *)
+(* Every selection runs a quantum that ends at the next fork, so each
+   node is selected once: dfs keeps the per-instruction path order, bfs
+   becomes level order. *)
 let test_dfs_bfs_order_pinned () =
-  Alcotest.(check string) "dfs" ".*14 F*10 FF*12 FFF*2 FFT*2 FT*14 FTF*2 FTT*2 T*10 TF*14 TT*14 TTF*2 TTT*2"
-    (selection_trace "dfs");
-  Alcotest.(check string) "bfs"
-    (".*14" ^ String.concat "" (List.init 10 (fun _ -> " T F"))
-    ^ String.concat "" (List.init 12 (fun _ -> " TT TF FT FF"))
-    ^ " TT TF FT FFT FFF TT TF FT FFT FFF TTT TTF FTT FTF TTT TTF FTT FTF")
-    (selection_trace "bfs")
+  Alcotest.(check string) "dfs" ". F FF FFF FFT FT FTF FTT T TF TT TTF TTT" (selection_trace "dfs");
+  Alcotest.(check string) "bfs" ". T F TT TF FT FF TTT TTF FTT FTF FFT FFF" (selection_trace "bfs")
 
 (* Pearson's statistic of observed counts against expected shares. *)
 let chi_square counts shares =
@@ -600,6 +596,132 @@ let test_coverage_goal_stops_early () =
   in
   Alcotest.(check bool) "stopped before exhausting" true (not result.Engine.Driver.exhausted || result.Engine.Driver.paths_explored <= 2)
 
+(* --- quantum stepping ------------------------------------------------------------------------ *)
+
+let bare_config program =
+  Engine.Executor.make_config ~solver:(Smt.Solver.create ()) ~handler:Engine.Executor.no_env_handler
+    ~nlines:program.Cvm.Program.nlines ()
+
+let retired cfg = cfg.Engine.Executor.stats.Engine.Executor.useful_instrs
+
+(* A concrete loop that outlasts several quanta. *)
+let counting_unit iters =
+  cunit ~entry:"main"
+    [
+      fn "main" [] (Some u32)
+        [
+          decl "acc" u32 (Some (n 0));
+          for_range "i" ~from:(n 0) ~below:(n iters) [ set (v "acc") (v "acc" +! v "i") ];
+          halt (v "acc");
+        ];
+    ]
+
+let test_quantum_stops_after_fuel () =
+  let program = compile (counting_unit 100) in
+  let cfg = bare_config program in
+  let st0 = Engine.State.init program ~env:() ~args:[] in
+  match Engine.Executor.step cfg ~fuel:7 st0 with
+  | { Engine.Executor.running = [ st ]; finished = [] } -> (
+    Alcotest.(check int) "exactly the fuel retired" 7 (retired cfg);
+    Alcotest.(check int) "the state counts them" 7 st.Engine.State.steps;
+    Alcotest.(check bool) "no choice pushed" true (st.Engine.State.path == st0.Engine.State.path);
+    match Engine.Executor.step cfg st with
+    | { Engine.Executor.running = [ _ ]; finished = [] } ->
+      Alcotest.(check int) "default fuel is one quantum" (7 + Engine.Executor.quantum) (retired cfg)
+    | _ -> Alcotest.fail "the loop ended early")
+  | _ -> Alcotest.fail "a concrete quantum must continue the state"
+
+let test_quantum_stops_at_termination () =
+  let program = compile (counting_unit 3) in
+  let _, reference = Engine.Driver.run_pure ~searcher:(Engine.Searcher.dfs ()) program ~args:[] in
+  let cfg = bare_config program in
+  match Engine.Executor.step cfg ~fuel:10_000 (Engine.State.init program ~env:() ~args:[]) with
+  | { Engine.Executor.running = []; finished = [ (_, Engine.Errors.Exit 3L) ] } ->
+    Alcotest.(check int) "the whole path in one quantum" reference.Engine.Driver.instructions
+      (retired cfg)
+  | _ -> Alcotest.fail "expected one exit with code 3"
+
+(* The other arm of the assert terminates: the fork still ends the
+   quantum, with the surviving arm's choice pushed. *)
+let test_quantum_stops_at_one_sided_fork () =
+  let program =
+    compile
+      (cunit ~entry:"main"
+         [
+           fn "main" [] (Some u32)
+             [
+               decl_arr "x" u8 1;
+               mk_symbolic "x" 1 "x";
+               assert_ (idx (v "x") (n 0) <! n 10) "small";
+               decl "acc" u32 (Some (n 0));
+               for_range "i" ~from:(n 0) ~below:(n 5) [ set (v "acc") (v "acc" +! v "i") ];
+               halt (v "acc");
+             ];
+         ])
+  in
+  let cfg = bare_config program in
+  match Engine.Executor.step cfg ~fuel:10_000 (Engine.State.init program ~env:() ~args:[]) with
+  | {
+   Engine.Executor.running = [ st ];
+   finished = [ (_, Engine.Errors.Error (Engine.Errors.Assert_failed "small")) ];
+  } -> (
+    Alcotest.(check string) "the surviving arm's choice" "T"
+      (Engine.Path.to_string (Engine.State.path st));
+    Alcotest.(check int) "the assert was the last instruction" st.Engine.State.steps (retired cfg);
+    match Engine.Executor.step cfg ~fuel:10_000 st with
+    | { Engine.Executor.running = []; finished = [ (_, Engine.Errors.Exit 10L) ] } -> ()
+    | _ -> Alcotest.fail "the next quantum must run to the exit")
+  | _ -> Alcotest.fail "expected one running arm and one assert failure"
+
+(* The driver hands the last quantum only the remaining budget. *)
+let test_instructions_goal_exact () =
+  let program = compile (counting_unit 1000) in
+  List.iter
+    (fun n ->
+      let _, r =
+        Engine.Driver.run_pure ~goal:(Engine.Driver.Instructions n) ~searcher:(Engine.Searcher.dfs ())
+          program ~args:[]
+      in
+      Alcotest.(check int) (Printf.sprintf "stops at %d" n) n r.Engine.Driver.instructions)
+    [ 1; 49; 50; 51; 123; 1000 ]
+
+(* --- a host-independent perf counter ------------------------------------------------------------- *)
+
+(* printf fmt4 through the [Cloud9.run_local] setup at seed 42, with the
+   searcher's selections counted.  A selection runs a quantum, which buys
+   ~28 instructions here (per-instruction stepping selected once per
+   instruction).  Minor words per useful instruction are deterministic for
+   a build: 148.2 when pinned, against 315.8 under per-instruction
+   stepping on persistent states. *)
+let test_perf_counters () =
+  let program = Targets.Printf_target.program ~fmt_len:4 in
+  let solver = Smt.Solver.create () in
+  let o = Core.Cloud9.default_options in
+  let cfg =
+    Posix.Api.make_config ~solver ?max_steps:o.Core.Cloud9.max_steps
+      ~check_div_zero:o.Core.Cloud9.check_div_zero ~nlines:program.Cvm.Program.nlines ()
+  in
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 42 |]) o.Core.Cloud9.strategy in
+  let selects = ref 0 in
+  let select () =
+    incr selects;
+    s.Engine.Searcher.select ()
+  in
+  let searcher = { s with Engine.Searcher.select } in
+  let st0 = Posix.Api.initial_state program ~args:[] in
+  let w0 = Gc.minor_words () in
+  let r = Engine.Driver.run ~collect_tests:max_int cfg searcher st0 in
+  let words = Gc.minor_words () -. w0 in
+  let useful = float_of_int r.Engine.Driver.instructions in
+  let per_instr = words /. useful in
+  Printf.printf "selects %d, useful %d, minor words per useful instruction %.1f\n" !selects
+    r.Engine.Driver.instructions per_instr;
+  Alcotest.(check bool) "exhausted" true r.Engine.Driver.exhausted;
+  Alcotest.(check bool) "at most 0.1 selections per useful instruction" true
+    (float_of_int !selects /. useful <= 0.1);
+  Alcotest.(check bool) "minor words per useful instruction within 20% of the pin" true
+    (per_instr <= 148.2 *. 1.2)
+
 (* --- determinism -------------------------------------------------------------------------- *)
 
 let test_deterministic_runs () =
@@ -656,5 +778,13 @@ let () =
           Alcotest.test_case "accounting" `Quick test_coverage_accounting;
           Alcotest.test_case "goal stops early" `Quick test_coverage_goal_stops_early;
         ] );
+      ( "quantum",
+        [
+          Alcotest.test_case "stops after the fuel" `Quick test_quantum_stops_after_fuel;
+          Alcotest.test_case "stops at a termination" `Quick test_quantum_stops_at_termination;
+          Alcotest.test_case "stops at a one-sided fork" `Quick test_quantum_stops_at_one_sided_fork;
+          Alcotest.test_case "instruction goal exact" `Quick test_instructions_goal_exact;
+        ] );
+      ("perf", [ Alcotest.test_case "selections and minor words per instruction" `Quick test_perf_counters ]);
       ("determinism", [ Alcotest.test_case "identical runs" `Quick test_deterministic_runs ]);
     ]

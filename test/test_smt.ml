@@ -570,6 +570,18 @@ let test_hashcons_sharing () =
   Alcotest.(check int) "cached width" 8 (E.width e1);
   Alcotest.(check int) "two symbols" 2 (E.Iset.cardinal (E.sym_set e1))
 
+(* A doubling DAG: 41 distinct nodes, 2^40 paths from the root.  One
+   substitution call must rebuild each distinct node once. *)
+let test_substitute_shared_dag () =
+  let dag leaf = List.fold_left (fun e _ -> E.add e e) leaf (List.init 40 Fun.id) in
+  let e = dag sym_a in
+  let before = E.hashcons_stats () in
+  let r = E.substitute [ (sym_a, sym_b) ] e in
+  let after = E.hashcons_stats () in
+  let lookups = after.E.hits + after.E.misses - (before.E.hits + before.E.misses) in
+  Alcotest.(check int) "one interning per rebuilt node" 40 lookups;
+  Alcotest.(check bool) "the DAG over the replacement" true (r == dag sym_b)
+
 let test_simplify_memo () =
   let e = E.add (E.mul sym_a (i8 2)) (E.sub sym_b sym_b) in
   ignore (Smt.Simplify.simplify e);
@@ -836,6 +848,7 @@ let () =
           Alcotest.test_case "width errors" `Quick test_width_errors;
           Alcotest.test_case "sext/zext" `Quick test_sext_zext;
           Alcotest.test_case "hashcons sharing" `Quick test_hashcons_sharing;
+          Alcotest.test_case "substitute walks a shared DAG once" `Quick test_substitute_shared_dag;
         ] );
       ( "simplify",
         Alcotest.test_case "identities" `Quick test_simplify_identities
