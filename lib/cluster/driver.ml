@@ -122,12 +122,6 @@ type result = {
          [max_ticks] bailout mid-flight yields [None] *)
 }
 
-let popcount_bytes b =
-  let rec pop x acc = if x = 0 then acc else pop (x lsr 1) (acc + (x land 1)) in
-  let c = ref 0 in
-  Bytes.iter (fun ch -> c := !c + pop (Char.code ch) 0) b;
-  !c
-
 let run ?obs (cfg : 'env config) =
   (match Faultplan.validate cfg.faults ~nworkers:cfg.nworkers with
   | Ok () -> ()
@@ -285,7 +279,7 @@ let run ?obs (cfg : 'env config) =
           done)
         (alive_workers ());
       if cfg.coverable_lines = 0 then 1.0
-      else float_of_int (popcount_bytes g) /. float_of_int cfg.coverable_lines
+      else float_of_int (Executor.popcount_bytes g) /. float_of_int cfg.coverable_lines
   in
   (* the same union, as raw bytes — exported so a resumed campaign can OR
      slices together (lines covered only by completed paths are not

@@ -5,7 +5,7 @@
    scaling (paper Figs. 7-8) is measurable — and, since the fault
    tolerance core moved into the shared {!Transport}, it now survives
    the same fault model: Faultplan-driven domain crashes (crash-stop
-   with amnesia, observed at slice poll points), mid-run rejoins on a
+   with amnesia, observed at quantum poll points), mid-run rejoins on a
    fresh domain, and seeded loss / delay / duplication on the job wire,
    all recovered exactly through the same {!Ledger} lease protocol the
    simulation uses.  The moving parts:
@@ -35,10 +35,24 @@
    - Crash-stop: a crash is *declared* first (slot marked dead, its
      later messages filtered, its leases orphaned and re-seeded via
      {!Transport.handle_crash}) and only then observed by the victim,
-     which polls an atomic crash flag between slices and exits with
+     which polls an atomic crash flag between quanta and exits with
      amnesia.  Declare-then-kill makes even a false-positive detection
      exact: everything the victim did after its last status report is
      discarded and replayed elsewhere.
+
+   - Balancing is event-driven.  A busy worker runs one
+     {!Executor.quantum} at a time and drains its mailbox after each, so
+     a [Steal] or a crash flag is answered within one quantum; it
+     reports its queue every [status_every] quanta.  The coordinator
+     runs the {!Balancer} after every drain round that handled a status
+     report: queue estimates only change when a report arrives, and
+     the one-raid-per-victim / one-feed-per-thief guards keep a round
+     from re-raiding on numbers it already acted on.  No timer gates a
+     steal, so balancing does not depend on [tick_period].  What bounds
+     the churn is cost, not time: steals go only to workers that
+     reported an empty queue, and reports carry the worker's useful and
+     replay instruction counts, so the balancer runs only while
+     rebalancing replay stays within a fixed share of useful work.
 
    - Quiescence: the coordinator tracks per-slot idleness from status
      reports.  Mailboxes are FIFO per sender, so an [Offer] always
@@ -136,6 +150,69 @@ module Mailbox = struct
     xs
 end
 
+(* ---- domain pool -------------------------------------------------- *)
+
+(* Worker and ticker domains are parked after a run and reused by the
+   next one instead of being spawned and joined every run.  The OCaml
+   5.1.1 runtime can crash when a domain stops while the major GC is
+   marking ephemerons, and the hashcons table's weak tables are
+   ephemerons that live as long as the process: with the debug runtime,
+   11 of 300 [bench scaling-quick] processes tripped the assertion
+   [ephe_cycle_info.num_domains_todo == num_domains_done] in major_gc.c
+   when domains were spawned and joined per run, 0 of 300 with the
+   pool.  Parked domains never stop before the process exits, which
+   does not wait for them. *)
+module Pool = struct
+  type 'a promise = {
+    p_lock : Mutex.t;
+    p_done : Condition.t;
+    mutable p_result : ('a, exn) result option;
+  }
+
+  let lock = Mutex.create ()
+  let wake = Condition.create ()
+  let tasks : (unit -> unit) Queue.t = Queue.create ()
+  let idle = ref 0
+
+  let rec serve () =
+    Mutex.lock lock;
+    incr idle;
+    while Queue.is_empty tasks do
+      Condition.wait wake lock
+    done;
+    decr idle;
+    let task = Queue.pop tasks in
+    Mutex.unlock lock;
+    task ();
+    serve ()
+
+  (* Run [f] on a parked domain, or on a new one when every parked domain
+     already has a task. *)
+  let spawn f =
+    let p = { p_lock = Mutex.create (); p_done = Condition.create (); p_result = None } in
+    let task () =
+      let v = try Ok (f ()) with e -> Error e in
+      Mutex.lock p.p_lock;
+      p.p_result <- Some v;
+      Condition.broadcast p.p_done;
+      Mutex.unlock p.p_lock
+    in
+    Mutex.lock lock;
+    Queue.add task tasks;
+    if Queue.length tasks > !idle then ignore (Domain.spawn serve) else Condition.signal wake;
+    Mutex.unlock lock;
+    p
+
+  let join p =
+    Mutex.lock p.p_lock;
+    while p.p_result = None do
+      Condition.wait p.p_done p.p_lock
+    done;
+    let v = Option.get p.p_result in
+    Mutex.unlock p.p_lock;
+    match v with Ok v -> v | Error e -> raise e
+end
+
 (* ---- messages ----------------------------------------------------- *)
 
 (* [issued_ns] carries the wall-clock stamp of the Steal that caused a
@@ -164,6 +241,8 @@ type cmsg =
       digest : Job.t list;  (** frontier digest: the worker's durable recovery point *)
       paths : int;
       errors : int;
+      useful : int;  (** instructions retired exploring, this incarnation *)
+      replay : int;  (** instructions retired replaying transferred jobs (recovery excluded) *)
       received : int list;  (** cumulative lease ids imported (ack piggyback) *)
     }
   | Offer of { worker : int; incarnation : int; dst : int; jobs : Job.t list; issued_ns : int }
@@ -178,7 +257,6 @@ type cmsg =
 type 'env config = {
   ndomains : int;
   make_worker : int -> 'env Worker.t;
-  slice : int;
   status_every : int;
   mailbox_capacity : int;
   faults : Faultplan.t;
@@ -196,8 +274,7 @@ let default_config ?obs ?(faults = Faultplan.none) ~ndomains ~make_worker () =
   {
     ndomains;
     make_worker;
-    slice = 2_000;
-    status_every = 4;
+    status_every = 16;
     mailbox_capacity = 4_096;
     faults;
     tick_period = 0.001;
@@ -230,7 +307,7 @@ type result = {
   per_worker_solver : (int * Smt.Solver.stats) list;
 }
 
-(* What a worker domain returns through [Domain.join].  Summaries of
+(* What a worker domain returns through [Pool.join].  Summaries of
    incarnations that were declared crashed contribute instruction /
    solver / coverage counters only: their path and error counts are
    credited from the ledger's last report, and everything after that
@@ -254,7 +331,7 @@ type summary = {
 (* How long a worker will wait to push into the coordinator's mailbox
    before concluding the coordinator has stopped draining (shutdown).
    During a run the coordinator drains continuously, so this never
-   fires; at shutdown it prevents a worker from wedging [Domain.join]. *)
+   fires; at shutdown it prevents a worker from wedging [Pool.join]. *)
 let ctl_timeout = 5.0
 
 let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~initial_bans ~seed
@@ -262,7 +339,10 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
   try
     let w = cfg.make_worker i in
     Fun.protect
-      ~finally:(fun () -> Option.iter Obs.Sink.flush w.Worker.cfg.Executor.obs)
+      ~finally:(fun () ->
+        Option.iter Obs.Sink.flush w.Worker.cfg.Executor.obs;
+        (* the domain parks after this run: drop the terms its memo pins *)
+        Smt.Simplify.clear_memo ())
       (fun () ->
         (* Runtime spans go through the worker's own (buffered) view when
            it has one, so they merge on the same flush path as everything
@@ -278,7 +358,7 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
         let crashed () = Atomic.get crash in
         let send_ctl msg = ignore (Mailbox.push_timeout coord msg ~timeout:ctl_timeout) in
         let send_status ~idle =
-          let paths, errors, _, _ = Worker.stats w in
+          let paths, errors, useful, replay = Worker.stats w in
           send_ctl
             (Status
                {
@@ -290,6 +370,8 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
                  digest = Worker.digest_paths w;
                  paths;
                  errors;
+                 useful;
+                 replay = replay - w.Worker.recovery_replay_instrs;
                  received = !imported_list;
                })
         in
@@ -326,7 +408,7 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
           | Poke -> ()
           | Stop -> stop := true
         in
-        let slices = ref 0 in
+        let quanta = ref 0 in
         while (not !stop) && not (crashed ()) do
           if Worker.is_idle w then begin
             (* Declare idleness with the mailbox lock held, so a
@@ -358,11 +440,13 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
             if not (crashed ()) then List.iter process msgs
           end
           else begin
+            (* the one busy loop: a quantum, then the mailbox, so a Steal
+               or the crash flag waits at most one quantum *)
             List.iter process (Mailbox.drain inbox);
             if (not !stop) && (not (crashed ())) && not (Worker.is_idle w) then begin
-              ignore (Worker.execute w ~budget:cfg.slice);
-              incr slices;
-              if !slices mod cfg.status_every = 0 then send_status ~idle:false
+              ignore (Worker.run_quantum w);
+              incr quanta;
+              if !quanta mod cfg.status_every = 0 then send_status ~idle:false
             end
           end
         done;
@@ -382,7 +466,7 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
         })
   with e ->
     (* A worker that dies mid-run (e.g. raising during replay) must still
-       let [Domain.join] complete and the coordinator learn of the death:
+       let [Pool.join] complete and the coordinator learn of the death:
        report the exception through the control mailbox and return an
        empty summary.  The coordinator treats [Failed] as a crash
        declaration, so the slot's leases recover exactly as if the
@@ -409,17 +493,9 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
 
 (* ---- coordinator -------------------------------------------------- *)
 
-let popcount_bytes bv =
-  let n = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let b = ref (Char.code c) in
-      while !b <> 0 do
-        b := !b land (!b - 1);
-        incr n
-      done)
-    bv;
-  !n
+(* Rebalancing may spend at most 1/20 of the cluster's useful
+   instructions on replaying transferred jobs (see [rebalance]). *)
+let replay_budget = 20
 
 (* Coordinator-side view of one worker slot.  The inbox and crash flag
    are per-incarnation: a rejoin replaces both, so late messages from
@@ -438,6 +514,8 @@ type slot = {
       (* jobs leased to this worker and not yet acknowledged: its idle
          reports meanwhile must not read as starvation, or the balancer
          raids another victim for a worker already being fed *)
+  mutable s_useful : int;  (* this incarnation's last reported useful instructions *)
+  mutable s_replay : int;  (* ... and rebalancing replay *)
   mutable s_last_heard : int;  (* tick of the last message from this incarnation *)
   mutable s_suspect : bool;  (* failure detector: one heartbeat interval silent *)
 }
@@ -463,6 +541,8 @@ let run ~coverable_lines (cfg : 'env config) =
           s_queue_len = 0;
           s_pending_steals = 0;
           s_pending_jobs = 0;
+          s_useful = 0;
+          s_replay = 0;
           s_last_heard = 0;
           s_suspect = false;
         })
@@ -481,6 +561,9 @@ let run ~coverable_lines (cfg : 'env config) =
   let transfers = ref 0 in
   let steals = ref 0 in
   let status_reports = ref 0 in
+  (* cluster-wide useful and rebalancing-replay instructions, as of the
+     latest reports (the replay budget's ledger) *)
+  let useful_total = ref 0 and replay_total = ref 0 in
   let balancer = ref None in
   let issued_ns_hint = ref 0 in
   let transport_ref = ref None in
@@ -569,7 +652,7 @@ let run ~coverable_lines (cfg : 'env config) =
       else begin
         (* declare-then-kill: mark the slot dead (filtering everything
            this incarnation still sends), then raise the crash flag the
-           victim polls between slices.  A Poke wakes it if it is
+           victim polls between quanta.  A Poke wakes it if it is
            blocked in its idle wait. *)
         sl.s_dead <- true;
         Hashtbl.replace declared (i, sl.s_incarnation) ();
@@ -595,7 +678,7 @@ let run ~coverable_lines (cfg : 'env config) =
     let incarnation = sl.s_incarnation in
     let initial_bans = Transport.bans transport in
     let d =
-      Domain.spawn (fun () ->
+      Pool.spawn (fun () ->
           worker_body cfg ~coord ~inbox ~crash ~id:sl.s_id ~incarnation ~initial_bans ~seed)
     in
     spawned := (sl.s_id, incarnation, d) :: !spawned
@@ -610,7 +693,7 @@ let run ~coverable_lines (cfg : 'env config) =
   Transport.seed_root transport ~dst:0 ~now:0;
   let ticker_stop = Atomic.make false in
   let ticker =
-    Domain.spawn (fun () ->
+    Pool.spawn (fun () ->
         while not (Atomic.get ticker_stop) do
           ignore (Mailbox.try_push coord Tick);
           Unix.sleepf cfg.tick_period
@@ -655,6 +738,8 @@ let run ~coverable_lines (cfg : 'env config) =
             sl.s_queue_len <- 0;
             sl.s_pending_steals <- 0;
             sl.s_pending_jobs <- 0;
+            sl.s_useful <- 0;
+            sl.s_replay <- 0;
             sl.s_last_heard <- t;
             sl.s_suspect <- false;
             emit (Obs.Event.Rejoin { worker = v });
@@ -708,12 +793,17 @@ let run ~coverable_lines (cfg : 'env config) =
     (match msg with Tick -> () | _ -> last_progress := Unix.gettimeofday ());
     match msg with
     | Tick -> on_tick ()
-    | Status { worker; incarnation; queue_len; idle; coverage; digest; paths; errors; received }
+    | Status
+        { worker; incarnation; queue_len; idle; coverage; digest; paths; errors; useful; replay; received }
       ->
       let sl = slots.(worker) in
       if incarnation = sl.s_incarnation && not sl.s_dead then begin
         incr status_reports;
         touch sl;
+        useful_total := !useful_total + useful - sl.s_useful;
+        replay_total := !replay_total + replay - sl.s_replay;
+        sl.s_useful <- useful;
+        sl.s_replay <- replay;
         sl.s_idle <- idle;
         sl.s_queue_len <- queue_len;
         (* the report is the worker's durable recovery point: digest +
@@ -790,10 +880,15 @@ let run ~coverable_lines (cfg : 'env config) =
         Transport.handle_crash transport ~now:!now ~worker
       end
   in
+  (* Steals are the only source of rebalancing replay, and each one is
+     paid for by the thief before it does any useful work.  Answering
+     every report would let a small or nearly exhausted tree spend more
+     on replay than the stolen subtrees hold, so the balancer runs only
+     while the cluster's replay stays within [1/replay_budget] of its
+     useful work. *)
   let rebalance () =
     match !balancer with
-    | None -> ()
-    | Some b ->
+    | Some b when !replay_total * replay_budget <= !useful_total ->
       List.iter
         (fun { Balancer.src; dst; count } ->
           if
@@ -807,6 +902,11 @@ let run ~coverable_lines (cfg : 'env config) =
                lease still crossing the wire is not starving, whatever
                its last report said *)
             && slots.(dst).s_pending_jobs = 0
+            (* and only to a worker whose last report showed an empty
+               queue: starvation is answered within a quantum, so the
+               balancer's moves between busy workers would only turn
+               useful work into replay *)
+            && slots.(dst).s_queue_len = 0
           then
             if not (fate_drops ~src:Faultplan.lb ~dst:src) then begin
               incr steals;
@@ -816,6 +916,7 @@ let run ~coverable_lines (cfg : 'env config) =
               then slots.(src).s_pending_steals <- slots.(src).s_pending_steals + 1
             end)
         (Balancer.rebalance b)
+    | _ -> ()
   in
   let quiescent () =
     !delayed = []
@@ -828,23 +929,19 @@ let run ~coverable_lines (cfg : 'env config) =
        than spin forever (parked orphans are reported, not explored) *)
     Array.for_all (fun sl -> sl.s_dead) slots && !now > horizon
   in
-  (* Rebalancing is throttled to a fixed tick cadence rather than run on
-     every drain round: between two status reports the balancer's queue
-     estimates cannot improve, so extra rounds only manufacture duplicate
-     raids from the same stale numbers (each a future replay bill). *)
-  let last_rebalance = ref 0 in
   let rec loop () =
     if quiescent () || all_dead_done () || !watchdog_fired then ()
     else begin
       (* One quiescence round = message drain (including the block on an
          empty coordinator mailbox — bounded by the next Tick) +
-         rebalance. *)
+         rebalance.  The balancer runs only on rounds that brought a
+         status report: between reports its queue estimates cannot
+         change, so any other round would act on numbers already acted
+         on. *)
       let round_t0 = Obs.Profile.start cprof in
-      List.iter handle (Mailbox.drain_wait coord);
-      if !now - !last_rebalance >= 32 then begin
-        last_rebalance := !now;
-        rebalance ()
-      end;
+      let msgs = Mailbox.drain_wait coord in
+      List.iter handle msgs;
+      if List.exists (function Status _ -> true | _ -> false) msgs then rebalance ();
       ignore (Obs.Profile.record cprof Obs.Profile.Quiesce_round ~start_ns:round_t0);
       loop ()
     end
@@ -866,8 +963,8 @@ let run ~coverable_lines (cfg : 'env config) =
         ignore (Mailbox.try_push sl.s_inbox Poke)
       end)
     slots;
-  Domain.join ticker;
-  let joined = List.rev_map (fun (i, inc, d) -> (i, inc, Domain.join d)) !spawned in
+  Pool.join ticker;
+  let joined = List.rev_map (fun (i, inc, d) -> (i, inc, Pool.join d)) !spawned in
   Option.iter Obs.Sink.flush cobs;
   (* Drain any messages that raced with the stop broadcast. *)
   List.iter
@@ -917,7 +1014,7 @@ let run ~coverable_lines (cfg : 'env config) =
     coverage_vector;
     final_coverage =
       (if coverable_lines <= 0 then 0.0
-       else float_of_int (popcount_bytes coverage_vector) /. float_of_int coverable_lines);
+       else float_of_int (Executor.popcount_bytes coverage_vector) /. float_of_int coverable_lines);
     per_worker_useful =
       List.filter_map (fun (i, inc, s) -> if live i inc then Some (i, s.sm_useful) else None) joined;
     solver_stats = agg;

@@ -14,7 +14,7 @@
     lease, retransmitted until acknowledged and deduplicated by the
     receiver, so the runtime survives the same fault model as the
     simulation — Faultplan-driven domain crashes (crash-stop with
-    amnesia, the victim observing an atomic crash flag at slice poll
+    amnesia, the victim observing an atomic crash flag at quantum poll
     points), mid-run rejoins on a fresh domain, and seeded message
     loss / delay / duplication on the job wire.  Crashes recover
     exactly: the victim's last status report is its durable recovery
@@ -26,6 +26,18 @@
     busy workers that stop reporting, and a watchdog aborts the run
     with a state dump rather than hang.
 
+    Balancing is event-driven: a busy worker drains its mailbox after
+    every {!Engine.Executor.quantum}, so a transfer request or a crash
+    flag is seen within one quantum, and it reports its queue length
+    every [status_every] quanta.  The coordinator rebalances after every
+    drain round that handled a status report, feeding only workers that
+    reported an empty queue, as long as rebalancing replay stays within
+    1/20 of the cluster's useful instructions; no timer gates a steal.
+
+    Worker and ticker domains are parked when a run ends and reused by
+    later runs in the same process, never stopped: the OCaml 5.1.1
+    runtime can crash when a domain stops during ephemeron marking.
+
     The runtime explores exhaustively ({!Driver.Exhaust}); dead slots
     are exempt from the quiescence predicate, so a run whose crashed
     workers never rejoin still terminates. *)
@@ -35,8 +47,9 @@ type 'env config = {
   make_worker : int -> 'env Worker.t;
       (** called {e inside} worker [i]'s domain, so domain-local solver
           state (simplify memo, caches) is created where it is used *)
-  slice : int;  (** instructions executed between mailbox polls *)
-  status_every : int;  (** slices between status reports while busy *)
+  status_every : int;
+      (** quanta between status reports while busy (default 16); the
+          worker polls its mailbox after every quantum *)
   mailbox_capacity : int;  (** bound on each mailbox, in messages *)
   faults : Faultplan.t;
       (** crash / rejoin / loss schedule, in coordinator ticks.  The

@@ -405,53 +405,69 @@ let replay_step w ~fuel ~target ~remaining ~rstate ~recov =
 
 (* --- main execution loop ------------------------------------------------------------------ *)
 
+(* One unit of work with at most [fuel] instructions: a replay quantum, or
+   select a candidate and step it.  Returns the instructions retired (0
+   when the selection only materialized a snapshot or started a replay),
+   or [None] when the frontier is empty. *)
+let work w ~fuel =
+  match w.mode with
+  | Replaying { target; remaining; rstate; recov } ->
+    Some (replay_step w ~fuel ~target ~remaining ~rstate ~recov)
+  | Exploring -> (
+    match select w with
+    | None -> None
+    | Some entry -> (
+      ignore (Trie.remove w.frontier entry.epath);
+      match entry.estate with
+      | None ->
+        (* virtual node: lazy replay from the deepest cached ancestor *)
+        if Hashtbl.mem w.snapshots (Path.to_string entry.epath) then begin
+          (* exact snapshot: materialize without any replay *)
+          let st = Hashtbl.find w.snapshots (Path.to_string entry.epath) in
+          Trie.add w.frontier entry.epath { entry with estate = Some st };
+          w.replays_done <- w.replays_done + 1;
+          unpin_target w entry.epath;
+          emit w
+            (Obs.Event.Replay_end { outcome = Obs.Event.Snapshot_hit; recovery = entry.erecovery })
+        end
+        else begin
+          w.replay_t0 <- Obs.Profile.start w.prof;
+          emit w
+            (Obs.Event.Replay_start { depth = List.length entry.epath; recovery = entry.erecovery });
+          let rstate, remaining = replay_start w entry.epath in
+          w.mode <- Replaying { target = entry.epath; remaining; rstate; recov = entry.erecovery }
+        end;
+        Some 0
+      | Some st ->
+        let before = retired w in
+        let { Executor.running; finished } = Executor.step w.cfg ~fuel st in
+        let n = retired w - before in
+        List.iter (record_finished w) finished;
+        (match running with
+        | [ one ] when one.State.path == st.State.path -> add_running w running
+        | _ -> add_running w (filter_banned w running));
+        Some n))
+
 (* Run up to [budget] instructions; returns the number actually executed.
-   Returns early when the worker has nothing to do. *)
+   Returns early when the worker has nothing to do.  The last quantum gets
+   only what is left of the budget, so the count is exact. *)
 let execute w ~budget =
-  let used = ref 0 in
-  let idle = ref false in
-  while !used < budget && not !idle do
-    let fuel = min Executor.quantum (budget - !used) in
-    match w.mode with
-    | Replaying { target; remaining; rstate; recov } ->
-      used := !used + replay_step w ~fuel ~target ~remaining ~rstate ~recov
-    | Exploring -> (
-      match select w with
-      | None -> idle := true
-      | Some entry -> (
-        ignore (Trie.remove w.frontier entry.epath);
-        match entry.estate with
-        | None ->
-          (* virtual node: lazy replay from the deepest cached ancestor *)
-          if Hashtbl.mem w.snapshots (Path.to_string entry.epath) then begin
-            (* exact snapshot: materialize without any replay *)
-            let st = Hashtbl.find w.snapshots (Path.to_string entry.epath) in
-            Trie.add w.frontier entry.epath { entry with estate = Some st };
-            w.replays_done <- w.replays_done + 1;
-            unpin_target w entry.epath;
-            emit w
-              (Obs.Event.Replay_end
-                 { outcome = Obs.Event.Snapshot_hit; recovery = entry.erecovery })
-          end
-          else begin
-            w.replay_t0 <- Obs.Profile.start w.prof;
-            emit w
-              (Obs.Event.Replay_start
-                 { depth = List.length entry.epath; recovery = entry.erecovery });
-            let rstate, remaining = replay_start w entry.epath in
-            w.mode <-
-              Replaying { target = entry.epath; remaining; rstate; recov = entry.erecovery }
-          end
-        | Some st -> (
-          let before = retired w in
-          let { Executor.running; finished } = Executor.step w.cfg ~fuel st in
-          used := !used + (retired w - before);
-          List.iter (record_finished w) finished;
-          match running with
-          | [ one ] when one.State.path == st.State.path -> add_running w running
-          | _ -> add_running w (filter_banned w running))))
-  done;
-  !used
+  let rec go used =
+    if used >= budget then used
+    else
+      match work w ~fuel:(min Executor.quantum (budget - used)) with
+      | None -> used
+      | Some n -> go (used + n)
+  in
+  go 0
+
+(* Run one full quantum of one state: a selection that only materializes
+   or starts a replay does not count, so this returns 0 only when idle. *)
+let rec run_quantum w =
+  match work w ~fuel:Executor.quantum with
+  | None -> 0
+  | Some 0 -> run_quantum w
+  | Some n -> n
 
 (* --- job transfer --------------------------------------------------------------------------- *)
 

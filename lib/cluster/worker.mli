@@ -114,6 +114,13 @@ val is_idle : 'env t -> bool
     (less when the worker runs out of work). *)
 val execute : 'env t -> budget:int -> int
 
+(** Run one state for one full {!Engine.Executor.quantum} (or one replay
+    quantum), materializing a selected candidate on the way; returns the
+    instructions retired, 0 only when the worker is idle.  Unlike
+    [execute ~budget:quantum], a quantum is never cut short to fit a
+    budget, so a caller polling between quanta pays no extra selections. *)
+val run_quantum : 'env t -> int
+
 (** Package up to [count] candidates for another worker; each becomes a
     fence node locally.  Virtual candidates are forwarded first; within
     each class the batch is a lexicographically contiguous window

@@ -136,22 +136,28 @@ let cover cfg line =
 
 let coverage_count cfg = cfg.stats.covered_lines
 
+(* The number of lines a coverage bit vector marks covered. *)
+let popcount_bytes b =
+  let n = ref 0 in
+  Bytes.iter
+    (fun c ->
+      let x = ref (Char.code c) in
+      while !x <> 0 do
+        x := !x land (!x - 1);
+        incr n
+      done)
+    b;
+  !n
+
 (* Merge an external coverage bit vector (e.g. the load balancer's global
    view) into this engine's; returns the updated covered-line count. *)
 let merge_coverage cfg vec =
-  let n = min (Bytes.length vec) (Bytes.length cfg.coverage) in
-  let count = ref 0 in
-  for i = 0 to Bytes.length cfg.coverage - 1 do
-    let b =
-      if i < n then Char.code (Bytes.get cfg.coverage i) lor Char.code (Bytes.get vec i)
-      else Char.code (Bytes.get cfg.coverage i)
-    in
-    Bytes.set cfg.coverage i (Char.chr b);
-    let rec popcount x acc = if x = 0 then acc else popcount (x lsr 1) (acc + (x land 1)) in
-    count := !count + popcount b 0
+  for i = 0 to min (Bytes.length vec) (Bytes.length cfg.coverage) - 1 do
+    Bytes.set cfg.coverage i
+      (Char.chr (Char.code (Bytes.get cfg.coverage i) lor Char.code (Bytes.get vec i)))
   done;
-  cfg.stats.covered_lines <- !count;
-  !count
+  cfg.stats.covered_lines <- popcount_bytes cfg.coverage;
+  cfg.stats.covered_lines
 
 (* --- step results ------------------------------------------------------------ *)
 

@@ -99,6 +99,9 @@ val no_env_handler : unit handler
 val line_covered : 'env config -> int -> bool
 val coverage_count : 'env config -> int
 
+(** The number of lines a coverage bit vector marks covered. *)
+val popcount_bytes : Bytes.t -> int
+
 (** OR an external coverage vector (e.g. the balancer's global view) into
     this engine's; returns the updated covered-line count. *)
 val merge_coverage : 'env config -> Bytes.t -> int

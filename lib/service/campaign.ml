@@ -94,15 +94,9 @@ let or_coverage c (v : Bytes.t) =
     done
   end
 
-let popcount_bytes b =
-  let rec pop x acc = if x = 0 then acc else pop (x lsr 1) (acc + (x land 1)) in
-  let n = ref 0 in
-  Bytes.iter (fun ch -> n := !n + pop (Char.code ch) 0) b;
-  !n
-
 let recompute_coverage_frac c =
   if c.coverable > 0 then
-    c.coverage_frac <- float_of_int (popcount_bytes c.coverage) /. float_of_int c.coverable
+    c.coverage_frac <- float_of_int (Engine.Executor.popcount_bytes c.coverage) /. float_of_int c.coverable
 
 (* Fold one simulated slice into the campaign.  The slice must have
    reached a drained barrier ([export] present); its frontier replaces

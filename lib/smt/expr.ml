@@ -134,9 +134,22 @@ module Wtbl = Weak.Make (Hashed_node)
    (globally unique, never reused); note that id *order* therefore depends
    on cross-domain interning interleavings — anything needing a
    reproducible order must use [compare_structural], exactly as for
-   weak-table evictions within one domain. *)
-let shard_bits = 8
+   weak-table evictions within one domain.
+
+   A shard's weak table picks a bucket from the low bits of the same
+   hash ([hash mod size]), so the shard must come from other bits:
+   choosing it by [hash land 255] put every node of a shard into one
+   bucket, which [Weak.Make] never resizes.  The shard is the top
+   [shard_bits] of a multiplicative (Fibonacci) mix of the hash, which
+   depend on all of its bits.  Each table starts at [Weak.Make]'s
+   minimum of 7 buckets and grows with its live set: every allocated
+   bucket is a weak array the major GC scans on every cycle, and
+   pre-sized 256-bucket tables (65,536 buckets, filled a few thousand
+   per run by the worker domains) raised a multi-domain process's peak
+   RSS by ~50% against 64 x 7. *)
+let shard_bits = 6
 let nshards = 1 lsl shard_bits
+let shard_of_hash h = (h * 0x278DDE6E5FD29F05) lsr (Sys.int_size - shard_bits)
 
 type shard = {
   tbl : Wtbl.t;
@@ -145,7 +158,7 @@ type shard = {
 }
 
 let shards =
-  Array.init nshards (fun _ -> { tbl = Wtbl.create 256; lock = Mutex.create (); contended = 0 })
+  Array.init nshards (fun _ -> { tbl = Wtbl.create 7; lock = Mutex.create (); contended = 0 })
 
 let next_id = Atomic.make 0
 let hc_hits = Atomic.make 0
@@ -224,18 +237,21 @@ let reset_lock_stats () =
 
 let set_lock_profiling on = Atomic.set lock_profiling on
 
-type hc_stats = { table_size : int; hits : int; misses : int; next_id : int }
+type hc_stats = { table_size : int; max_bucket : int; hits : int; misses : int; next_id : int }
 
 let hashcons_stats () =
-  let size = ref 0 in
+  let size = ref 0 and max_bucket = ref 0 in
   Array.iter
     (fun s ->
       Mutex.lock s.lock;
       size := !size + Wtbl.count s.tbl;
+      let _, _, _, _, _, biggest = Wtbl.stats s.tbl in
+      max_bucket := max !max_bucket biggest;
       Mutex.unlock s.lock)
     shards;
   {
     table_size = !size;
+    max_bucket = !max_bucket;
     hits = Atomic.get hc_hits;
     misses = Atomic.get hc_misses;
     next_id = Atomic.get next_id;
@@ -245,7 +261,7 @@ let hashcons node =
   (* the probe's id is never read: [Hashed_node] hashes and compares on the
      node alone, so an id of -1 finds any interned equal *)
   let probe = { id = -1; node; width = node_width node; syms_memo = Atomic.make None } in
-  let s = shards.(Hashed_node.hash probe land (nshards - 1)) in
+  let s = shards.(shard_of_hash (Hashed_node.hash probe)) in
   lock_shard s;
   match Wtbl.find_opt s.tbl probe with
   | Some r ->

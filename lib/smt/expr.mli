@@ -185,8 +185,9 @@ val to_string : t -> string
 val eval : ?default:int64 -> (int -> int64 option) -> t -> int64
 
 (** Hashcons table statistics: live entry count (summed across shards),
+    the largest weak-table bucket of any shard (its allocated slots),
     intern hits/misses since start, and the next id to be assigned. *)
-type hc_stats = { table_size : int; hits : int; misses : int; next_id : int }
+type hc_stats = { table_size : int; max_bucket : int; hits : int; misses : int; next_id : int }
 
 val hashcons_stats : unit -> hc_stats
 

@@ -126,7 +126,22 @@ let check_tier_sum what (st : Smt.Solver.stats) =
     (st.Smt.Solver.trivial + st.Smt.Solver.range_hits + st.Smt.Solver.cache_hits
    + st.Smt.Solver.cex_hits + st.Smt.Solver.sat_calls)
 
-let differential ~name ~variant () =
+(* [Cloud9.run_parallel] with the runtime config passed through [tweak]
+   first, for runs that need a non-default cadence or tick. *)
+let run_parallel_with ~tweak ~ndomains program =
+  let make_worker i =
+    let solver = Smt.Solver.create () in
+    let cfg =
+      Posix.Api.make_config ~solver ~max_steps:1_000_000 ~nlines:program.Cvm.Program.nlines ()
+    in
+    let make_root () = Posix.Api.initial_state program ~args:[] in
+    Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
+  in
+  Cluster.Parallel.run
+    ~coverable_lines:(List.length (Cvm.Program.covered_lines program))
+    (tweak (Cluster.Parallel.default_config ~ndomains ~make_worker ()))
+
+let differential ?tweak ~name ~variant () =
   let target =
     match Core.Registry.resolve ~name ~variant:(Some variant) with
     | Some t -> t
@@ -134,7 +149,11 @@ let differential ~name ~variant () =
   in
   let local = C.run_local target in
   let sim = C.run_cluster target in
-  let par = C.run_parallel ~ndomains:4 target in
+  let par =
+    match tweak with
+    | None -> C.run_parallel ~ndomains:4 target
+    | Some tweak -> run_parallel_with ~tweak ~ndomains:4 target.C.program
+  in
   Alcotest.(check int) "paths: parallel = local" local.C.paths par.Cluster.Parallel.total_paths;
   Alcotest.(check int)
     "paths: parallel = simulated" sim.Cluster.Driver.total_paths
@@ -156,6 +175,32 @@ let differential ~name ~variant () =
     par.Cluster.Parallel.jobs_received;
   Alcotest.(check int)
     "transfers = jobs moved" par.Cluster.Parallel.transfers par.Cluster.Parallel.jobs_sent
+
+(* --- event-driven balancing ---------------------------------------------- *)
+
+(* Steals follow status reports, not the clock: with a 1 s tick period no
+   tick lands during the run, yet the idle second domain must still be
+   fed and do a real share of the work. *)
+let test_balances_without_ticks () =
+  let program = Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:4 in
+  let r =
+    run_parallel_with ~ndomains:2 program ~tweak:(fun cfg ->
+        { cfg with Cluster.Parallel.tick_period = 1.0 })
+  in
+  Alcotest.(check int) "paths" 133 r.Cluster.Parallel.total_paths;
+  Alcotest.(check int) "errors" 76 r.Cluster.Parallel.total_errors;
+  Alcotest.(check bool)
+    (Printf.sprintf "steals %d >= 1" r.Cluster.Parallel.steals)
+    true (r.Cluster.Parallel.steals >= 1);
+  let useful = r.Cluster.Parallel.useful_instrs in
+  Alcotest.(check int) "both workers report" 2 (List.length r.Cluster.Parallel.per_worker_useful);
+  List.iter
+    (fun (w, u) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "worker %d retired %d of %d useful instructions (>= 20%%)" w u useful)
+        true
+        (5 * u >= useful))
+    r.Cluster.Parallel.per_worker_useful
 
 (* --- wall-clock profiling smoke ----------------------------------------- *)
 
@@ -229,10 +274,15 @@ let () =
         ] );
       ( "profiling",
         [ Alcotest.test_case "profiled run reconciles" `Quick test_profiled_run_reconciles ] );
+      ( "balancing",
+        [ Alcotest.test_case "steals without a timer" `Quick test_balances_without_ticks ] );
       ( "differential",
         [
           Alcotest.test_case "test/sym-3: parallel = simulated = local" `Quick
             (differential ~name:"test" ~variant:"sym-3");
+          Alcotest.test_case "test/sym-3 reporting every quantum" `Quick
+            (differential ~name:"test" ~variant:"sym-3" ~tweak:(fun cfg ->
+                 { cfg with Cluster.Parallel.status_every = 1 }));
           Alcotest.test_case "printf/sym-4: parallel = simulated = local" `Slow
             (differential ~name:"printf" ~variant:"sym-4");
         ] );

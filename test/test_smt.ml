@@ -582,6 +582,24 @@ let test_substitute_shared_dag () =
   Alcotest.(check int) "one interning per rebuilt node" 40 lookups;
   Alcotest.(check bool) "the DAG over the replacement" true (r == dag sym_b)
 
+(* The shard and the bucket inside the shard's weak table must come from
+   different hash bits: when both used the low byte, every node of a
+   shard shared one bucket, which never triggers a resize (10k nodes gave
+   an 88-slot bucket).  Spread, [Weak.Make] grows a table once half its
+   buckets pass 7 slots, so no bucket outgrows two steps (7 -> 13 -> 22). *)
+let test_hashcons_buckets_spread () =
+  let x = E.fresh_sym ~name:"spread" 32 in
+  let nodes =
+    List.init 5_000 (fun i ->
+        let c = E.const ~width:32 (Int64.of_int (1_000_003 + i)) in
+        (c, E.add x c))
+  in
+  let st = E.hashcons_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "max bucket %d <= 22" st.E.max_bucket)
+    true (st.E.max_bucket <= 22);
+  ignore (Sys.opaque_identity nodes)
+
 let test_simplify_memo () =
   let e = E.add (E.mul sym_a (i8 2)) (E.sub sym_b sym_b) in
   ignore (Smt.Simplify.simplify e);
@@ -849,6 +867,8 @@ let () =
           Alcotest.test_case "sext/zext" `Quick test_sext_zext;
           Alcotest.test_case "hashcons sharing" `Quick test_hashcons_sharing;
           Alcotest.test_case "substitute walks a shared DAG once" `Quick test_substitute_shared_dag;
+          Alcotest.test_case "hashcons buckets spread across shards" `Quick
+            test_hashcons_buckets_spread;
         ] );
       ( "simplify",
         Alcotest.test_case "identities" `Quick test_simplify_identities
