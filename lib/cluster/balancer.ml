@@ -13,6 +13,7 @@ type request = { src : int; dst : int; count : int }
 
 type t = {
   delta : float; (* the delta constant of the classification rule *)
+  starved_only : bool; (* feed only workers that reported an empty queue *)
   queues : (int, int) Hashtbl.t; (* worker id -> last reported queue length *)
   last_report : (int, int) Hashtbl.t; (* worker id -> tick of last report *)
   global_coverage : Bytes.t;
@@ -23,9 +24,10 @@ type t = {
   queue_sigma : Obs.Metrics.gauge option;
 }
 
-let create ?(delta = 0.5) ?obs ~coverage_bytes () =
+let create ?(delta = 0.5) ?(starved_only = false) ?obs ~coverage_bytes () =
   {
     delta;
+    starved_only;
     queues = Hashtbl.create 16;
     last_report = Hashtbl.create 16;
     global_coverage = Bytes.make coverage_bytes '\000';
@@ -91,7 +93,9 @@ let rebalance ?now ?(staleness = max_int) t =
       let lo = Float.max (mean -. (t.delta *. sigma)) 0.0 in
       let hi = mean +. (t.delta *. sigma) in
       let sorted = List.sort (fun (_, a) (_, b) -> compare a b) entries in
-      let under = List.filter (fun (_, l) -> float_of_int l < lo || l = 0) sorted in
+      let under =
+        List.filter (fun (_, l) -> l = 0 || ((not t.starved_only) && float_of_int l < lo)) sorted
+      in
       let over =
         List.filter (fun (_, l) -> float_of_int l > hi && l >= 2) (List.rev sorted)
       in

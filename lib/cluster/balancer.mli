@@ -8,9 +8,12 @@ type request = { src : int; dst : int; count : int }
 type t
 
 (** [delta] is the classification constant (under if [l < mean - delta*sigma],
-    over if [l > mean + delta*sigma]).  [obs] traces issued transfer
-    requests and exports the queue mean/sigma gauges. *)
-val create : ?delta:float -> ?obs:Obs.Sink.t -> coverage_bytes:int -> unit -> t
+    over if [l > mean + delta*sigma]).  With [starved_only] (default
+    false) only workers that reported an empty queue count as under, so
+    no transfer ever goes to a worker that still has work.  [obs] traces
+    issued transfer requests and exports the queue mean/sigma gauges. *)
+val create :
+  ?delta:float -> ?starved_only:bool -> ?obs:Obs.Sink.t -> coverage_bytes:int -> unit -> t
 
 (** Stop issuing transfer requests (Fig. 13's mid-run disable). *)
 val disable : t -> unit

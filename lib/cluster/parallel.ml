@@ -25,8 +25,10 @@
      and acknowledge every delivery (at-least-once, exactly-once
      import).
 
-   - Time: a ticker domain pushes [Tick] into the coordinator mailbox
-     every [tick_period] seconds.  Ticks drive the fault schedule,
+   - Time: the coordinator counts one tick per [tick_period] seconds of
+     wall clock, waiting for its mailbox with the next tick as deadline
+     (a [select] on a wake-up pipe that workers ring when they push to
+     a sleeping coordinator).  Ticks drive the fault schedule,
      delayed-message delivery, lease retransmission/eviction sweeps
      ({!Transport.tick}), heartbeat failure detection, and the progress
      watchdog.  Ticks also bound every coordinator block: even with all
@@ -49,8 +51,8 @@
      the one-raid-per-victim / one-feed-per-thief guards keep a round
      from re-raiding on numbers it already acted on.  No timer gates a
      steal, so balancing does not depend on [tick_period].  What bounds
-     the churn is cost, not time: steals go only to workers that
-     reported an empty queue, and reports carry the worker's useful and
+     the churn is cost, not time: the balancer feeds only workers that
+     reported an empty queue ([starved_only]), and reports carry the worker's useful and
      replay instruction counts, so the balancer runs only while
      rebalancing replay stays within a fixed share of useful work.
 
@@ -82,15 +84,21 @@ module Mailbox = struct
     nonfull : Condition.t;
     q : 'a Queue.t;
     cap : int;
+    bell : Unix.file_descr option;
+        (* write end of the owner's wake-up pipe, for an owner that waits
+           with a deadline ([drain_until]) *)
+    mutable sleeping : bool;  (* the owner is in, or entering, its [select] *)
   }
 
-  let create ~cap () =
+  let create ?bell ~cap () =
     {
       lock = Mutex.create ();
       nonempty = Condition.create ();
       nonfull = Condition.create ();
       q = Queue.create ();
       cap;
+      bell;
+      sleeping = false;
     }
 
   (* Non-blocking push; [false] when the mailbox is full. *)
@@ -99,7 +107,14 @@ module Mailbox = struct
     let ok = Queue.length t.q < t.cap in
     if ok then begin
       Queue.add x t.q;
-      Condition.signal t.nonempty
+      Condition.signal t.nonempty;
+      if t.sleeping then begin
+        t.sleeping <- false;
+        (* non-blocking: a full pipe already holds a wake-up *)
+        Option.iter
+          (fun fd -> try ignore (Unix.single_write_substring fd "!" 0 1) with Unix.Unix_error _ -> ())
+          t.bell
+      end
     end;
     Mutex.unlock t.lock;
     ok
@@ -139,12 +154,25 @@ module Mailbox = struct
     Mutex.unlock t.lock;
     xs
 
-  (* Blocking drain: waits until at least one message is queued. *)
-  let drain_wait t =
+  (* Drain that waits until a message is queued or the clock passes
+   [deadline], whichever comes first ([bell_in] is the read end of the
+   pipe whose write end is [t.bell]).  A push sees [sleeping] under the
+   lock, so it either lands before the emptiness check or rings; a ring
+   that arrives after a timeout only makes the next wait return early. *)
+  let drain_until t ~bell_in ~deadline =
     Mutex.lock t.lock;
-    while Queue.is_empty t.q do
-      Condition.wait t.nonempty t.lock
-    done;
+    if Queue.is_empty t.q then begin
+      t.sleeping <- true;
+      Mutex.unlock t.lock;
+      let timeout = deadline -. Unix.gettimeofday () in
+      (if timeout > 0.0 then
+         match Unix.select [ bell_in ] [] [] timeout with
+         | [], _, _ -> ()
+         | _ -> ignore (Unix.read bell_in (Bytes.create 64) 0 64)
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      Mutex.lock t.lock;
+      t.sleeping <- false
+    end;
     let xs = drain_locked t in
     Mutex.unlock t.lock;
     xs
@@ -152,9 +180,9 @@ end
 
 (* ---- domain pool -------------------------------------------------- *)
 
-(* Worker and ticker domains are parked after a run and reused by the
-   next one instead of being spawned and joined every run.  The OCaml
-   5.1.1 runtime can crash when a domain stops while the major GC is
+(* Worker domains are parked after a run and reused by the next one
+   instead of being spawned and joined every run.  The OCaml 5.1.1
+   runtime can crash when a domain stops while the major GC is
    marking ephemerons, and the hashcons table's weak tables are
    ephemerons that live as long as the process: with the debug runtime,
    11 of 300 [bench scaling-quick] processes tripped the assertion
@@ -250,7 +278,6 @@ type cmsg =
   | Ack of { worker : int; incarnation : int; lease : int }
   | Failed of { worker : int; incarnation : int; error : string }
       (** the worker's domain died on an exception (reported, then joined) *)
-  | Tick  (** from the ticker domain: advance coordinator time *)
 
 (* ---- configuration ------------------------------------------------ *)
 
@@ -528,7 +555,11 @@ let run ~coverable_lines (cfg : 'env config) =
   let n = cfg.ndomains in
   let faulty = not (Faultplan.is_faultless cfg.faults) in
   let frt = Faultplan.make cfg.faults in
-  let coord = Mailbox.create ~cap:(cfg.mailbox_capacity * (n + 1)) () in
+  (* the coordinator sleeps in [select] on this pipe until a worker
+     pushes to it or the next tick falls due *)
+  let bell_in, bell_out = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock bell_out;
+  let coord = Mailbox.create ~bell:bell_out ~cap:(cfg.mailbox_capacity * (n + 1)) () in
   let slots =
     Array.init n (fun i ->
         {
@@ -691,14 +722,6 @@ let run ~coverable_lines (cfg : 'env config) =
   (* cover the root with a delivered lease, so a crash of worker 0
      before its first report re-seeds the whole tree *)
   Transport.seed_root transport ~dst:0 ~now:0;
-  let ticker_stop = Atomic.make false in
-  let ticker =
-    Pool.spawn (fun () ->
-        while not (Atomic.get ticker_stop) do
-          ignore (Mailbox.try_push coord Tick);
-          Unix.sleepf cfg.tick_period
-        done)
-  in
   let watchdog_fired = ref false in
   let last_progress = ref (Unix.gettimeofday ()) in
   let touch sl =
@@ -713,7 +736,11 @@ let run ~coverable_lines (cfg : 'env config) =
     match !balancer with
     | Some b -> b
     | None ->
-      let b = Balancer.create ~coverage_bytes:(Bytes.length coverage) ?obs:cobs () in
+      (* starvation is answered within a quantum, so moves between busy
+         workers would only turn useful work into replay *)
+      let b =
+        Balancer.create ~starved_only:true ~coverage_bytes:(Bytes.length coverage) ?obs:cobs ()
+      in
       balancer := Some b;
       b
   in
@@ -790,9 +817,8 @@ let run ~coverable_lines (cfg : 'env config) =
     end
   in
   let handle msg =
-    (match msg with Tick -> () | _ -> last_progress := Unix.gettimeofday ());
+    last_progress := Unix.gettimeofday ();
     match msg with
-    | Tick -> on_tick ()
     | Status
         { worker; incarnation; queue_len; idle; coverage; digest; paths; errors; useful; replay; received }
       ->
@@ -902,11 +928,6 @@ let run ~coverable_lines (cfg : 'env config) =
                lease still crossing the wire is not starving, whatever
                its last report said *)
             && slots.(dst).s_pending_jobs = 0
-            (* and only to a worker whose last report showed an empty
-               queue: starvation is answered within a quantum, so the
-               balancer's moves between busy workers would only turn
-               useful work into replay *)
-            && slots.(dst).s_queue_len = 0
           then
             if not (fate_drops ~src:Faultplan.lb ~dst:src) then begin
               incr steals;
@@ -929,25 +950,30 @@ let run ~coverable_lines (cfg : 'env config) =
        than spin forever (parked orphans are reported, not explored) *)
     Array.for_all (fun sl -> sl.s_dead) slots && !now > horizon
   in
+  let next_tick = ref (Unix.gettimeofday () +. cfg.tick_period) in
   let rec loop () =
     if quiescent () || all_dead_done () || !watchdog_fired then ()
     else begin
       (* One quiescence round = message drain (including the block on an
-         empty coordinator mailbox — bounded by the next Tick) +
-         rebalance.  The balancer runs only on rounds that brought a
-         status report: between reports its queue estimates cannot
-         change, so any other round would act on numbers already acted
-         on. *)
+         empty coordinator mailbox — bounded by the next tick) + the
+         ticks that fell due + rebalance.  The balancer runs only on
+         rounds that brought a status report: between reports its queue
+         estimates cannot change, so any other round would act on
+         numbers already acted on. *)
       let round_t0 = Obs.Profile.start cprof in
-      let msgs = Mailbox.drain_wait coord in
+      let msgs = Mailbox.drain_until coord ~bell_in ~deadline:!next_tick in
       List.iter handle msgs;
+      let t = Unix.gettimeofday () in
+      while t >= !next_tick do
+        on_tick ();
+        next_tick := !next_tick +. cfg.tick_period
+      done;
       if List.exists (function Status _ -> true | _ -> false) msgs then rebalance ();
       ignore (Obs.Profile.record cprof Obs.Profile.Quiesce_round ~start_ns:round_t0);
       loop ()
     end
   in
   loop ();
-  Atomic.set ticker_stop true;
   (* stop the workers: live ones by message (falling back to the crash
      flag if their mailbox is wedged), dead ones are already
      crash-flagged — a Poke covers one blocked in its idle wait *)
@@ -963,8 +989,9 @@ let run ~coverable_lines (cfg : 'env config) =
         ignore (Mailbox.try_push sl.s_inbox Poke)
       end)
     slots;
-  Pool.join ticker;
   let joined = List.rev_map (fun (i, inc, d) -> (i, inc, Pool.join d)) !spawned in
+  Unix.close bell_in;
+  Unix.close bell_out;
   Option.iter Obs.Sink.flush cobs;
   (* Drain any messages that raced with the stop broadcast. *)
   List.iter

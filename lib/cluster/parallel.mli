@@ -34,7 +34,7 @@
     reported an empty queue, as long as rebalancing replay stays within
     1/20 of the cluster's useful instructions; no timer gates a steal.
 
-    Worker and ticker domains are parked when a run ends and reused by
+    Worker domains are parked when a run ends and reused by
     later runs in the same process, never stopped: the OCaml 5.1.1
     runtime can crash when a domain stops during ephemeron marking.
 
@@ -56,7 +56,8 @@ type 'env config = {
           plan is validated against [ndomains] before the run starts. *)
   tick_period : float;
       (** seconds between coordinator ticks (the unit of the fault
-          schedule, lease timeouts, and heartbeat intervals) *)
+          schedule, lease timeouts, and heartbeat intervals); the
+          coordinator counts them off the wall clock *)
   heartbeat_ticks : int;
       (** failure detector: a busy worker silent for one interval is
           suspected, for two is declared crashed.  0 disables. *)

@@ -225,18 +225,8 @@ let run_cluster_slice ?obs ?options ?resume ~budget (t : target) =
    faulty run enables the heartbeat failure detector.  Simulation-only
    options (speed, latency, the shared-allocator ablation) do not apply;
    beyond the plan, only [cworker_max_steps] and [cseed] are read. *)
-let run_parallel ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : target) =
+let parallel_config ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : target) =
   let opts = options in
-  (* Profiling rides on the sink: a parallel run with observability gets
-     wall-clock spans (real-nanosecond time base), while the simulated
-     drivers stay purely on virtual ticks.  The hashcons shard-lock
-     probe is global state, so it is reset here and contended-wait
-     timing enabled only for profiled runs. *)
-  (match obs with
-  | Some _ ->
-    Smt.Expr.reset_lock_stats ();
-    Smt.Expr.set_lock_profiling true
-  | None -> Smt.Expr.set_lock_profiling false);
   let make_worker i =
     let obs = Option.map (fun s -> Obs.Sink.buffered s i) obs in
     let prof = Option.map Obs.Profile.create obs in
@@ -254,10 +244,21 @@ let run_parallel ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : 
   (* a faulty run turns the heartbeat failure detector on (1 s suspect
      interval at the default 1 ms tick); fault-free runs leave it off so
      a detector false positive can never perturb the scaling gates *)
-  let cfg =
-    if Cluster.Faultplan.is_faultless opts.fault_plan then cfg
-    else { cfg with Cluster.Parallel.heartbeat_ticks = 1_000 }
-  in
+  if Cluster.Faultplan.is_faultless opts.fault_plan then cfg
+  else { cfg with Cluster.Parallel.heartbeat_ticks = 1_000 }
+
+let run_parallel ?obs ?ndomains ?options (t : target) =
+  (* Profiling rides on the sink: a parallel run with observability gets
+     wall-clock spans (real-nanosecond time base), while the simulated
+     drivers stay purely on virtual ticks.  The hashcons shard-lock
+     probe is global state, so it is reset here and contended-wait
+     timing enabled only for profiled runs. *)
+  (match obs with
+  | Some _ ->
+    Smt.Expr.reset_lock_stats ();
+    Smt.Expr.set_lock_profiling true
+  | None -> Smt.Expr.set_lock_profiling false);
+  let cfg = parallel_config ?obs ?ndomains ?options t in
   Fun.protect
     ~finally:(fun () -> Smt.Expr.set_lock_profiling false)
     (fun () ->

@@ -109,7 +109,7 @@ val run_cluster_slice :
     (solver query / mailbox wait / steal round-trip / replay spans and
     the hashcons shard-lock contention probe, reset at run start).  The
     [fault_plan] applies here too: crashes kill real domains (crash-stop
-    with amnesia, observed at slice poll points), rejoins spawn fresh
+    with amnesia, observed at quantum poll points), rejoins spawn fresh
     ones, and seeded loss/delay perturbs the leased job wire — recovery
     through the shared {!Cluster.Transport} keeps the totals exactly
     fault-free, and a faulty plan enables the heartbeat failure
@@ -119,6 +119,17 @@ val run_cluster_slice :
     the shared-allocator ablation) do not apply. *)
 val run_parallel :
   ?obs:Obs.Sink.t -> ?ndomains:int -> ?options:cluster_options -> target -> Cluster.Parallel.result
+
+(** The runtime configuration {!run_parallel} runs (default 2 domains):
+    its in-domain worker factory, fault plan and failure detector, for a
+    caller that needs to change a runtime setting before
+    {!Cluster.Parallel.run}. *)
+val parallel_config :
+  ?obs:Obs.Sink.t ->
+  ?ndomains:int ->
+  ?options:cluster_options ->
+  target ->
+  Posix.Handler.env Cluster.Parallel.config
 
 val pp_report : Format.formatter -> report -> unit
 

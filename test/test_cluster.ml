@@ -359,6 +359,23 @@ let test_balancer_classification () =
   Alcotest.(check int) "stable after settling" 0
     (List.length (Cluster.Balancer.rebalance lb))
 
+(* Feeding only starved workers: a merely underloaded worker gets
+   nothing, and the declined move is not charged to the optimistic
+   ledger, so the source's full queue backs the next starved report. *)
+let test_balancer_starved_only () =
+  let cov = Bytes.make 4 '\000' in
+  let lb = Cluster.Balancer.create ~starved_only:true ~coverage_bytes:4 () in
+  List.iter
+    (fun (worker, queue_len) ->
+      ignore (Cluster.Balancer.report lb ~worker ~queue_len ~coverage:cov))
+    [ (0, 20); (1, 2); (2, 11) ];
+  Alcotest.(check int) "no move to a busy worker" 0 (List.length (Cluster.Balancer.rebalance lb));
+  ignore (Cluster.Balancer.report lb ~worker:1 ~queue_len:0 ~coverage:cov);
+  match Cluster.Balancer.rebalance lb with
+  | [ { Cluster.Balancer.src = 0; dst = 1; count } ] ->
+    Alcotest.(check int) "eager split of the uncharged queue" 8 count
+  | other -> Alcotest.failf "unexpected requests (%d)" (List.length other)
+
 let test_balancer_coverage_overlay () =
   let lb = Cluster.Balancer.create ~coverage_bytes:2 () in
   let c1 = Bytes.of_string "\x01\x00" in
@@ -441,6 +458,7 @@ let () =
           Alcotest.test_case "classification" `Quick test_balancer_classification;
           Alcotest.test_case "coverage overlay" `Quick test_balancer_coverage_overlay;
           Alcotest.test_case "disabled" `Quick test_balancer_disabled;
+          Alcotest.test_case "starved only" `Quick test_balancer_starved_only;
         ] );
       ("job-encoding", [ Alcotest.test_case "prefix sharing" `Quick test_job_tree_prefix_sharing ]);
       ("trie", [ Alcotest.test_case "basic operations" `Quick test_trie_ops ]);

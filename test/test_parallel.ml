@@ -126,20 +126,12 @@ let check_tier_sum what (st : Smt.Solver.stats) =
     (st.Smt.Solver.trivial + st.Smt.Solver.range_hits + st.Smt.Solver.cache_hits
    + st.Smt.Solver.cex_hits + st.Smt.Solver.sat_calls)
 
-(* [Cloud9.run_parallel] with the runtime config passed through [tweak]
-   first, for runs that need a non-default cadence or tick. *)
-let run_parallel_with ~tweak ~ndomains program =
-  let make_worker i =
-    let solver = Smt.Solver.create () in
-    let cfg =
-      Posix.Api.make_config ~solver ~max_steps:1_000_000 ~nlines:program.Cvm.Program.nlines ()
-    in
-    let make_root () = Posix.Api.initial_state program ~args:[] in
-    Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
-  in
+(* [Cloud9.run_parallel]'s configuration, passed through [tweak] first,
+   for runs that need a non-default cadence or tick. *)
+let run_parallel_with ~tweak ~ndomains target =
   Cluster.Parallel.run
-    ~coverable_lines:(List.length (Cvm.Program.covered_lines program))
-    (tweak (Cluster.Parallel.default_config ~ndomains ~make_worker ()))
+    ~coverable_lines:(List.length (Cvm.Program.covered_lines target.C.program))
+    (tweak (C.parallel_config ~ndomains target))
 
 let differential ?tweak ~name ~variant () =
   let target =
@@ -152,7 +144,7 @@ let differential ?tweak ~name ~variant () =
   let par =
     match tweak with
     | None -> C.run_parallel ~ndomains:4 target
-    | Some tweak -> run_parallel_with ~tweak ~ndomains:4 target.C.program
+    | Some tweak -> run_parallel_with ~tweak ~ndomains:4 target
   in
   Alcotest.(check int) "paths: parallel = local" local.C.paths par.Cluster.Parallel.total_paths;
   Alcotest.(check int)
@@ -182,9 +174,11 @@ let differential ?tweak ~name ~variant () =
    tick lands during the run, yet the idle second domain must still be
    fed and do a real share of the work. *)
 let test_balances_without_ticks () =
-  let program = Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:4 in
+  let target =
+    C.target "memcached" (Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:4)
+  in
   let r =
-    run_parallel_with ~ndomains:2 program ~tweak:(fun cfg ->
+    run_parallel_with ~ndomains:2 target ~tweak:(fun cfg ->
         { cfg with Cluster.Parallel.tick_period = 1.0 })
   in
   Alcotest.(check int) "paths" 133 r.Cluster.Parallel.total_paths;
