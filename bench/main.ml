@@ -1290,20 +1290,23 @@ let bench_faults_parallel ?(quick = false) () =
     sim.CD.total_paths sim.CD.total_errors;
   let ndomains = 3 in
   let coverable = List.length (Cvm.Program.covered_lines program) in
-  let run_faulty name plan ~min_crashes =
-    let make_worker i =
-      let solver = Smt.Solver.create () in
-      let cfg =
-        Posix.Api.make_config ~solver ~max_steps:2_000_000 ~nlines:program.Cvm.Program.nlines ()
-      in
-      let make_root () = Posix.Api.initial_state program ~args:[] in
-      Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
+  let make_worker i =
+    let solver = Smt.Solver.create () in
+    let cfg =
+      Posix.Api.make_config ~solver ~max_steps:2_000_000 ~nlines:program.Cvm.Program.nlines ()
     in
+    let make_root () = Posix.Api.initial_state program ~args:[] in
+    Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
+  in
+  let run_timed plan =
     let cfg = CP.default_config ~faults:plan ~ndomains ~make_worker () in
     let cfg = { cfg with CP.heartbeat_ticks = 1_000; watchdog = 120.0 } in
     let t0 = Unix.gettimeofday () in
     let r = CP.run ~coverable_lines:coverable cfg in
-    let t = Unix.gettimeofday () -. t0 in
+    (r, Unix.gettimeofday () -. t0, cfg.CP.tick_period)
+  in
+  let run_faulty name plan ~min_crashes =
+    let r, t, _ = run_timed plan in
     Printf.printf
       "%-16s %6.2fs  paths=%5d errors=%3d crashes=%d recovered=%4d retransmits=%3d \
        recovery-replay=%d\n\
@@ -1321,9 +1324,16 @@ let bench_faults_parallel ?(quick = false) () =
         name r.CP.crashes min_crashes;
     (name, t, r)
   in
-  (* coordinator ticks are ~1 ms: crash early enough to always fire, late
-     enough that the victim usually holds stolen work to orphan *)
-  let t1 = if quick then 40 else 80 in
+  (* Crash a third of the way into a fault-free run, timed here in
+     coordinator ticks: early enough to always fire however fast the
+     host and the solver are, late enough that the victim usually holds
+     stolen work to orphan. *)
+  let free, free_s, tick_period = run_timed Cluster.Faultplan.none in
+  let t1 = max 2 (int_of_float (free_s /. tick_period) / 3) in
+  Printf.printf "fault-free run %.3fs: crash at tick %d\n%!" free_s t1;
+  if free.CP.total_paths <> sim.CD.total_paths || free.CP.total_errors <> sim.CD.total_errors then
+    fail "fault-free: %d paths (%d errors), the simulated reference found %d (%d)"
+      free.CP.total_paths free.CP.total_errors sim.CD.total_paths sim.CD.total_errors;
   let scenarios =
     [
       ( "crash-no-rejoin",
@@ -1344,8 +1354,9 @@ let bench_faults_parallel ?(quick = false) () =
   Printf.fprintf oc
     "{ \"bench\": \"faults-parallel\", \"quick\": %b, \"workload\": %S, \"ndomains\": %d,\n\
     \  \"reference\": { \"paths\": %d, \"errors\": %d },\n\
+    \  \"fault_free_seconds\": %.4f, \"crash_tick\": %d,\n\
     \  \"scenarios\": ["
-    quick wname ndomains sim.CD.total_paths sim.CD.total_errors;
+    quick wname ndomains sim.CD.total_paths sim.CD.total_errors free_s t1;
   List.iteri
     (fun i (name, t, (r : CP.result)) ->
       Printf.fprintf oc

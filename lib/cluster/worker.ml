@@ -161,23 +161,40 @@ let default_weight (st : 'env State.t) =
   1.0 /. float_of_int (1 + st.State.steps - st.State.last_new_cover)
 
 (* Weighted random choice among materialized entries; None if the frontier
-   has no materialized entry. *)
+   has no materialized entry.  Candidates are summed and scanned in
+   [Trie.iter_rev] order, the order of the list a [Trie.fold] consing
+   them would build, with the total accumulated in that order; the
+   float cells keep the sums unboxed. *)
 let pick_weighted w =
   let weight = match w.weight with Some f -> f | None -> default_weight in
-  let entries =
-    Trie.fold (fun e acc -> match e.estate with Some st -> (e, weight st) :: acc | None -> acc)
-      w.frontier []
-  in
-  match entries with
-  | [] -> None
-  | _ ->
-    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 entries in
-    let target = Random.State.float w.rng total in
-    let rec scan acc = function
-      | [] -> Some (fst (List.hd entries))
-      | (e, wt) :: rest -> if acc +. wt >= target then Some e else scan (acc +. wt) rest
+  let total = [| 0.0 |] and first = ref None in
+  Trie.iter_rev
+    (fun e ->
+      match e.estate with
+      | Some st ->
+        if Option.is_none !first then first := Some e;
+        total.(0) <- total.(0) +. weight st
+      | None -> ())
+    w.frontier;
+  match !first with
+  | None -> None
+  | Some _ ->
+    let target = Random.State.float w.rng total.(0) in
+    let acc = [| 0.0 |] in
+    let hit =
+      Trie.find_rev
+        (fun e ->
+          match e.estate with
+          | Some st ->
+            let wt = weight st in
+            let hit = acc.(0) +. wt >= target in
+            if not hit then acc.(0) <- acc.(0) +. wt;
+            hit
+          | None -> false)
+        w.frontier
     in
-    scan 0.0 entries
+    (* rounding can leave the target past the last partial sum *)
+    match hit with Some _ -> hit | None -> !first
 
 (* Pending batch members drain first, in their transfer (tree-adjacent)
    order: each replay then restarts from the chain its neighbour's replay

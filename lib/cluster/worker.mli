@@ -121,6 +121,11 @@ val execute : 'env t -> budget:int -> int
     budget, so a caller polling between quanta pays no extra selections. *)
 val run_quantum : 'env t -> int
 
+(** The candidate the worker would run next — pending batch members
+    first, then its search policy — leaving the frontier as it is; it
+    advances the policy's turn and random state.  For tests. *)
+val select : 'env t -> 'env entry option
+
 (** Package up to [count] candidates for another worker; each becomes a
     fence node locally.  Virtual candidates are forwarded first; within
     each class the batch is a lexicographically contiguous window

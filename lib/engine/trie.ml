@@ -95,6 +95,32 @@ let fold f t acc =
   iter (fun x -> acc := f x !acc) t;
   !acc
 
+(* The reverse of [iter]'s order: children last to first, each subtree
+   reversed, then the node's own payload.  Empty subtrees are skipped. *)
+let rec iter_rev f t =
+  if t.count > 0 then begin
+    iter_rev_children f t.children;
+    match t.payload with Some x -> f x | None -> ()
+  end
+
+and iter_rev_children f = function
+  | [] -> ()
+  | (_, n) :: rest ->
+    iter_rev_children f rest;
+    iter_rev f n
+
+let rec find_rev p t =
+  if t.count = 0 then None
+  else
+    match find_rev_children p t.children with
+    | Some _ as r -> r
+    | None -> ( match t.payload with Some x when p x -> t.payload | _ -> None)
+
+and find_rev_children p = function
+  | [] -> None
+  | (_, n) :: rest -> (
+    match find_rev_children p rest with Some _ as r -> r | None -> find_rev p n)
+
 (* Nodes plus edges of the trie skeleton: the byte size of a preorder
    serialization with one structure byte per node and one choice byte per
    edge. *)

@@ -28,6 +28,13 @@ val random_pick : Random.State.t -> 'a t -> 'a option
 val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
+(** [iter_rev] visits the payloads in exactly the reverse of {!iter}'s
+    order — the order of the list [fold (fun x l -> x :: l) t []] —
+    without building it; [find_rev p t] is the first payload in that
+    order satisfying [p]. *)
+val iter_rev : ('a -> unit) -> 'a t -> unit
+val find_rev : ('a -> bool) -> 'a t -> 'a option
+
 (** Nodes plus edges of the trie skeleton — the byte size of a preorder
     serialization with one structure byte per node and one per edge. *)
 val structure_size : 'a t -> int

@@ -37,6 +37,8 @@ type t = {
   sched : Scheduler.t;
   campaigns : (string, Campaign.t) Hashtbl.t;
   tele : Telemetry.t option;
+  frags : (string, (int * Campaign.status) * string) Hashtbl.t;
+      (* name -> (slices, status) at encoding, snapshot fragment *)
   mutable control_pos : int;     (* bytes of the control file consumed *)
   mutable slices_since_ckpt : int;
   mutable stopped : bool;
@@ -108,11 +110,13 @@ let telemetry_slice t (c : Campaign.t) ~useful ~replay ~solver_queries ~crashes 
              }))
       (Telemetry.observe tele ~name ~runnable ~done_ slice)
 
-let campaign_pairs t =
+let campaigns t =
   Hashtbl.fold (fun _ c acc -> c :: acc) t.campaigns []
   |> List.sort (fun a b ->
          compare a.Campaign.spec.Campaign.sp_name b.Campaign.spec.Campaign.sp_name)
-  |> List.map (fun c -> (c.Campaign.spec.Campaign.sp_name, Campaign.summary c))
+
+let campaign_pairs t =
+  List.map (fun c -> (c.Campaign.spec.Campaign.sp_name, Campaign.summary c)) (campaigns t)
 
 let telemetry_flush t =
   match t.tele with
@@ -128,21 +132,24 @@ let telemetry_status t =
 
 (* --- snapshotting ------------------------------------------------------ *)
 
-let snapshot_state t =
-  let campaigns =
-    Hashtbl.fold (fun _ c acc -> c :: acc) t.campaigns []
-    |> List.sort (fun a b ->
-           compare a.Campaign.spec.Campaign.sp_name b.Campaign.spec.Campaign.sp_name)
-  in
-  { Snapshot.st_rotation = Scheduler.rotation t.sched; st_campaigns = campaigns }
+(* A campaign's snapshot fragment, encoded again only when its slice
+   count or status moved since the last encoding: every other persisted
+   field changes only together with a slice. *)
+let fragment t (c : Campaign.t) =
+  let name = c.Campaign.spec.Campaign.sp_name in
+  let key = (c.Campaign.slices, c.Campaign.status) in
+  match Hashtbl.find_opt t.frags name with
+  | Some (k, f) when k = key -> f
+  | _ ->
+    let f = Snapshot.campaign_fragment c in
+    Hashtbl.replace t.frags name (key, f);
+    f
 
 let checkpoint t =
-  let st = snapshot_state t in
-  Snapshot.save t.cfg.state_file st;
+  let cs = campaigns t in
+  Snapshot.save t.cfg.state_file ~rotation:(Scheduler.rotation t.sched) (List.map (fragment t) cs);
   t.slices_since_ckpt <- 0;
-  emit t
-    (Control.Checkpointed
-       { file = t.cfg.state_file; campaigns = List.length st.Snapshot.st_campaigns })
+  emit t (Control.Checkpointed { file = t.cfg.state_file; campaigns = List.length cs })
 
 (* --- construction / restore ------------------------------------------- *)
 
@@ -152,6 +159,7 @@ let create cfg =
       cfg;
       sched = Scheduler.create ();
       campaigns = Hashtbl.create 16;
+      frags = Hashtbl.create 16;
       tele = Option.map Telemetry.create cfg.telemetry;
       control_pos = 0;
       slices_since_ckpt = 0;
@@ -382,11 +390,6 @@ let run ?(poll_s = 0.05) ?(idle_exit = false) t =
       end
   in
   loop ()
-
-let campaigns t =
-  Hashtbl.fold (fun _ c acc -> c :: acc) t.campaigns []
-  |> List.sort (fun a b ->
-         compare a.Campaign.spec.Campaign.sp_name b.Campaign.spec.Campaign.sp_name)
 
 let submit t spec = handle_submit t spec
 let telemetry t = t.tele

@@ -12,8 +12,11 @@
 
    Writes are atomic: the document goes to [path ^ ".tmp"] and is
    renamed over the target, so a daemon killed mid-checkpoint leaves the
-   previous snapshot intact.  [version] gates restores: a snapshot from
-   a different codec version is refused rather than misread. *)
+   previous snapshot intact.  [save] takes each campaign already encoded
+   ([campaign_fragment]), so a writer can keep the fragments of campaigns
+   that did not change since its last checkpoint.  [version] gates
+   restores: a snapshot from a different codec version is refused rather
+   than misread. *)
 
 module J = Obs.Json
 module Path = Engine.Path
@@ -174,14 +177,19 @@ let campaign_of_json v =
 
 type state = { st_rotation : string list; st_campaigns : Campaign.t list }
 
+let header_fields rotation =
+  [
+    ("version", J.Num (float_of_int version));
+    ("kind", J.Str "cloud9-service-state");
+    ("rotation", J.Arr (List.map (fun n -> J.Str n) rotation));
+  ]
+
 let state_to_json st =
   J.Obj
-    [
-      ("version", J.Num (float_of_int version));
-      ("kind", J.Str "cloud9-service-state");
-      ("rotation", J.Arr (List.map (fun n -> J.Str n) st.st_rotation));
-      ("campaigns", J.Arr (List.map campaign_to_json st.st_campaigns));
-    ]
+    (header_fields st.st_rotation
+    @ [ ("campaigns", J.Arr (List.map campaign_to_json st.st_campaigns)) ])
+
+let campaign_fragment c = J.to_string (campaign_to_json c)
 
 let state_of_json v =
   let* ver = int_field "version" v in
@@ -217,13 +225,23 @@ let state_of_json v =
 (* --- disk -------------------------------------------------------------- *)
 
 (* Atomic rename-on-write: a crash mid-checkpoint leaves the previous
-   snapshot intact; readers never observe a torn file. *)
-let save path st =
+   snapshot intact; readers never observe a torn file.  The document is
+   streamed as the header object without its closing brace, then the
+   campaigns array built from the fragments — the bytes [state_to_json]
+   would print. *)
+let save path ~rotation fragments =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     output_string oc (J.to_string (state_to_json st));
-     output_char oc '\n';
+     let head = J.to_string (J.Obj (header_fields rotation)) in
+     output_substring oc head 0 (String.length head - 1);
+     output_string oc ",\"campaigns\":[";
+     List.iteri
+       (fun i f ->
+         if i > 0 then output_char oc ',';
+         output_string oc f)
+       fragments;
+     output_string oc "]}\n";
      close_out oc
    with e ->
      close_out_noerr oc;

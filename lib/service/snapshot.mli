@@ -22,8 +22,15 @@ val campaign_of_json : Obs.Json.t -> (Campaign.t, string) result
 val hex_of_bytes : Bytes.t -> string
 val bytes_of_hex : string -> (Bytes.t, string) result
 
-(** Atomic: writes [path ^ ".tmp"], then renames over [path].  A crash
-    mid-write leaves the previous snapshot intact. *)
-val save : string -> state -> unit
+(** A campaign's encoding inside a snapshot:
+    [Obs.Json.to_string (campaign_to_json c)]. *)
+val campaign_fragment : Campaign.t -> string
+
+(** [save path ~rotation fragments] writes the snapshot whose campaigns
+    are [fragments] (from {!campaign_fragment}, in order): byte for byte
+    [Obs.Json.to_string (state_to_json st)] and a newline.  Atomic:
+    writes [path ^ ".tmp"], then renames over [path].  A crash mid-write
+    leaves the previous snapshot intact. *)
+val save : string -> rotation:string list -> string list -> unit
 
 val load : string -> (state, string) result

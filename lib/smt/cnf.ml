@@ -68,7 +68,7 @@ let create () =
   let sat = Sat.create () in
   let tv = Sat.new_var sat in
   let true_lit = Sat.lit ~positive:true tv in
-  Sat.add_clause sat [ true_lit ];
+  Sat.add_clause sat [| true_lit |];
   {
     sat;
     true_lit;
@@ -154,9 +154,9 @@ let g_and ctx a b =
   else if a = neg b then lit_false ctx
   else begin
     let o = fresh_lit ctx in
-    Sat.add_clause ctx.sat [ neg a; neg b; o ];
-    Sat.add_clause ctx.sat [ a; neg o ];
-    Sat.add_clause ctx.sat [ b; neg o ];
+    Sat.add_clause ctx.sat [| neg a; neg b; o |];
+    Sat.add_clause ctx.sat [| a; neg o |];
+    Sat.add_clause ctx.sat [| b; neg o |];
     o
   end
 
@@ -171,10 +171,10 @@ let g_xor ctx a b =
   else if a = neg b then lit_true ctx
   else begin
     let o = fresh_lit ctx in
-    Sat.add_clause ctx.sat [ neg a; neg b; neg o ];
-    Sat.add_clause ctx.sat [ a; b; neg o ];
-    Sat.add_clause ctx.sat [ a; neg b; o ];
-    Sat.add_clause ctx.sat [ neg a; b; o ];
+    Sat.add_clause ctx.sat [| neg a; neg b; neg o |];
+    Sat.add_clause ctx.sat [| a; b; neg o |];
+    Sat.add_clause ctx.sat [| a; neg b; o |];
+    Sat.add_clause ctx.sat [| neg a; b; o |];
     o
   end
 
@@ -187,10 +187,10 @@ let g_mux ctx c t e =
   else if t = e then t
   else begin
     let o = fresh_lit ctx in
-    Sat.add_clause ctx.sat [ neg c; neg t; o ];
-    Sat.add_clause ctx.sat [ neg c; t; neg o ];
-    Sat.add_clause ctx.sat [ c; neg e; o ];
-    Sat.add_clause ctx.sat [ c; e; neg o ];
+    Sat.add_clause ctx.sat [| neg c; neg t; o |];
+    Sat.add_clause ctx.sat [| neg c; t; neg o |];
+    Sat.add_clause ctx.sat [| c; neg e; o |];
+    Sat.add_clause ctx.sat [| c; e; neg o |];
     o
   end
 
@@ -313,7 +313,7 @@ let imply_vec_eq ctx cond a b =
   Array.iteri
     (fun i x ->
       let e = g_eqbit ctx x b.(i) in
-      Sat.add_clause ctx.sat [ neg cond; e ])
+      Sat.add_clause ctx.sat [| neg cond; e |])
     a
 
 let rec translate ctx (e : Expr.t) : int array =
@@ -354,7 +354,7 @@ and divmod_uncached ctx a b =
   let sum = vec_add ctx prod (pad r) in
   imply_vec_eq ctx bnz sum (pad av);
   let rlt = vec_ult ctx r bv in
-  Sat.add_clause ctx.sat [ neg bnz; rlt ];
+  Sat.add_clause ctx.sat [| neg bnz; rlt |];
   (q, r)
 
 and translate_uncached ctx (e : Expr.t) : int array =
@@ -413,7 +413,7 @@ let assert_expr ctx e =
   let e = Simplify.lower e in
   assert (Expr.width e = 1);
   let bits = translate ctx e in
-  Sat.add_clause ctx.sat [ bits.(0) ]
+  Sat.add_clause ctx.sat [| bits.(0) |]
 
 (* Activation-guarded assertion for persistent contexts: translate [e]
    (hitting the cross-query translation cache) and add the single guarded
@@ -434,7 +434,7 @@ let activate ctx e =
           (* the guard clause must close before the frame does, so it
              lands in the group's clause range and gets marked with the
              cone *)
-          Sat.add_clause ctx.sat [ neg a; bits.(0) ];
+          Sat.add_clause ctx.sat [| neg a; bits.(0) |];
           a)
     in
     Hashtbl.replace ctx.groups (Expr.id e) (a, did);

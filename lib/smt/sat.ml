@@ -4,7 +4,7 @@
    The instance is persistent: [solve_with_assumptions] answers a query
    under a set of assumption literals (installed as pseudo-decisions at
    levels 1..n, MiniSat-style) and leaves the instance reusable — learned
-   clauses, variable activities, saved phases and the watch lists all
+   clauses, variable activities, saved phases and the watch stacks all
    survive to the next call, so closely related queries (the two polarities
    of a fork, successive queries along one path) share everything the
    earlier ones taught the solver.  Learnt clauses recorded while
@@ -19,7 +19,11 @@
    for long-lived incremental instances.
 
    Literal encoding: variable [v] (0-based) has positive literal [2*v] and
-   negative literal [2*v+1].  [lit lxor 1] negates. *)
+   negative literal [2*v+1].  [lit lxor 1] negates.
+
+   The hot paths allocate nothing but learnt clauses: each literal's
+   watches are an [int array] used as a stack, and conflict analysis works
+   in per-instance scratch ([seen], [lbuf]) sized with the variables. *)
 
 type lbool = Unassigned | True | False
 
@@ -27,7 +31,13 @@ type t = {
   mutable nvars : int;
   mutable clauses : int array array;  (* clause arena; first two lits watched *)
   mutable nclauses : int;
-  mutable watches : int list array;   (* lit -> clause indices watching it *)
+  mutable watches : int array array;  (* lit -> stack of clause indices watching it *)
+  mutable nwatch : int array;         (* lit -> stack height *)
+  mutable wscratch : int array;       (* [propagate]'s copy of the stack it scans *)
+  mutable seen : bool array;          (* var -> in the clause [analyze] is building *)
+  mutable lbuf : int array;           (* [analyze]: learnt literals below the conflict level,
+                                         one slot per var *)
+  mutable nlbuf : int;
   mutable assign : lbool array;       (* var -> value *)
   mutable level : int array;          (* var -> decision level *)
   mutable reason : int array;         (* var -> clause index or -1 *)
@@ -63,7 +73,12 @@ let create () =
     nvars = 0;
     clauses = Array.make 16 [||];
     nclauses = 0;
-    watches = Array.make 32 [];
+    watches = Array.make 32 [||];
+    nwatch = Array.make 32 0;
+    wscratch = Array.make 16 0;
+    seen = Array.make 16 false;
+    lbuf = Array.make 16 0;
+    nlbuf = 0;
     assign = Array.make 16 Unassigned;
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
@@ -166,13 +181,10 @@ let new_var s =
   s.phase <- grow_array s.phase s.nvars false;
   s.heap_pos <- grow_array s.heap_pos s.nvars (-1);
   s.trail <- grow_array s.trail s.nvars 0;
-  if Array.length s.watches < 2 * s.nvars then begin
-    let w = Array.make (max (2 * s.nvars) (2 * Array.length s.watches)) [] in
-    Array.blit s.watches 0 w 0 (Array.length s.watches);
-    s.watches <- w
-  end;
-  s.watches.((2 * v)) <- [];
-  s.watches.((2 * v) + 1) <- [];
+  s.seen <- grow_array s.seen s.nvars false;
+  s.lbuf <- grow_array s.lbuf s.nvars 0;
+  s.watches <- grow_array s.watches (2 * s.nvars) [||];
+  s.nwatch <- grow_array s.nwatch (2 * s.nvars) 0;
   if not s.use_marks then heap_insert s v;
   v
 
@@ -271,10 +283,27 @@ let cancel_until s lvl =
 
 (* --- clauses ------------------------------------------------------------ *)
 
+(* Watch stacks.  Literal [l]'s watches are [watches.(l).(0 .. nwatch.(l)-1)]
+   with the top of the stack, the last slot, first in visiting order: a
+   push is a cons onto a list read from the top down.  A stack starts as
+   the shared empty array, then holds 2 and doubles when full: most
+   literals of a bit-blasted instance watch a handful of clauses. *)
+let watch s l ci =
+  let n = s.nwatch.(l) in
+  let w = s.watches.(l) in
+  if n < Array.length w then w.(n) <- ci
+  else begin
+    let w' = Array.make (max 2 (2 * n)) 0 in
+    Array.blit w 0 w' 0 n;
+    w'.(n) <- ci;
+    s.watches.(l) <- w'
+  end;
+  s.nwatch.(l) <- n + 1
+
 let attach_clause s ci =
   let c = s.clauses.(ci) in
-  s.watches.(c.(0)) <- ci :: s.watches.(c.(0));
-  s.watches.(c.(1)) <- ci :: s.watches.(c.(1))
+  watch s c.(0) ci;
+  watch s c.(1) ci
 
 let push_clause s c =
   if s.nclauses >= Array.length s.clauses then begin
@@ -288,10 +317,22 @@ let push_clause s c =
   s.nclauses <- s.nclauses + 1;
   s.nclauses - 1
 
+(* Drop [ci] from [l]'s stack, keeping the others in order. *)
+let unwatch s l ci =
+  let w = s.watches.(l) in
+  let j = ref 0 in
+  for i = 0 to s.nwatch.(l) - 1 do
+    if w.(i) <> ci then begin
+      w.(!j) <- w.(i);
+      incr j
+    end
+  done;
+  s.nwatch.(l) <- !j
+
 let detach_clause s ci =
   let c = s.clauses.(ci) in
-  s.watches.(c.(0)) <- List.filter (fun x -> x <> ci) s.watches.(c.(0));
-  s.watches.(c.(1)) <- List.filter (fun x -> x <> ci) s.watches.(c.(1))
+  unwatch s c.(0) ci;
+  unwatch s c.(1) ci
 
 (* A clause is locked while it is the reason of its asserting literal. *)
 let locked s ci =
@@ -303,15 +344,15 @@ let locked s ci =
    detach the oldest half of the live learnt clauses, keeping binary and
    locked (reason) ones.  Detached slots are tombstoned in the arena —
    indices of surviving clauses never move, so reasons and watches of the
-   kept clauses stay valid. *)
+   kept clauses stay valid.  The survivors are compacted in place, in
+   learning order. *)
 let reduce_learnts s =
   let half = s.nlearnts / 2 in
-  let kept = Array.make (Array.length s.learnt_cis) 0 in
   let nkept = ref 0 in
   for i = 0 to s.nlearnts - 1 do
     let ci = s.learnt_cis.(i) in
     if i >= half || Array.length s.clauses.(ci) <= 2 || locked s ci then begin
-      kept.(!nkept) <- ci;
+      s.learnt_cis.(!nkept) <- ci;
       incr nkept
     end
     else begin
@@ -320,7 +361,6 @@ let reduce_learnts s =
       s.deleted <- s.deleted + 1
     end
   done;
-  s.learnt_cis <- kept;
   s.nlearnts <- !nkept
 
 (* Reduce when the live learnt set outgrows the problem-clause count plus
@@ -337,11 +377,11 @@ let note_learnt s ci =
    persistent instance: any leftover non-root assignment from the previous
    [solve] is undone first, so the literal filtering below only ever uses
    root-level (implied) facts.  The literals are insertion-sorted in place
-   (problem clauses are short) and stored in ascending order. *)
-let add_clause s lits =
+   (problem clauses are short) and stored in ascending order; the array
+   itself becomes the stored clause when nothing is dropped. *)
+let add_clause s c =
   if decision_level s > 0 then cancel_until s 0;
   if s.ok then begin
-    let c = Array.of_list lits in
     for i = 1 to Array.length c - 1 do
       let l = c.(i) and j = ref i in
       while !j > 0 && c.(!j - 1) > l do
@@ -375,7 +415,14 @@ let add_clause s lits =
 (* --- propagation --------------------------------------------------------- *)
 
 (* Propagate all enqueued assignments; returns the index of a conflicting
-   clause, or -1 if no conflict. *)
+   clause, or -1 if no conflict.
+
+   The false literal's stack is copied to [wscratch] and emptied, the copy
+   is scanned from the top down, and every watch that stays is pushed back
+   in scan order — so afterwards the stack holds the kept watches with the
+   last one visited on top, exactly as consing them onto an emptied list
+   would.  No push during the scan lands on the stack being scanned: a
+   moved watch goes to a non-false literal. *)
 let propagate s =
   let conflict = ref (-1) in
   while !conflict < 0 && s.qhead < s.trail_size do
@@ -383,48 +430,56 @@ let propagate s =
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let false_lit = p lxor 1 in
-    let old_watch = s.watches.(false_lit) in
-    s.watches.(false_lit) <- [];
+    let n = s.nwatch.(false_lit) in
+    if Array.length s.wscratch < n then s.wscratch <- Array.make (2 * n) 0;
+    let ws = s.wscratch and w = s.watches.(false_lit) in
+    for i = 0 to n - 1 do
+      ws.(i) <- w.(i)
+    done;
+    s.nwatch.(false_lit) <- 0;
     let skip_irrelevant = s.use_marks && s.ntrail_lim > 0 in
-    let rec go = function
-      | [] -> ()
-      | ci :: rest when skip_irrelevant && not (clause_relevant s ci) ->
+    let i = ref (n - 1) in
+    while !i >= 0 do
+      let ci = ws.(!i) in
+      decr i;
+      if skip_irrelevant && not (clause_relevant s ci) then
         (* Clause of a switched-off group: keep the watch as-is.  Only
            above the root level — root propagation must maintain every
            watch, since the root trail is never re-propagated and a
            clause left watching a root-false literal could otherwise go
            silent in a later query where it is relevant. *)
-        s.watches.(false_lit) <- ci :: s.watches.(false_lit);
-        go rest
-      | ci :: rest ->
+        watch s false_lit ci
+      else begin
         let c = s.clauses.(ci) in
         (* ensure the false literal is at position 1 *)
         if c.(0) = false_lit then begin
           c.(0) <- c.(1);
           c.(1) <- false_lit
         end;
-        if lit_value s c.(0) = True then begin
+        if lit_value s c.(0) = True then
           (* clause satisfied: keep watching *)
-          s.watches.(false_lit) <- ci :: s.watches.(false_lit);
-          go rest
-        end
+          watch s false_lit ci
         else begin
           (* look for a new literal to watch *)
-          let n = Array.length c in
-          let rec find i = if i >= n then -1 else if lit_value s c.(i) <> False then i else find (i + 1) in
-          let k = find 2 in
-          if k >= 0 then begin
-            c.(1) <- c.(k);
-            c.(k) <- false_lit;
-            s.watches.(c.(1)) <- ci :: s.watches.(c.(1));
-            go rest
+          let len = Array.length c in
+          let k = ref 2 in
+          while !k < len && lit_value s c.(!k) = False do
+            incr k
+          done;
+          if !k < len then begin
+            c.(1) <- c.(!k);
+            c.(!k) <- false_lit;
+            watch s c.(1) ci
           end
           else begin
             (* unit or conflicting *)
-            s.watches.(false_lit) <- ci :: s.watches.(false_lit);
+            watch s false_lit ci;
             if lit_value s c.(0) = False then begin
-              (* conflict: restore remaining watches and stop *)
-              List.iter (fun ci' -> s.watches.(false_lit) <- ci' :: s.watches.(false_lit)) rest;
+              (* conflict: restore the unscanned watches and stop *)
+              while !i >= 0 do
+                watch s false_lit ws.(!i);
+                decr i
+              done;
               s.qhead <- s.trail_size;
               conflict := ci
             end
@@ -435,15 +490,12 @@ let propagate s =
                  into circuitry of switched-off groups.  No conflict can
                  be missed: unmarked variables then stay unassigned, so
                  no clause over them ever goes all-false. *)
-              go rest
-            else begin
-              enqueue s c.(0) ci;
-              go rest
-            end
+              ()
+            else enqueue s c.(0) ci
           end
         end
-    in
-    go old_watch
+      end
+    done
   done;
   !conflict
 
@@ -464,18 +516,19 @@ let bump_var s v =
 
 let decay_activities s = s.var_inc <- s.var_inc /. var_decay
 
-(* First-UIP learning.  Returns (learnt clause with asserting literal
-   first, backtrack level). *)
+(* First-UIP learning.  Returns the asserting literal; the clause's other
+   literals are left in [lbuf.(0 .. nlbuf-1)] in the order they were met,
+   and the clause reads asserting literal first, then [lbuf] backwards.
+   [seen] is clear on entry and on exit: resolved variables are cleared
+   as they are resolved, the rest through [lbuf]. *)
 let analyze s conflict_ci =
-  let seen = Array.make s.nvars false in
-  let learnt = ref [] in
+  let seen = s.seen in
   let counter = ref 0 in
   let p = ref (-1) in
   let ci = ref conflict_ci in
   let idx = ref (s.trail_size - 1) in
-  let asserting = ref 0 in
-  let continue = ref true in
-  while !continue do
+  s.nlbuf <- 0;
+  while !p < 0 || !counter > 0 do
     let c = s.clauses.(!ci) in
     let start = if !p < 0 then 0 else 1 in
     for i = start to Array.length c - 1 do
@@ -485,33 +538,37 @@ let analyze s conflict_ci =
         seen.(v) <- true;
         bump_var s v;
         if s.level.(v) >= decision_level s then incr counter
-        else learnt := q :: !learnt
+        else begin
+          s.lbuf.(s.nlbuf) <- q;
+          s.nlbuf <- s.nlbuf + 1
+        end
       end
     done;
     (* pick the next literal on the trail to resolve *)
-    let rec next_seen i = if seen.(var_of_lit s.trail.(i)) then i else next_seen (i - 1) in
-    idx := next_seen !idx;
+    while not seen.(var_of_lit s.trail.(!idx)) do
+      decr idx
+    done;
     let q = s.trail.(!idx) in
     let v = var_of_lit q in
     p := q;
     seen.(v) <- false;
     decr counter;
     decr idx;
-    if !counter = 0 then begin
-      asserting := !p lxor 1;
-      continue := false
-    end
-    else ci := s.reason.(v)
+    if !counter > 0 then ci := s.reason.(v)
   done;
-  let learnt = !asserting :: !learnt in
-  (* backtrack level: second-highest level in the learnt clause *)
-  let blevel =
-    match learnt with
-    | [ _ ] -> 0
-    | _ :: rest -> List.fold_left (fun acc l -> max acc s.level.(var_of_lit l)) 0 rest
-    | [] -> 0
-  in
-  (learnt, blevel)
+  for i = 0 to s.nlbuf - 1 do
+    seen.(var_of_lit s.lbuf.(i)) <- false
+  done;
+  !p lxor 1
+
+(* Backtrack level of the clause [analyze] just built: the highest level
+   among its non-asserting literals, 0 for a unit. *)
+let backtrack_level s =
+  let lvl = ref 0 in
+  for i = 0 to s.nlbuf - 1 do
+    lvl := max !lvl s.level.(var_of_lit s.lbuf.(i))
+  done;
+  !lvl
 
 (* --- search ----------------------------------------------------------------- *)
 
@@ -542,27 +599,30 @@ let refill_heap s =
 
 type result = Satisfiable | Unsatisfiable
 
-let record_learnt s learnt =
+let record_learnt s asserting =
   s.learned <- s.learned + 1;
-  match learnt with
-  | [ l ] -> enqueue s l (-1)
-  | l0 :: _ :: _ ->
-    let c = Array.of_list learnt in
+  let n = s.nlbuf + 1 in
+  if n = 1 then enqueue s asserting (-1)
+  else begin
+    let c = Array.make n asserting in
+    for i = 1 to n - 1 do
+      c.(i) <- s.lbuf.(n - 1 - i)
+    done;
     (* watch the asserting literal and a literal from the backtrack level *)
     let ci = push_clause s c in
     s.cmark.(ci) <- -1; (* learnt: relevant in every query *)
     note_learnt s ci;
     (* position 1 must hold a highest-level literal among the rest *)
     let best = ref 1 in
-    for i = 2 to Array.length c - 1 do
+    for i = 2 to n - 1 do
       if s.level.(var_of_lit c.(i)) > s.level.(var_of_lit c.(!best)) then best := i
     done;
     let tmp = c.(1) in
     c.(1) <- c.(!best);
     c.(!best) <- tmp;
     attach_clause s ci;
-    enqueue s l0 ci
-  | [] -> s.ok <- false
+    enqueue s asserting ci
+  end
 
 let push_level s =
   s.trail_lim <- grow_array s.trail_lim (s.ntrail_lim + 1) 0;
@@ -601,9 +661,9 @@ let solve_aux s assumps =
           result := Some Unsatisfiable
         end
         else begin
-          let learnt, blevel = analyze s conflict in
-          cancel_until s blevel;
-          record_learnt s learnt;
+          let asserting = analyze s conflict in
+          cancel_until s (backtrack_level s);
+          record_learnt s asserting;
           decay_activities s;
           conflicts_until_restart := !conflicts_until_restart -. 1.0
         end

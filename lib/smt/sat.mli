@@ -3,7 +3,7 @@
 
     Instances are persistent: {!solve_with_assumptions} answers a query
     under assumption literals and leaves the learned clauses, variable
-    activities, saved phases and watch lists in place for the next call,
+    activities, saved phases and watches in place for the next call,
     so related queries share search effort.  Learnt-clause growth on a
     long-lived instance is bounded by an age-based reduction pass that
     runs between queries.
@@ -29,10 +29,12 @@ val var_of_lit : int -> int
 (** [lit_sign l] is [true] for positive literals. *)
 val lit_sign : int -> bool
 
-(** Add a problem clause (list of literals).  May be called between
-    queries on a persistent instance (any leftover non-root assignment is
-    undone first); an empty clause makes the instance unsatisfiable. *)
-val add_clause : t -> int list -> unit
+(** Add a problem clause.  May be called between queries on a persistent
+    instance (any leftover non-root assignment is undone first); an empty
+    clause makes the instance unsatisfiable.  The array is handed over:
+    it is sorted in place and may become the stored clause, so the caller
+    must not reuse it. *)
+val add_clause : t -> int array -> unit
 
 val solve : t -> result
 

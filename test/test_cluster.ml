@@ -409,6 +409,40 @@ let test_job_tree_prefix_sharing () =
   Alcotest.(check int) "naive counts every path byte" (3 * 43) naive;
   Alcotest.(check bool) (Printf.sprintf "tree (%d) < naive (%d)" tree naive) true (tree < naive)
 
+(* The selection sequence of a seeded worker on a fixed frontier: grow a
+   frontier of materialized states with differing coverage weights, then
+   select from it repeatedly without running anything.  Each pick is the
+   index of its path among the frontier's sorted paths; the sequence was
+   recorded from the list-building weighted pick, so a change in the
+   candidate order, the float accumulation or the random draws moves it. *)
+let test_worker_selection_sequence () =
+  let w = make_worker workload 0 in
+  Cluster.Worker.seed_root w;
+  ignore (Cluster.Worker.execute w ~budget:3000);
+  let paths =
+    List.sort Path.compare
+      (Engine.Trie.fold (fun e acc -> e.Cluster.Worker.epath :: acc) w.Cluster.Worker.frontier [])
+  in
+  Alcotest.(check int) "frontier size" 186 (List.length paths);
+  let index p =
+    let rec go i = function
+      | [] -> Alcotest.fail "selected a path outside the frontier"
+      | q :: rest -> if Path.compare p q = 0 then i else go (i + 1) rest
+    in
+    go 0 paths
+  in
+  let picks =
+    List.init 40 (fun _ ->
+        match Cluster.Worker.select w with
+        | Some e -> index e.Cluster.Worker.epath
+        | None -> Alcotest.fail "empty selection")
+  in
+  Alcotest.(check (list int)) "selection sequence"
+    [ 20; 65; 161; 29; 162; 4; 69; 81; 18; 53; 174; 84; 125; 177; 12; 151; 133; 23; 45; 102;
+      121; 178; 115; 135; 164; 169; 40; 86; 103; 111; 176; 96; 165; 52; 167; 149; 70; 129; 31;
+      140 ]
+    picks
+
 (* --- trie ------------------------------------------------------------------------------------ *)
 
 let test_trie_ops () =
@@ -423,6 +457,22 @@ let test_trie_ops () =
   Alcotest.(check int) "size 1" 1 (Engine.Trie.size t);
   let rng = Random.State.make [| 1 |] in
   Alcotest.(check (option string)) "random pick finds b" (Some "b") (Engine.Trie.random_pick rng t)
+
+(* [iter_rev] visits in exactly the order of the list a consing [fold]
+   builds, and [find_rev] returns the first match in that order. *)
+let test_trie_reverse_order () =
+  let t = Engine.Trie.create () in
+  List.iteri
+    (fun i p -> Engine.Trie.add t (List.map (fun b -> Path.Branch b) p) i)
+    [ []; [ true ]; [ false ]; [ true; true ]; [ true; false ]; [ false; true ]; [ true; true; false ] ];
+  let consed = Engine.Trie.fold (fun x l -> x :: l) t [] in
+  let visited = ref [] in
+  Engine.Trie.iter_rev (fun x -> visited := x :: !visited) t;
+  Alcotest.(check (list int)) "iter_rev order" consed (List.rev !visited);
+  Alcotest.(check (option int)) "find_rev: first even in that order"
+    (List.find_opt (fun x -> x mod 2 = 0) consed)
+    (Engine.Trie.find_rev (fun x -> x mod 2 = 0) t);
+  Alcotest.(check (option int)) "find_rev: no match" None (Engine.Trie.find_rev (fun x -> x > 9) t)
 
 let () =
   Alcotest.run "cluster"
@@ -445,6 +495,7 @@ let () =
           Alcotest.test_case "replay of virtual jobs" `Quick test_worker_replays_virtual_jobs;
           Alcotest.test_case "replay lands in quanta" `Quick test_worker_replay_quanta;
           Alcotest.test_case "collected tests capped" `Quick test_worker_caps_collected_tests;
+          Alcotest.test_case "selection sequence" `Quick test_worker_selection_sequence;
         ] );
       ( "prefix-handoff",
         qsuite
@@ -461,5 +512,9 @@ let () =
           Alcotest.test_case "starved only" `Quick test_balancer_starved_only;
         ] );
       ("job-encoding", [ Alcotest.test_case "prefix sharing" `Quick test_job_tree_prefix_sharing ]);
-      ("trie", [ Alcotest.test_case "basic operations" `Quick test_trie_ops ]);
+      ( "trie",
+        [
+          Alcotest.test_case "basic operations" `Quick test_trie_ops;
+          Alcotest.test_case "reverse order" `Quick test_trie_reverse_order;
+        ] );
     ]

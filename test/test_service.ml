@@ -227,7 +227,7 @@ let test_snapshot_roundtrip () =
 let test_snapshot_save_load () =
   let path = tmp_file ".json" in
   let st = { S.st_rotation = [ "c1" ]; st_campaigns = [ sample_campaign () ] } in
-  S.save path st;
+  S.save path ~rotation:st.S.st_rotation (List.map S.campaign_fragment st.S.st_campaigns);
   Alcotest.(check bool) "no tmp leftover" false (Sys.file_exists (path ^ ".tmp"));
   (match S.load path with
   | Error e -> Alcotest.fail e
@@ -488,6 +488,75 @@ let test_checkpoint_kill_restore_differential () =
     c.Service.Campaign.errors;
   Sys.remove state
 
+(* --- incremental checkpoints ------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The daemon re-encodes only campaigns whose slice count or status moved
+   since its last checkpoint.  After every step of a mix of slices,
+   pause, resume, cancel, a manual checkpoint and a restore into a fresh
+   daemon, the file must hold exactly the full encoding of the live
+   campaigns under the persisted rotation. *)
+let test_incremental_checkpoint_bytes () =
+  let state = tmp_file "_state.json" in
+  let control = tmp_file "_cmds.jsonl" in
+  close_out (open_out control);
+  let cfg =
+    {
+      (Service.Daemon.default_config ~state_file:state) with
+      Service.Daemon.control_file = Some control;
+      slice_instrs = 1500;
+      checkpoint_every = 1;
+    }
+  in
+  let command line =
+    let oc = open_out_gen [ Open_append ] 0o644 control in
+    output_string oc (line ^ "\n");
+    close_out oc
+  in
+  let checked = ref 0 in
+  let check_bytes d =
+    let text = read_file state in
+    let rotation =
+      match S.load state with Ok st -> st.S.st_rotation | Error e -> Alcotest.fail e
+    in
+    let full =
+      J.to_string (S.state_to_json { S.st_rotation = rotation; st_campaigns = Service.Daemon.campaigns d })
+    in
+    incr checked;
+    Alcotest.(check string) (Printf.sprintf "snapshot %d bytes" !checked) (full ^ "\n") text
+  in
+  let step d = ignore (Service.Daemon.step d); check_bytes d in
+  let d = Result.get_ok (Service.Daemon.create cfg) in
+  List.iter (fun n -> Service.Daemon.submit d (submit_spec ~slice:1500 n)) [ "a"; "b"; "c" ];
+  step d;
+  step d;
+  command {|{"cmd":"pause","name":"a"}|};
+  command {|{"cmd":"checkpoint"}|};
+  step d;
+  step d;
+  command {|{"cmd":"resume","name":"a"}|};
+  command {|{"cmd":"cancel","name":"b"}|};
+  step d;
+  step d;
+  (* restore: a fresh daemon starts with no fragments *)
+  let d2 = Result.get_ok (Service.Daemon.create cfg) in
+  step d2;
+  command {|{"cmd":"pause","name":"c"}|};
+  step d2;
+  command {|{"cmd":"resume","name":"c"}|};
+  step d2;
+  step d2;
+  let slices n = (Option.get (Service.Daemon.find d2 n)).Service.Campaign.slices in
+  Alcotest.(check bool) "every campaign sliced" true (List.for_all (fun n -> slices n > 0) [ "a"; "b"; "c" ]);
+  Alcotest.(check bool) "b cancelled" true
+    ((Option.get (Service.Daemon.find d2 "b")).Service.Campaign.status = Service.Campaign.Cancelled);
+  List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ state; control ]
+
 (* --- multi-tenant fairness ---------------------------------------------- *)
 
 let test_multi_tenant_progress () =
@@ -716,6 +785,8 @@ let () =
         [
           Alcotest.test_case "checkpoint/kill/restore differential" `Quick
             test_checkpoint_kill_restore_differential;
+          Alcotest.test_case "incremental checkpoint bytes" `Quick
+            test_incremental_checkpoint_bytes;
         ] );
       ("fairness", [ Alcotest.test_case "multi-tenant progress" `Quick test_multi_tenant_progress ]);
       ( "telemetry",

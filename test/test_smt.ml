@@ -161,9 +161,9 @@ let test_sat_basic () =
   let s = Smt.Sat.create () in
   let v1 = Smt.Sat.new_var s and v2 = Smt.Sat.new_var s in
   let p b v = Smt.Sat.lit ~positive:b v in
-  Smt.Sat.add_clause s [ p true v1; p true v2 ];
-  Smt.Sat.add_clause s [ p false v1; p true v2 ];
-  Smt.Sat.add_clause s [ p true v1; p false v2 ];
+  Smt.Sat.add_clause s [| p true v1; p true v2 |];
+  Smt.Sat.add_clause s [| p false v1; p true v2 |];
+  Smt.Sat.add_clause s [| p true v1; p false v2 |];
   (match Smt.Sat.solve s with
   | Smt.Sat.Satisfiable -> ()
   | Smt.Sat.Unsatisfiable -> Alcotest.fail "expected sat");
@@ -173,8 +173,8 @@ let test_sat_unsat () =
   let s = Smt.Sat.create () in
   let v1 = Smt.Sat.new_var s in
   let p b v = Smt.Sat.lit ~positive:b v in
-  Smt.Sat.add_clause s [ p true v1 ];
-  Smt.Sat.add_clause s [ p false v1 ];
+  Smt.Sat.add_clause s [| p true v1 |];
+  Smt.Sat.add_clause s [| p false v1 |];
   match Smt.Sat.solve s with
   | Smt.Sat.Unsatisfiable -> ()
   | Smt.Sat.Satisfiable -> Alcotest.fail "expected unsat"
@@ -186,12 +186,12 @@ let test_sat_pigeonhole () =
   let var = Array.init 3 (fun _ -> Array.init 2 (fun _ -> Smt.Sat.new_var s)) in
   let p b v = Smt.Sat.lit ~positive:b v in
   for i = 0 to 2 do
-    Smt.Sat.add_clause s [ p true var.(i).(0); p true var.(i).(1) ]
+    Smt.Sat.add_clause s [| p true var.(i).(0); p true var.(i).(1) |]
   done;
   for h = 0 to 1 do
     for i = 0 to 2 do
       for j = i + 1 to 2 do
-        Smt.Sat.add_clause s [ p false var.(i).(h); p false var.(j).(h) ]
+        Smt.Sat.add_clause s [| p false var.(i).(h); p false var.(j).(h) |]
       done
     done
   done;
@@ -233,7 +233,7 @@ let prop_sat_matches_bruteforce =
       List.iter
         (fun clause ->
           Smt.Sat.add_clause s
-            (List.map (fun (v, sign) -> Smt.Sat.lit ~positive:sign vars.(v)) clause))
+            (Array.of_list (List.map (fun (v, sign) -> Smt.Sat.lit ~positive:sign vars.(v)) clause)))
         clauses;
       let got = match Smt.Sat.solve s with Smt.Sat.Satisfiable -> true | Smt.Sat.Unsatisfiable -> false in
       got = brute)
@@ -265,7 +265,7 @@ let prop_assumptions_match_units =
         List.iter
           (fun clause ->
             Smt.Sat.add_clause s
-              (List.map (fun (v, sign) -> Smt.Sat.lit ~positive:sign vars.(v)) clause))
+              (Array.of_list (List.map (fun (v, sign) -> Smt.Sat.lit ~positive:sign vars.(v)) clause)))
           clauses;
         (s, vars)
       in
@@ -276,7 +276,7 @@ let prop_assumptions_match_units =
             List.map (fun (v, sign) -> Smt.Sat.lit ~positive:sign vars.(v)) assumps
           in
           let fresh, fvars = build () in
-          List.iter (fun l -> Smt.Sat.add_clause fresh [ l ]) (lits fvars);
+          List.iter (fun l -> Smt.Sat.add_clause fresh [| l |]) (lits fvars);
           let expected = Smt.Sat.solve fresh in
           let got = Smt.Sat.solve_with_assumptions persistent (lits pvars) in
           got = expected)
@@ -313,7 +313,7 @@ let prop_add_clause_matches_list =
       let vars = Array.init nvars (fun _ -> Smt.Sat.new_var s) in
       let lit (v, sign) = Smt.Sat.lit ~positive:sign vars.(v) in
       let units = List.sort_uniq (fun (v, _) (v', _) -> compare v v') units in
-      List.iter (fun u -> Smt.Sat.add_clause s [ lit u ]) units;
+      List.iter (fun u -> Smt.Sat.add_clause s [| lit u |]) units;
       let value l =
         List.find_map
           (fun (v, sign) ->
@@ -322,7 +322,7 @@ let prop_add_clause_matches_list =
       in
       let lits = List.map lit clause in
       let n0 = Smt.Sat.num_clauses s in
-      Smt.Sat.add_clause s lits;
+      Smt.Sat.add_clause s (Array.of_list lits);
       let unchanged = Smt.Sat.num_clauses s = n0 && Smt.Sat.is_ok s in
       match Ref_add_clause.outcome value lits with
       | `Skip -> unchanged
@@ -352,7 +352,7 @@ let test_unmarked_solve_after_marked () =
     ]
   in
   let rest = [ [ p true z; p true w ] ] in
-  List.iter (Smt.Sat.add_clause s) (cone @ rest);
+  List.iter (fun c -> Smt.Sat.add_clause s (Array.of_list c)) (cone @ rest);
   Smt.Sat.begin_marks s;
   List.iter (Smt.Sat.mark_var s) [ x; y; g; a ];
   List.iteri (fun ci _ -> Smt.Sat.mark_clause s ci) cone;
@@ -363,6 +363,147 @@ let test_unmarked_solve_after_marked () =
   let holds l = Smt.Sat.value s (Smt.Sat.var_of_lit l) = Smt.Sat.lit_sign l in
   Alcotest.(check bool) "every clause satisfied" true
     (List.for_all (List.exists holds) (cone @ rest))
+
+(* --- pinned search and allocation ---------------------------------------
+
+   Refactoring the CDCL core's data structures must keep its search step
+   for step: the order in which a literal's watches are visited decides
+   which clause propagates or conflicts first, and with it every learnt
+   clause, decision, propagation count and model.  The counts and models
+   below were recorded from the list-based watch implementation; a change
+   of scan order or of learnt-literal order moves them. *)
+
+let sat_counts (st : Smt.Sat.stats) = [ st.decisions; st.propagations; st.conflicts; st.learned ]
+
+(* PHP(5,4): five pigeons, four holes. *)
+let test_pinned_pigeonhole () =
+  let s = Smt.Sat.create () in
+  let p = Array.init 5 (fun _ -> Array.init 4 (fun _ -> Smt.Sat.new_var s)) in
+  let lit b v = Smt.Sat.lit ~positive:b v in
+  for i = 0 to 4 do
+    Smt.Sat.add_clause s (Array.init 4 (fun h -> lit true p.(i).(h)))
+  done;
+  for h = 0 to 3 do
+    for i = 0 to 4 do
+      for j = i + 1 to 4 do
+        Smt.Sat.add_clause s [| lit false p.(i).(h); lit false p.(j).(h) |]
+      done
+    done
+  done;
+  Alcotest.(check bool) "unsat" true (Smt.Sat.solve s = Smt.Sat.Unsatisfiable);
+  Alcotest.(check (list int)) "decisions, propagations, conflicts, learned" [ 35; 296; 29; 28 ]
+    (sat_counts (Smt.Sat.stats s))
+
+(* 504 random 3-literal clauses over 120 variables (ratio 4.2) from a
+   fixed LCG, so the instance does not depend on [Random]. *)
+let test_pinned_random_3sat () =
+  let state = ref 1 in
+  let next n =
+    state := (!state * 0x5DEECE66D) + 11;
+    (!state lsr 17) mod n
+  in
+  let s = Smt.Sat.create () in
+  let vars = Array.init 120 (fun _ -> Smt.Sat.new_var s) in
+  for _ = 1 to 504 do
+    Smt.Sat.add_clause s
+      (Array.init 3 (fun _ ->
+           let v = next 120 in
+           Smt.Sat.lit ~positive:(next 2 = 0) vars.(v)))
+  done;
+  Alcotest.(check bool) "sat" true (Smt.Sat.solve s = Smt.Sat.Satisfiable);
+  Alcotest.(check (list int)) "decisions, propagations, conflicts, learned" [ 294; 5430; 204; 204 ]
+    (sat_counts (Smt.Sat.stats s));
+  Alcotest.(check string) "model"
+    "111001110110001101000011011011111010110111001011111111001010000000010010001100000111101100101010010011001010001011010111"
+    (String.init 120 (fun i -> if Smt.Sat.value s vars.(i) then '1' else '0'))
+
+(* A persistent bit-blasted context over three byte symbols: every
+   constraint is activated up front, then a fixed sequence of
+   [solve_activated] queries switches subsets of them on under marks. *)
+let pin_a = E.sym_with_id ~id:9001 ~name:"pin_a" 8
+let pin_b = E.sym_with_id ~id:9002 ~name:"pin_b" 8
+let pin_c = E.sym_with_id ~id:9003 ~name:"pin_c" 8
+
+let pinned_ctx () =
+  let ks =
+    [|
+      E.eq (E.mul pin_a pin_b) (i8 143);
+      E.ult (E.add pin_a pin_c) (i8 50);
+      E.eq (E.binop E.Xor pin_b pin_c) (i8 0x5a);
+      E.ugt pin_a pin_b;
+      E.eq (E.binop E.Urem pin_a (i8 7)) (i8 3);
+      E.eq pin_c (i8 200);
+      E.eq pin_a pin_b;
+    |]
+  in
+  let ctx = Smt.Cnf.create () in
+  Array.iter (fun k -> ignore (Smt.Cnf.activate ctx k)) ks;
+  let queries =
+    List.map (List.map (Array.get ks))
+      [ [ 0 ]; [ 0; 3 ]; [ 1; 2 ]; [ 0; 1; 2 ]; [ 4; 3 ]; [ 0; 5 ]; [ 2; 5; 1 ]; [ 0; 4; 1 ];
+        [ 0; 2; 3; 4 ]; [ 0; 6 ]; [ 6; 2; 1 ] ]
+  in
+  (ctx, queries)
+
+let test_pinned_persistent () =
+  let ctx, queries = pinned_ctx () in
+  let row q =
+    let model =
+      match Smt.Cnf.solve_activated ctx q with
+      | Smt.Sat.Satisfiable ->
+        let value e = Int64.to_int (Option.get (Smt.Cnf.sym_value ctx (sym_id e))) in
+        Some (List.map value [ pin_a; pin_b; pin_c ])
+      | Smt.Sat.Unsatisfiable -> None
+    in
+    (sat_counts (Smt.Cnf.sat_stats ctx), model)
+  in
+  let row_t = Alcotest.(pair (list int) (option (list int))) in
+  List.iter2
+    (fun q expected -> Alcotest.check row_t "cumulative counts, model" expected (row q))
+    queries
+    [
+      ([ 7; 193; 0; 0 ], Some [ 1; 143; 0 ]);
+      ([ 13; 403; 0; 0 ], Some [ 129; 15; 0 ]);
+      ([ 26; 489; 0; 0 ], Some [ 129; 207; 149 ]);
+      ([ 34; 808; 2; 2 ], Some [ 225; 111; 53 ]);
+      ([ 49; 1015; 2; 2 ], Some [ 227; 111; 0 ]);
+      ([ 60; 1210; 2; 2 ], Some [ 225; 111; 200 ]);
+      ([ 64; 1304; 2; 2 ], Some [ 57; 146; 200 ]);
+      ([ 94; 2044; 6; 6 ], Some [ 101; 227; 156 ]);
+      ([ 126; 3312; 21; 21 ], Some [ 241; 127; 37 ]);
+      ([ 130; 3439; 25; 25 ], None);
+      ([ 157; 3697; 31; 31 ], None);
+    ];
+  (* a second pass over the same queries, on everything the first taught *)
+  List.iter (fun q -> ignore (Smt.Cnf.solve_activated ctx q)) queries;
+  Alcotest.(check (list int)) "counts after a second pass" [ 277; 7003; 51; 51 ]
+    (sat_counts (Smt.Cnf.sat_stats ctx))
+
+(* The same context warmed up by one pass over the queries, then a second
+   pass measured: its solves must allocate nothing in the major heap (no
+   per-conflict scratch array, no arena growth) and under 3 minor words
+   per propagation (no list cell per watch visit; the list-based watches
+   took 27).  Each solve starts on an empty minor heap and allocates far
+   less than one, so no promotion is counted as a major word. *)
+let test_persistent_allocation () =
+  let ctx, queries = pinned_ctx () in
+  List.iter (fun q -> ignore (Smt.Cnf.solve_activated ctx q)) queries;
+  let props0 = (Smt.Cnf.sat_stats ctx).propagations in
+  let minor = ref 0.0 and major = ref 0.0 in
+  List.iter
+    (fun q ->
+      Gc.minor ();
+      let mi0 = Gc.minor_words () and _, _, ma0 = Gc.counters () in
+      ignore (Smt.Cnf.solve_activated ctx q);
+      let mi1 = Gc.minor_words () and _, _, ma1 = Gc.counters () in
+      minor := !minor +. (mi1 -. mi0);
+      major := !major +. (ma1 -. ma0))
+    queries;
+  let props = (Smt.Cnf.sat_stats ctx).propagations - props0 in
+  Alcotest.(check bool) "measured pass propagates" true (props > 1000);
+  Alcotest.(check (float 0.0)) "major words" 0.0 !major;
+  let per_prop = !minor /. float_of_int props in
+  if per_prop >= 3.0 then Alcotest.failf "%.2f minor words per propagation (bound 3)" per_prop
 
 (* --- bit blasting ----------------------------------------------------------- *)
 
@@ -881,6 +1022,10 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           Alcotest.test_case "unmarked solve after a marked one" `Quick
             test_unmarked_solve_after_marked;
+          Alcotest.test_case "pinned pigeonhole" `Quick test_pinned_pigeonhole;
+          Alcotest.test_case "pinned random 3-sat" `Quick test_pinned_random_3sat;
+          Alcotest.test_case "pinned persistent" `Quick test_pinned_persistent;
+          Alcotest.test_case "persistent allocation" `Quick test_persistent_allocation;
         ]
         @ qsuite
             [
