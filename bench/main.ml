@@ -78,6 +78,53 @@ let local ?(strategy = "interleaved") ?max_steps ?(goal = ED.Exhaust) ?solver pr
   let r = ED.run ~collect_tests:0 ~goal cfg searcher st0 in
   (cfg, r)
 
+(* An A/B overhead estimate: [leg ~on] runs one timed leg and returns
+   (seconds, result).  One unmeasured warm-up pair pages in code and
+   warms allocator state; then [trials] pairs run with the leg order
+   alternating within each pair, so drift cannot bias one side, and
+   [same i r_off r_on] checks each pair's results.  The overhead is the
+   smaller of the min-of-N and median on/off ratios: host noise inflates
+   each independently (a descheduled run lands in one statistic or the
+   other), while a real regression inflates both. *)
+type ab = {
+  min_off : float;
+  min_on : float;
+  median_off : float;
+  median_on : float;
+  overhead_pct : float;
+}
+
+let ab_overhead ?budget_pct ~trials ~leg ~same () =
+  ignore (leg ~on:false);
+  ignore (leg ~on:true);
+  let t_off = Array.make trials 0.0 and t_on = Array.make trials 0.0 in
+  for i = 0 to trials - 1 do
+    let off_first = i mod 2 = 0 in
+    let a = leg ~on:(not off_first) in
+    let b = leg ~on:off_first in
+    let (dt_off, r_off), (dt_on, r_on) = if off_first then (a, b) else (b, a) in
+    same i r_off r_on;
+    t_off.(i) <- dt_off;
+    t_on.(i) <- dt_on
+  done;
+  let minimum a = Array.fold_left Float.min infinity a in
+  let median a =
+    let s = Array.copy a in
+    Array.sort compare s;
+    s.(Array.length s / 2)
+  in
+  let ratio a b = if b > 1e-9 then a /. b else 1.0 in
+  let min_off = minimum t_off and min_on = minimum t_on in
+  let median_off = median t_off and median_on = median t_on in
+  let ratio_min = ratio min_on min_off and ratio_med = ratio median_on median_off in
+  let overhead_pct = 100.0 *. (Float.min ratio_min ratio_med -. 1.0) in
+  Printf.printf "  off: min %.3f s, median %.3f s;  on: min %.3f s, median %.3f s\n" min_off
+    median_off min_on median_on;
+  Printf.printf "  min ratio %.3f, median ratio %.3f -> overhead %+.2f%%%s\n%!" ratio_min
+    ratio_med overhead_pct
+    (match budget_pct with Some b -> Printf.sprintf " (budget %.1f%%)" b | None -> "");
+  { min_off; min_on; median_off; median_on; overhead_pct }
+
 (* workloads shared by several figures *)
 let mc2 = lazy (Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:6)
 let mc2_small = lazy (Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:5)
@@ -554,29 +601,27 @@ let ablation_caches () =
   let program = Targets.Printf_target.program ~fmt_len:4 in
   let configs =
     [
-      ("all optimizations", true, true, true, true);
-      ("no range analysis", true, true, true, false);
-      ("no sat cache", false, true, true, true);
-      ("no cex cache", true, false, true, true);
-      ("no independence", true, true, false, true);
-      ("none", false, false, false, false);
+      ("all optimizations", true, true, true);
+      ("no sat cache", false, true, true);
+      ("no cex cache", true, false, true);
+      ("no independence", true, true, false);
+      ("none", false, false, false);
     ]
   in
-  Printf.printf "%-20s %10s %10s %10s %10s %8s\n" "configuration" "queries" "SAT calls"
-    "rangehits" "cachehits" "time";
+  Printf.printf "%-20s %10s %10s %10s %8s\n" "configuration" "queries" "SAT calls" "cachehits"
+    "time";
   List.iter
-    (fun (name, sat_c, cex_c, indep, range) ->
+    (fun (name, sat_c, cex_c, indep) ->
       let solver =
-        Smt.Solver.create ~use_sat_cache:sat_c ~use_cex_cache:cex_c ~use_independence:indep
-          ~use_range:range ()
+        Smt.Solver.create ~use_sat_cache:sat_c ~use_cex_cache:cex_c ~use_independence:indep ()
       in
       let t0 = Unix.gettimeofday () in
       let _cfg, r = local ~strategy:"dfs" ~solver program in
       let dt = Unix.gettimeofday () -. t0 in
       let st = Smt.Solver.stats solver in
       assert (r.ED.exhausted);
-      Printf.printf "%-20s %10d %10d %10d %10d %7.2fs\n%!" name st.Smt.Solver.queries
-        st.Smt.Solver.sat_calls st.Smt.Solver.range_hits
+      Printf.printf "%-20s %10d %10d %10d %7.2fs\n%!" name st.Smt.Solver.queries
+        st.Smt.Solver.sat_calls
         (st.Smt.Solver.cache_hits + st.Smt.Solver.cex_hits)
         dt)
     configs
@@ -781,20 +826,16 @@ let obs_overhead () =
      (the budget in DESIGN.md is <2% with the sink disabled, which is the\n\
      default; this bench measures the enabled cost too).";
   let program = Lazy.force mc2_small in
-  let run obs =
+  let leg ~on =
+    let obs = if on then Some (Obs.Sink.create ()) else None in
     let t0 = Unix.gettimeofday () in
     let r = cluster ~nworkers:4 ~speed:200 ?obs program in
     (Unix.gettimeofday () -. t0, r)
   in
-  (* warm-up so allocator and caches are in steady state *)
-  ignore (run None);
-  let t_off, r_off = run None in
-  let t_on, r_on = run (Some (Obs.Sink.create ())) in
-  assert (r_off.CD.total_paths = r_on.CD.total_paths);
-  if t_off > 1e-9 then
-    Printf.printf "disabled: %6.2fs   enabled: %6.2fs   overhead %+.1f%%\n" t_off t_on
-      (100.0 *. ((t_on /. t_off) -. 1.0))
-  else Printf.printf "disabled: %6.2fs   enabled: %6.2fs   overhead n/a\n" t_off t_on
+  ignore
+    (ab_overhead ~trials:1 ~leg
+       ~same:(fun _ r_off r_on -> assert (r_off.CD.total_paths = r_on.CD.total_paths))
+       ())
 
 (* ====================================================================== *)
 (* Bechamel micro-benchmarks of the engine primitives                      *)
@@ -927,9 +968,9 @@ type solver_run = {
 let bench_solver () =
   section "Solver benchmark"
     "Exhaustive single-worker runs through the solver stack every run uses:\n\
-     memoized simplify, the incrementally normalized pc and its interval\n\
-     boxes, fused fork queries, and a persistent assumption-queried SAT\n\
-     instance with cross-fork clause reuse.  Paths, tests and errors must\n\
+     memoized simplify, the incrementally normalized pc, fused fork\n\
+     queries, and a persistent assumption-queried SAT instance with\n\
+     cross-fork clause reuse.  Paths, tests and errors must\n\
      match the pinned totals, every query must land in exactly one tier\n\
      and close one span, and clause groups must be reused.\n\
      Writes BENCH_solver.json.";
@@ -1010,8 +1051,8 @@ let bench_solver () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let tier_sum (ss : Smt.Solver.stats) =
-    ss.Smt.Solver.trivial + ss.Smt.Solver.range_hits + ss.Smt.Solver.cache_hits
-    + ss.Smt.Solver.cex_hits + ss.Smt.Solver.sat_calls
+    ss.Smt.Solver.trivial + ss.Smt.Solver.cache_hits + ss.Smt.Solver.cex_hits
+    + ss.Smt.Solver.sat_calls
   in
   let fop = function Some x -> Printf.sprintf "%.0f" x | None -> "n/a" in
   Printf.printf "%-12s %7s %6s %6s %9s %8s %8s %8s %8s %8s %10s\n" "scenario" "paths" "tests"
@@ -1070,7 +1111,7 @@ let bench_solver () =
       in
       Printf.fprintf oc
         "%s\n  { \"name\": %S, \"paths\": %d, \"tests\": %d, \"errors\": %d, \
-         \"instructions\": %d, \"queries\": %d, \"trivial\": %d, \"range_hits\": %d, \
+         \"instructions\": %d, \"queries\": %d, \"trivial\": %d, \
          \"cache_hits\": %d, \"cex_hits\": %d, \"sat_calls\": %d, \"simplify_visits\": %d, \
          \"simplify_rewrites\": %d, \"memo_hits\": %d, \"elapsed_s\": %.4f, \
          \"ns_per_query\": %.0f, \"p50_ns\": %s, \"p99_ns\": %s, \"assumption_solves\": %d, \
@@ -1079,7 +1120,7 @@ let bench_solver () =
         (if i = 0 then "" else ",")
         name l.sl_r.ED.paths_explored (List.length l.sl_r.ED.tests) l.sl_r.ED.errors
         l.sl_r.ED.instructions l.sl_ss.Smt.Solver.queries l.sl_ss.Smt.Solver.trivial
-        l.sl_ss.Smt.Solver.range_hits l.sl_ss.Smt.Solver.cache_hits l.sl_ss.Smt.Solver.cex_hits
+        l.sl_ss.Smt.Solver.cache_hits l.sl_ss.Smt.Solver.cex_hits
         l.sl_ss.Smt.Solver.sat_calls l.sl_rw.Smt.Simplify.visits l.sl_rw.Smt.Simplify.rewrites
         l.sl_rw.Smt.Simplify.memo_hits l.sl_elapsed l.sl_nsq (jop l.sl_p50) (jop l.sl_p99)
         l.sl_inc.Smt.Solver.assumption_solves l.sl_inc.Smt.Solver.group_hits
@@ -1142,8 +1183,8 @@ let bench_scaling ?(quick = false) () =
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let check_tiers what (ss : Smt.Solver.stats) =
     let sum =
-      ss.Smt.Solver.trivial + ss.Smt.Solver.range_hits + ss.Smt.Solver.cache_hits
-      + ss.Smt.Solver.cex_hits + ss.Smt.Solver.sat_calls
+      ss.Smt.Solver.trivial + ss.Smt.Solver.cache_hits + ss.Smt.Solver.cex_hits
+      + ss.Smt.Solver.sat_calls
     in
     if sum <> ss.Smt.Solver.queries then
       fail "%s: solver tiers sum to %d but %d queries were asked" what sum ss.Smt.Solver.queries
@@ -1509,32 +1550,16 @@ let bench_profile () =
   let budget_pct = 5.0 in
   Printf.printf "\nA/B overhead gate (single-domain legs, %d interleaved samples per side):\n"
     trials;
-  let t_off = Array.make trials 0.0 in
-  let t_on = Array.make trials 0.0 in
-  for i = 0 to trials - 1 do
-    let dt_off, r_off = timed ~nd:1 () in
-    let dt_on, r_on = timed ~obs:(Obs.Sink.create ()) ~nd:1 () in
-    if r_on.Cluster.Parallel.total_paths <> r_off.Cluster.Parallel.total_paths then
-      fail "sample %d: profiled run found %d paths, unprofiled %d" i
-        r_on.Cluster.Parallel.total_paths r_off.Cluster.Parallel.total_paths;
-    t_off.(i) <- dt_off;
-    t_on.(i) <- dt_on
-  done;
-  let minimum a = Array.fold_left Float.min infinity a in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
+  let ab =
+    ab_overhead ~budget_pct ~trials
+      ~leg:(fun ~on -> timed ?obs:(if on then Some (Obs.Sink.create ()) else None) ~nd:1 ())
+      ~same:(fun i r_off r_on ->
+        if r_on.Cluster.Parallel.total_paths <> r_off.Cluster.Parallel.total_paths then
+          fail "sample %d: profiled run found %d paths, unprofiled %d" i
+            r_on.Cluster.Parallel.total_paths r_off.Cluster.Parallel.total_paths)
+      ()
   in
-  let min_off = minimum t_off in
-  let min_on = minimum t_on in
-  let ratio_min = if min_off > 1e-9 then min_on /. min_off else 1.0 in
-  let ratio_med = if median t_off > 1e-9 then median t_on /. median t_off else 1.0 in
-  let overhead_pct = 100.0 *. (Float.min ratio_min ratio_med -. 1.0) in
-  Printf.printf "  off: min %.3f s, median %.3f s;  on: min %.3f s, median %.3f s\n" min_off
-    (median t_off) min_on (median t_on);
-  Printf.printf "  min ratio %.3f, median ratio %.3f -> overhead %+.2f%% (budget %.1f%%)\n"
-    ratio_min ratio_med overhead_pct budget_pct;
+  let overhead_pct = ab.overhead_pct in
   if overhead_pct > budget_pct then
     fail "profiling overhead %.2f%% exceeds the %.1f%% budget" overhead_pct budget_pct;
   (* --- artifacts ---------------------------------------------------------- *)
@@ -1577,7 +1602,7 @@ let bench_profile () =
     "  \"overhead\": { \"samples_per_side\": %d, \"min_off_s\": %.4f, \"min_on_s\": %.4f, \
      \"median_off_s\": %.4f, \"median_on_s\": %.4f, \"overhead_pct\": %.3f, \"budget_pct\": \
      %.1f },\n"
-    trials min_off min_on (median t_off) (median t_on) overhead_pct budget_pct;
+    trials ab.min_off ab.min_on ab.median_off ab.median_on overhead_pct budget_pct;
   Printf.fprintf oc "  \"ok\": %b }\n" (!failures = []);
   close_out oc;
   Printf.printf "wrote BENCH_profile.json\n";
@@ -1859,13 +1884,10 @@ let bench_telemetry ?(quick = false) () =
     (dt, d)
   in
   (* --- part A: A/B overhead gate --------------------------------------- *)
-  (* Same discipline as the profile gate: interleaved samples, verdict on
-     the smaller of min-of-N and median ratios — host noise inflates each
-     independently, a real regression inflates both.  The legs run
-     heavyweight tenants for a fixed slice count at a realistic slice
-     budget: the flush cost amortizes over real slice work instead of
-     dominating a degenerate few-millisecond run.  Leg order alternates
-     within each pair so thermal/frequency drift cannot bias one side. *)
+  (* The shared [ab_overhead] estimator.  The legs run heavyweight
+     tenants for a fixed slice count at a realistic slice budget: the
+     flush cost amortizes over real slice work instead of dominating a
+     degenerate few-millisecond run. *)
   let trials = if quick then 4 else 8 in
   let budget_pct = 5.0 in
   let ov_tenants = if quick then [ "cu11"; "cu19" ] else [ "cu11"; "cu19"; "cu47" ] in
@@ -1880,7 +1902,8 @@ let bench_telemetry ?(quick = false) () =
       { ST.default_config with ST.status_file = Some status_file; prom_file = Some prom_file }
   in
   let paths_of d = List.fold_left (fun acc c -> acc + c.SC.paths) 0 (SD.campaigns d) in
-  let ov_leg ~telemetry () =
+  let ov_leg ~on =
+    let telemetry = if on then tele_cfg else None in
     let state = tmp ".ov-state.json" in
     let cfg =
       {
@@ -1906,46 +1929,16 @@ let bench_telemetry ?(quick = false) () =
   Printf.printf
     "A/B overhead gate (%d interleaved pairs, %d slices x %d instrs, %d tenants):\n%!" trials
     ov_slices ov_slice_instrs (List.length ov_tenants);
-  (* one unmeasured warmup pair: page-in code and warm allocator state so
-     the first measured leg isn't the cold one *)
-  ignore (ov_leg ~telemetry:None ());
-  ignore (ov_leg ~telemetry:tele_cfg ());
-  let t_off = Array.make trials 0.0 in
-  let t_on = Array.make trials 0.0 in
-  for i = 0 to trials - 1 do
-    let dt_off, d_off, dt_on, d_on =
-      if i mod 2 = 0 then begin
-        let dt_off, d_off = ov_leg ~telemetry:None () in
-        let dt_on, d_on = ov_leg ~telemetry:tele_cfg () in
-        (dt_off, d_off, dt_on, d_on)
-      end
-      else begin
-        let dt_on, d_on = ov_leg ~telemetry:tele_cfg () in
-        let dt_off, d_off = ov_leg ~telemetry:None () in
-        (dt_off, d_off, dt_on, d_on)
-      end
-    in
-    if paths_of d_on <> paths_of d_off then
-      gate false
-        (Printf.sprintf "sample %d: telemetry-enabled run found %d paths, disabled %d" i
-           (paths_of d_on) (paths_of d_off));
-    t_off.(i) <- dt_off;
-    t_on.(i) <- dt_on
-  done;
-  let minimum a = Array.fold_left Float.min infinity a in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
+  let ab =
+    ab_overhead ~budget_pct ~trials ~leg:ov_leg
+      ~same:(fun i d_off d_on ->
+        if paths_of d_on <> paths_of d_off then
+          gate false
+            (Printf.sprintf "sample %d: telemetry-enabled run found %d paths, disabled %d" i
+               (paths_of d_on) (paths_of d_off)))
+      ()
   in
-  let min_off = minimum t_off and min_on = minimum t_on in
-  let ratio_min = if min_off > 1e-9 then min_on /. min_off else 1.0 in
-  let ratio_med = if median t_off > 1e-9 then median t_on /. median t_off else 1.0 in
-  let overhead_pct = 100.0 *. (Float.min ratio_min ratio_med -. 1.0) in
-  Printf.printf "  off: min %.3f s, median %.3f s;  on: min %.3f s, median %.3f s\n" min_off
-    (median t_off) min_on (median t_on);
-  Printf.printf "  min ratio %.3f, median ratio %.3f -> overhead %+.2f%% (budget %.1f%%)\n%!"
-    ratio_min ratio_med overhead_pct budget_pct;
+  let overhead_pct = ab.overhead_pct in
   gate
     (overhead_pct <= budget_pct)
     (Printf.sprintf "telemetry overhead %.2f%% exceeds the %.1f%% budget" overhead_pct
@@ -2165,10 +2158,10 @@ let bench_telemetry ?(quick = false) () =
               ("slices_per_leg", J.Num (float_of_int ov_slices));
               ("slice_instrs", J.Num (float_of_int ov_slice_instrs));
               ("leg_tenants", J.Num (float_of_int (List.length ov_tenants)));
-              ("min_off_s", J.Num min_off);
-              ("min_on_s", J.Num min_on);
-              ("median_off_s", J.Num (median t_off));
-              ("median_on_s", J.Num (median t_on));
+              ("min_off_s", J.Num ab.min_off);
+              ("min_on_s", J.Num ab.min_on);
+              ("median_off_s", J.Num ab.median_off);
+              ("median_on_s", J.Num ab.median_on);
               ("overhead_pct", J.Num overhead_pct);
               ("budget_pct", J.Num budget_pct);
             ] );

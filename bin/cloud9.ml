@@ -16,31 +16,20 @@
 open Cmdliner
 module C = Core.Cloud9
 
-(* Integer flags that must be strictly positive (worker counts, budgets,
-   domain counts) share one Arg converter over {!Service.Validate}, so
-   the CLI and the daemon's control plane reject with the same message —
-   and the unit tests exercise the exact rejection. *)
-let pos_int ~flag =
+(* Integer flags (worker counts, budgets, domain counts) share one Arg
+   converter over a {!Service.Validate} check, so the CLI and the
+   daemon's control plane reject with the same message — and the unit
+   tests exercise the exact rejection. *)
+let checked_int check ~flag =
   let parse s =
     match int_of_string_opt s with
     | None -> Error (`Msg (Printf.sprintf "%s: expected an integer (got %S)" flag s))
-    | Some v -> (
-      match Service.Validate.positive_int ~flag v with
-      | Ok v -> Ok v
-      | Error m -> Error (`Msg m))
+    | Some v -> Result.map_error (fun m -> `Msg m) (check ~flag v)
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let non_neg_int ~flag =
-  let parse s =
-    match int_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "%s: expected an integer (got %S)" flag s))
-    | Some v -> (
-      match Service.Validate.non_negative_int ~flag v with
-      | Ok v -> Ok v
-      | Error m -> Error (`Msg m))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let pos_int = checked_int Service.Validate.positive_int
+let non_neg_int = checked_int Service.Validate.non_negative_int
 
 let list_cmd =
   let run () =
@@ -79,7 +68,7 @@ let workers_arg =
 let parallel_arg =
   Arg.(
     value
-    & opt (some (pos_int ~flag:"--parallel")) None
+    & opt (some (checked_int Service.Validate.domains ~flag:"--parallel")) None
     & info [ "p"; "parallel" ] ~docv:"N"
         ~doc:
           "Run on $(docv) real OCaml domains (true multicore) instead of the virtual-time \

@@ -133,7 +133,6 @@ type cluster_options = {
   bucket_ticks : int;
   cworker_max_steps : int option;
   cseed : int;
-  use_global_alloc : bool;     (* ablation: shared allocator breaks replays *)
   fault_plan : Cluster.Faultplan.t; (* crash / loss / partition schedule *)
 }
 
@@ -151,17 +150,15 @@ let default_cluster_options =
     bucket_ticks = 1000;
     cworker_max_steps = Some 1_000_000;
     cseed = 42;
-    use_global_alloc = false;
     fault_plan = Cluster.Faultplan.none;
   }
 
-let make_worker ?obs ?(opts = default_cluster_options) (t : target) shared_alloc id =
+let make_worker ?obs ?(opts = default_cluster_options) (t : target) id =
   (* scope the sink to this worker so engine/solver events carry its id *)
   let obs = Option.map (fun s -> Obs.Sink.for_worker s id) obs in
   let solver = Smt.Solver.create ?obs () in
   let cfg =
     Posix.Api.make_config ~solver ?obs ?max_steps:opts.cworker_max_steps
-      ~global_alloc:(if opts.use_global_alloc then Some shared_alloc else None)
       ~nlines:t.program.Cvm.Program.nlines ()
   in
   let make_root () = Posix.Api.initial_state t.program ~args:[] in
@@ -170,10 +167,9 @@ let make_worker ?obs ?(opts = default_cluster_options) (t : target) shared_alloc
 let cluster_config ?obs ?(options = default_cluster_options) ?init_frontier ?(init_bans = [])
     ?stop_after_instrs (t : target) =
   let opts = options in
-  let shared_alloc = ref 0x1000 in
   {
     Cluster.Driver.nworkers = opts.nworkers;
-    make_worker = make_worker ?obs ~opts t shared_alloc;
+    make_worker = make_worker ?obs ~opts t;
     join_tick = (fun i -> i * opts.join_spread);
     speed =
       (fun i ->

@@ -69,7 +69,6 @@ type cluster_options = {
   bucket_ticks : int;
   cworker_max_steps : int option;
   cseed : int;
-  use_global_alloc : bool;  (** broken-replay ablation *)
   fault_plan : Cluster.Faultplan.t;  (** crash / loss / partition schedule *)
 }
 

@@ -280,11 +280,9 @@ let fork_on cfg (st : 'env State.t) cond ~on_true ~on_false : 'env stepped =
   if E.is_true b then on_true st
   else if E.is_false b then on_false st
   else begin
-    (* one fused entry: shared simplify, interval boxes, and independence
-       slice for both polarities *)
-    let t_ok, f_ok =
-      Smt.Solver.fork_feasible cfg.solver ~pc:st.State.pc ?boxes:st.State.boxes b
-    in
+    (* one fused entry: shared simplify and independence slice for both
+       polarities *)
+    let t_ok, f_ok = Smt.Solver.fork_feasible cfg.solver ~pc:st.State.pc b in
     match (t_ok, f_ok) with
     | true, false -> on_true st
     | false, true -> on_false st
@@ -574,10 +572,9 @@ let step_syscall cfg (st : 'env State.t) ~dst ~num ~args : 'env stepped =
     match args with
     | [ cond_e ] ->
       let b = truth_expr cond_e in
-      let feasible =
-        Smt.Solver.branch_feasible cfg.solver ~pc:st.State.pc ?boxes:st.State.boxes b
-      in
-      if feasible then reti (State.add_constraint st b) 0 else finish st Errors.Pruned
+      if Smt.Solver.branch_feasible cfg.solver ~pc:st.State.pc b then
+        reti (State.add_constraint st b) 0
+      else finish st Errors.Pruned
     | _ -> finish st (Errors.Error (Errors.Model_failure "assume expects (cond)"))
   end
   else finish st (Errors.Error (Errors.Model_failure (Printf.sprintf "unknown syscall %d" num)))

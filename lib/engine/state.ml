@@ -61,11 +61,6 @@ type 'env t = {
   (* normalized path condition, newest first: each member simplified,
      trivially-true members dropped — maintained incrementally by
      [add_constraint] so branch queries never re-simplify the whole pc *)
-  boxes : Smt.Range.boxes option;
-  (* interval facts learned from [pc], also maintained incrementally
-     (learning is a commutative meet, so one-at-a-time = from-scratch);
-     [None] only if learning ever contradicted, which cannot happen while
-     the pc stays satisfiable — treated as "recompute on demand" *)
   subst : (Smt.Expr.t * Smt.Expr.t) list;
   (* equalities implied by the pc ([e = const]); applied when reading
      operands so expressions stay small (KLEE-style constraint-based
@@ -219,10 +214,8 @@ let add_constraint t e =
         }
       | _ -> t
     in
-    (* [e] is already simplified: extending the pc costs O(1), and the
-       boxes absorb the new constraint with a single meet *)
-    let boxes = match t.boxes with None -> None | Some bx -> Smt.Range.learn_boxes bx e in
-    { t with pc = e :: t.pc; boxes }
+    (* [e] is already simplified: extending the pc costs O(1) *)
+    { t with pc = e :: t.pc }
 
 let push_choice t c = { t with path = c :: t.path; depth = t.depth + 1 }
 
@@ -270,7 +263,6 @@ let init program ~env ~args =
     next_wlist = 1;
     next_sym = 1;
     pc = [];
-    boxes = Some Smt.Range.empty_boxes;
     subst = [];
     subst_syms = Smt.Expr.Iset.empty;
     path = [];

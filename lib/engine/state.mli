@@ -53,9 +53,6 @@ type 'env t = {
           simplified, trivial truths dropped), maintained incrementally
           by {!add_constraint}; feeds {!Smt.Solver.fork_feasible} and
           {!Smt.Solver.branch_feasible} *)
-  boxes : Smt.Range.boxes option;
-      (** interval facts of [pc], maintained by the same increments;
-          [None] means "recompute on demand" *)
   subst : (Smt.Expr.t * Smt.Expr.t) list;
       (** pc-implied equalities applied when reading operands *)
   subst_syms : Smt.Expr.Iset.t;  (** symbols of the [subst] left-hand sides *)

@@ -9,7 +9,6 @@ let lb = -1
 
 type solver_tier =
   | Trivial     (* answered by normalization alone *)
-  | Range       (* answered by interval analysis *)
   | Sat_cache   (* satisfiability-cache hit *)
   | Cex_cache   (* cached-model probe hit *)
   | Det_cache   (* deterministic-model cache hit *)
@@ -17,7 +16,6 @@ type solver_tier =
 
 let tier_to_string = function
   | Trivial -> "trivial"
-  | Range -> "range"
   | Sat_cache -> "sat_cache"
   | Cex_cache -> "cex_cache"
   | Det_cache -> "det_cache"

@@ -7,7 +7,6 @@ val lb : int
 
 type solver_tier =
   | Trivial      (** answered by normalization alone *)
-  | Range        (** answered by interval analysis *)
   | Sat_cache    (** satisfiability-cache hit *)
   | Cex_cache    (** cached-model probe hit *)
   | Det_cache    (** deterministic-model cache hit *)

@@ -41,7 +41,7 @@ let kind_name = function
   | Solver_query _ -> "solver_query"
 
 let all_tiers =
-  Event.[ Trivial; Range; Sat_cache; Cex_cache; Det_cache; Sat_call ]
+  Event.[ Trivial; Sat_cache; Cex_cache; Det_cache; Sat_call ]
 
 (* Histograms register find-or-create, so several profiles over the same
    registry (a worker's and its solver's, say) share handles. *)

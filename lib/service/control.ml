@@ -28,10 +28,7 @@ let get_int ?default name v =
   match (J.member name v, default) with
   | (None | Some J.Null), Some d -> Ok d
   | (None | Some J.Null), None -> Error (Printf.sprintf "missing field %S" name)
-  | Some (J.Num f), _ ->
-    if Float.is_integer f then Ok (int_of_float f)
-    else Error (Printf.sprintf "field %S: expected integer" name)
-  | Some _, _ -> Error (Printf.sprintf "field %S: expected number" name)
+  | Some x, _ -> int_of_json ~flag:name x
 
 let target_name = get_str "name"
 
@@ -48,7 +45,7 @@ let parse_submit v =
     match J.member "runtime" v with
     | None | Some J.Null | Some (J.Str "sim") -> Ok Campaign.Sim
     | Some (J.Str "parallel") ->
-      let* n = Result.bind (get_int ~default:2 "domains" v) (positive_int ~flag:"domains") in
+      let* n = Result.bind (get_int ~default:2 "domains" v) (domains ~flag:"domains") in
       Ok (Campaign.Parallel n)
     | Some _ -> Error "field \"runtime\": expected \"sim\" or \"parallel\""
   in
@@ -61,9 +58,9 @@ let parse_submit v =
   let* slice_instrs =
     match J.member "slice_instrs" v with
     | None | Some J.Null -> Ok None
-    | Some (J.Num f) when Float.is_integer f ->
-      Result.map Option.some (positive_int ~flag:"slice_instrs" (int_of_float f))
-    | Some _ -> Error "field \"slice_instrs\": expected integer or null"
+    | Some x ->
+      Result.map Option.some
+        (Result.bind (int_of_json ~flag:"slice_instrs" x) (positive_int ~flag:"slice_instrs"))
   in
   Ok
     (Submit

@@ -47,8 +47,7 @@ let bytes_of_hex s =
 
 let field name v = Option.to_result ~none:(Printf.sprintf "missing field %S" name) (J.member name v)
 let str name v = field name v |> fun r -> Result.bind r (fun x -> Option.to_result ~none:(Printf.sprintf "field %S: expected string" name) (J.to_str x))
-let num name v = field name v |> fun r -> Result.bind r (fun x -> Option.to_result ~none:(Printf.sprintf "field %S: expected number" name) (J.to_float x))
-let int_field name v = Result.map int_of_float (num name v)
+let int_field name v = Result.bind (field name v) (int_of_json ~flag:name)
 
 let opt_str name v =
   match J.member name v with
@@ -79,9 +78,8 @@ let runtime_to_json = function
 let runtime_of_json = function
   | J.Str "sim" -> Ok Campaign.Sim
   | J.Obj _ as o -> (
-    match J.member "domains" o with
-    | Some (J.Num f) when f >= 1.0 -> Ok (Campaign.Parallel (int_of_float f))
-    | _ -> Error "runtime: expected {\"domains\": n>=1}")
+    let* n = Result.bind (int_field "domains" o) (domains ~flag:"domains") in
+    Ok (Campaign.Parallel n))
   | _ -> Error "runtime: expected \"sim\" or {\"domains\": n}"
 
 let campaign_to_json (c : Campaign.t) =
@@ -125,8 +123,9 @@ let campaign_of_json v =
   let* slice_instrs =
     match J.member "slice_instrs" v with
     | None | Some J.Null -> Ok None
-    | Some (J.Num f) -> Result.map Option.some (positive_int ~flag:"slice_instrs" (int_of_float f))
-    | Some _ -> Error "field \"slice_instrs\": expected number or null"
+    | Some x ->
+      Result.map Option.some
+        (Result.bind (int_of_json ~flag:"slice_instrs" x) (positive_int ~flag:"slice_instrs"))
   in
   let* status = Result.bind (str "status" v) Campaign.status_of_string in
   let* paths = Result.bind (int_field "paths" v) (non_negative_int ~flag:"paths") in

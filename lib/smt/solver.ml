@@ -14,16 +14,16 @@
    arithmetic: cache keys are id lists, canonical ordering is id order,
    and symbol-support sets are memoized per term.
 
-   Caches, slicing and the interval fast path can each be disabled at
-   construction for ablation benchmarks; SAT calls always go to the
-   persistent incremental instance. *)
+   Caches and slicing can each be disabled at construction for ablation
+   benchmarks; SAT calls always go to the persistent incremental
+   instance. *)
 
 type result = Sat of Model.t | Unsat
 
 type stats = {
   mutable queries : int;       (* total satisfiability questions asked *)
   mutable trivial : int;       (* answered by simplification alone *)
-  mutable range_hits : int;    (* answered by interval analysis *)
+  mutable range_hits : int;    (* always 0: no interval tier; kept for bench/e2e *)
   mutable cache_hits : int;    (* answered by the satisfiability cache *)
   mutable cex_hits : int;      (* answered by probing a cached model *)
   mutable sat_calls : int;     (* full bit-blast + SAT runs *)
@@ -75,7 +75,6 @@ type t = {
   use_sat_cache : bool;
   use_cex_cache : bool;
   use_independence : bool;
-  use_range : bool;
   mutable inc : Cnf.ctx option;  (* the persistent incremental instance *)
   sat_cache : (int list, result) Hashtbl.t; (* key: ids of id-sorted constraints *)
   det_cache : (int list, result) Hashtbl.t;
@@ -89,7 +88,7 @@ let make_obs sink =
     List.map
       (fun tier ->
         (tier, Obs.Metrics.counter m ~labels:[ ("tier", Obs.Event.tier_to_string tier) ] "solver_queries"))
-      Obs.Event.[ Trivial; Range; Sat_cache; Cex_cache; Det_cache; Sat_call ]
+      Obs.Event.[ Trivial; Sat_cache; Cex_cache; Det_cache; Sat_call ]
   in
   {
     sink;
@@ -148,8 +147,8 @@ let hashcons_lock_samples () =
   in
   acq "uncontended" ls.Expr.lk_uncontended :: acq "contended" ls.Expr.lk_contended :: wait :: tops
 
-let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = true)
-    ?(use_range = true) ?obs ?prof () =
+let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = true) ?obs
+    ?prof () =
   Option.iter
     (fun sink -> Obs.Sink.set_provider sink ~name:"hashcons_locks" hashcons_lock_samples)
     obs;
@@ -163,7 +162,6 @@ let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = 
     use_sat_cache;
     use_cex_cache;
     use_independence;
-    use_range;
     inc = None;
     sat_cache = Hashtbl.create 1024;
     det_cache = Hashtbl.create 256;
@@ -190,7 +188,7 @@ let copy_stats t =
   {
     queries = s.queries;
     trivial = s.trivial;
-    range_hits = s.range_hits;
+    range_hits = 0;
     cache_hits = s.cache_hits;
     cex_hits = s.cex_hits;
     sat_calls = s.sat_calls;
@@ -203,7 +201,6 @@ let zero_stats () =
 let accum_stats acc src =
   acc.queries <- acc.queries + src.queries;
   acc.trivial <- acc.trivial + src.trivial;
-  acc.range_hits <- acc.range_hits + src.range_hits;
   acc.cache_hits <- acc.cache_hits + src.cache_hits;
   acc.cex_hits <- acc.cex_hits + src.cex_hits;
   acc.sat_calls <- acc.sat_calls + src.sat_calls
@@ -499,12 +496,11 @@ let check_components t ~kind ~answer constraints =
 let check t constraints =
   check_components t ~kind:"check" ~answer:(check_normalized t ~kind:"check") constraints
 
-(* Answer one fork polarity.  [cond] is already simplified, [sliced] is
-   the subset of the (already-normalized) path condition relevant to it,
-   and [boxes] are the pc's interval facts (shared across polarities).
-   Bumps [queries] and exactly one tier, preserving the reconciliation
-   invariant that tiers sum to queries. *)
-let answer_polarity t ~kind ~boxes ~sliced cond =
+(* Answer one fork polarity.  [cond] is already simplified and [sliced]
+   is the subset of the (already-normalized) path condition relevant to
+   it.  Bumps [queries] and exactly one tier, preserving the
+   reconciliation invariant that tiers sum to queries. *)
+let answer_polarity t ~kind ~sliced cond =
   t.stats.queries <- t.stats.queries + 1;
   if Expr.is_true cond then begin
     t.stats.trivial <- t.stats.trivial + 1;
@@ -517,25 +513,8 @@ let answer_polarity t ~kind ~boxes ~sliced cond =
     false
   end
   else
-    let quick =
-      match boxes with
-      | Some bx when t.use_range -> Range.quick_feasible bx cond
-      | _ -> None
-    in
-    match quick with
-    | Some verdict ->
-      t.stats.range_hits <- t.stats.range_hits + 1;
-      note t kind Obs.Event.Range verdict;
-      verdict
-    | None -> (
-      let cs = List.sort_uniq Expr.compare (cond :: sliced) in
-      match check_normalized t ~kind cs with Sat _ -> true | Unsat -> false)
-
-(* Interval boxes for a normalized pc: the caller's incrementally
-   maintained boxes when available, else recomputed. *)
-let effective_boxes t ~pc boxes =
-  if not t.use_range then None
-  else match boxes with Some _ -> boxes | None -> Range.boxes_of_pc pc
+    let cs = List.sort_uniq Expr.compare (cond :: sliced) in
+    match check_normalized t ~kind cs with Sat _ -> true | Unsat -> false
 
 (* The constraints of [pc] relevant to a query over [syms]. *)
 let slice_pc t ~pc cond syms =
@@ -547,29 +526,27 @@ let slice_pc t ~pc cond syms =
    simplified here.  Independence slicing seeded by [cond]'s symbols is
    sound because [pc] alone is satisfiable by invariant (every state's
    path condition is feasible). *)
-let branch_feasible t ~pc ?boxes cond =
+let branch_feasible t ~pc cond =
   t.q_t0 <- Obs.Profile.start t.prof;
   let cond = Simplify.simplify cond in
-  let boxes = effective_boxes t ~pc boxes in
   let sliced = slice_pc t ~pc cond (Expr.sym_set cond) in
-  answer_polarity t ~kind:"branch" ~boxes ~sliced cond
+  answer_polarity t ~kind:"branch" ~sliced cond
 
 (* Fused fork query: answers feasibility of both [cond] and [not cond]
-   against the same normalized pc, sharing the interval boxes and the
-   independence slice.  Seeding the slice with the union of both
+   against the same normalized pc, sharing the simplified condition and
+   the independence slice.  Seeding the slice with the union of both
    polarities' symbols is sound: a larger seed only enlarges the closure,
    and the excluded remainder stays disjoint from both queries (and is
    satisfiable because the pc is).  Each polarity counts as one query. *)
-let fork_feasible t ~pc ?boxes cond =
+let fork_feasible t ~pc cond =
   t.q_t0 <- Obs.Profile.start t.prof;
   let cond_t = Simplify.simplify cond in
   let cond_f = Simplify.simplify (Expr.not_ cond_t) in
-  let boxes = effective_boxes t ~pc boxes in
   let sliced =
     slice_pc t ~pc cond_t (Expr.Iset.union (Expr.sym_set cond_t) (Expr.sym_set cond_f))
   in
-  let ok_t = answer_polarity t ~kind:"branch" ~boxes ~sliced cond_t in
-  let ok_f = answer_polarity t ~kind:"branch" ~boxes ~sliced cond_f in
+  let ok_t = answer_polarity t ~kind:"branch" ~sliced cond_t in
+  let ok_f = answer_polarity t ~kind:"branch" ~sliced cond_f in
   (ok_t, ok_f)
 
 (* Deterministic model construction: each component is solved from

@@ -1,16 +1,19 @@
 (** Query orchestration: simplification, constraint-independence slicing,
     satisfiability cache, and counterexample (model) cache on top of the
     bit blaster and CDCL SAT core — the same solver stack structure
-    KLEE/Cloud9 rely on.  The caches, slicing and the interval fast path
-    can each be disabled at construction for ablation experiments; SAT
-    calls always go to a persistent incremental instance. *)
+    KLEE/Cloud9 rely on.  The caches and slicing can each be disabled at
+    construction for ablation experiments; SAT calls always go to a
+    persistent incremental instance.  Every query is answered by exactly
+    one tier: [trivial + cache_hits + cex_hits + sat_calls = queries]. *)
 
 type result = Sat of Model.t | Unsat
 
 type stats = {
   mutable queries : int;     (** total satisfiability questions asked *)
   mutable trivial : int;     (** answered by simplification alone *)
-  mutable range_hits : int;  (** answered by interval analysis *)
+  mutable range_hits : int;
+      (** always 0: there is no interval tier.  Kept only because the
+          end-to-end benchmark harness still reports it. *)
   mutable cache_hits : int;  (** answered by the satisfiability cache *)
   mutable cex_hits : int;    (** answered by probing a cached model *)
   mutable sat_calls : int;   (** full bit-blast + SAT runs *)
@@ -45,7 +48,6 @@ val create :
   ?use_sat_cache:bool ->
   ?use_cex_cache:bool ->
   ?use_independence:bool ->
-  ?use_range:bool ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Profile.t ->
   unit ->
@@ -86,23 +88,20 @@ val clear_caches : t -> unit
     models, restricted to their own symbols, are merged. *)
 val check : t -> Expr.t list -> result
 
-(** [branch_feasible t ~pc ?boxes cond]: is [pc /\ cond] satisfiable?
+(** [branch_feasible t ~pc cond]: is [pc /\ cond] satisfiable?
     [pc] is a normalized path condition (members simplified, no trivial
     truths, e.g. {!State.t}'s [pc]) that is itself satisfiable — true for
     every live execution state; under it, independence slicing seeded by
-    [cond] is sound.  Only [cond] is simplified.  [boxes] are the pc's
-    interval facts if the caller carries them; omitted, they are
-    recomputed from [pc]. *)
-val branch_feasible : t -> pc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool
+    [cond] is sound.  Only [cond] is simplified. *)
+val branch_feasible : t -> pc:Expr.t list -> Expr.t -> bool
 
-(** [fork_feasible t ~pc ?boxes cond] answers
+(** [fork_feasible t ~pc cond] answers
     [(branch_feasible cond, branch_feasible (not cond))] in one entry
-    point: the condition is simplified once and the interval boxes and
-    independence slice are shared between the two polarities.  Each
+    point: the condition is simplified once and the independence slice
+    is shared between the two polarities.  Each
     polarity still counts as one query in {!stats} (with exactly one tier
     hit), so reconciliation invariants are unchanged. *)
-val fork_feasible :
-  t -> pc:Expr.t list -> ?boxes:Range.boxes -> Expr.t -> bool * bool
+val fork_feasible : t -> pc:Expr.t list -> Expr.t -> bool * bool
 
 (** Like {!check}, but the returned model depends only on the canonical
     constraint set — never on query history — so every worker computes the

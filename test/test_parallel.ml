@@ -123,8 +123,8 @@ let check_tier_sum what (st : Smt.Solver.stats) =
   Alcotest.(check int)
     (what ^ ": solver tiers reconcile")
     st.Smt.Solver.queries
-    (st.Smt.Solver.trivial + st.Smt.Solver.range_hits + st.Smt.Solver.cache_hits
-   + st.Smt.Solver.cex_hits + st.Smt.Solver.sat_calls)
+    (st.Smt.Solver.trivial + st.Smt.Solver.cache_hits + st.Smt.Solver.cex_hits
+   + st.Smt.Solver.sat_calls)
 
 (* [Cloud9.run_parallel]'s configuration, passed through [tweak] first,
    for runs that need a non-default cadence or tick. *)

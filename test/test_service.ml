@@ -213,6 +213,59 @@ let campaign_equal (a : Service.Campaign.t) (b : Service.Campaign.t) =
   && Bytes.equal a.Service.Campaign.coverage b.Service.Campaign.coverage
   && a.Service.Campaign.coverable = b.Service.Campaign.coverable
 
+(* Outside integers are decoded by one check: integer-valued and inside
+   [int], never truncated; domain counts must also fit OCaml 5.1's
+   per-process domain limit.  Decoder level only: no campaign runs and
+   no domain starts with any of these counts. *)
+let test_validate_json_ints () =
+  let ok f = V.int_of_json ~flag:"n" (J.Num f) in
+  let rejected what r = Alcotest.(check bool) (what ^ " rejected") true (Result.is_error r) in
+  Alcotest.(check bool) "3 accepted" true (ok 3.0 = Ok 3);
+  Alcotest.(check bool) "min_int accepted" true (ok (Float.of_int min_int) = Ok min_int);
+  Alcotest.(check bool) "2^61 accepted" true (ok 0x1p61 = Ok (1 lsl 61));
+  List.iter
+    (fun f -> rejected (J.number_to_string f) (ok f))
+    [ 2.5; 3.7; -0.5; 1e19; -1e19; 0x1p62; Float.nan; Float.infinity ];
+  rejected "string" (V.int_of_json ~flag:"n" (J.Str "3"));
+  rejected "null" (V.int_of_json ~flag:"n" J.Null);
+  Alcotest.(check bool) "1 domain" true (V.domains ~flag:"d" 1 = Ok 1);
+  Alcotest.(check bool) "max domains" true (V.domains ~flag:"d" V.max_domains = Ok 127);
+  List.iter
+    (fun n -> rejected (Printf.sprintf "%d domains" n) (V.domains ~flag:"d" n))
+    [ 0; -1; 128; 100_000; 1 lsl 61 ];
+  (* snapshot restore: runtime and counters go through the same checks *)
+  let with_field name v =
+    match S.campaign_to_json (sample_campaign ()) with
+    | J.Obj fs -> J.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) fs)
+    | _ -> Alcotest.fail "campaign encodes as an object"
+  in
+  let restore name v = S.campaign_of_json (with_field name v) in
+  let parallel n = J.Obj [ ("domains", J.Num n) ] in
+  Alcotest.(check bool) "snapshot domains 127 accepted" true
+    (match restore "runtime" (parallel 127.0) with
+    | Ok c -> c.Service.Campaign.spec.Service.Campaign.sp_runtime = Service.Campaign.Parallel 127
+    | Error _ -> false);
+  List.iter
+    (fun f -> rejected ("snapshot domains " ^ J.number_to_string f) (restore "runtime" (parallel f)))
+    [ 1e19; 2.5; 0.0; 128.0; 100000.0; 0x1p61 ];
+  rejected "snapshot workers 3.7" (restore "workers" (J.Num 3.7));
+  rejected "snapshot slice_instrs 2.5" (restore "slice_instrs" (J.Num 2.5));
+  (* control submit *)
+  let submit extra =
+    Service.Control.parse_command
+      (Printf.sprintf {|{"cmd":"submit","name":"c1","target":"printf",%s}|} extra)
+  in
+  Alcotest.(check bool) "submit domains 127 accepted" true
+    (match submit {|"runtime":"parallel","domains":127|} with
+    | Ok (Service.Control.Submit s) ->
+      s.Service.Campaign.sp_runtime = Service.Campaign.Parallel 127
+    | _ -> false);
+  List.iter
+    (fun d -> rejected ("submit domains " ^ d) (submit ({|"runtime":"parallel","domains":|} ^ d)))
+    [ "2.5"; "0"; "128"; "100000"; "2305843009213693952"; "1e19" ];
+  rejected "submit workers 3.7" (submit {|"workers":3.7|});
+  rejected "submit slice_instrs 2.5" (submit {|"slice_instrs":2.5|})
+
 let test_snapshot_roundtrip () =
   let st = { S.st_rotation = [ "c1"; "c9" ]; st_campaigns = [ sample_campaign () ] } in
   let text = J.to_string (S.state_to_json st) in
@@ -249,6 +302,103 @@ let test_snapshot_save_load () =
   | Error m -> Alcotest.(check bool) "names version" true (String.length m > 0)
   | Ok _ -> Alcotest.fail "future snapshot version must be refused");
   Sys.remove path
+
+(* [save] writes [path ^ ".tmp"] and renames it: a save torn before the
+   rename leaves a truncated [.tmp] beside the intact snapshot.  [load]
+   must not see it, and the next [save] must replace it. *)
+let test_snapshot_torn_save () =
+  let path = tmp_file ".json" in
+  let c = sample_campaign () in
+  S.save path ~rotation:[ "c1" ] [ S.campaign_fragment c ];
+  let before = S.load path in
+  Alcotest.(check bool) "intact snapshot loads" true (Result.is_ok before);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
+      output_string oc (String.sub text 0 (String.length text / 2)));
+  (match (before, S.load path) with
+  | Ok a, Ok b ->
+    Alcotest.(check (list string)) "same rotation" a.S.st_rotation b.S.st_rotation;
+    Alcotest.(check bool) "same campaign" true
+      (List.equal campaign_equal a.S.st_campaigns b.S.st_campaigns)
+  | _ -> Alcotest.fail "a torn .tmp must not change what load returns");
+  c.Service.Campaign.paths <- 99;
+  S.save path ~rotation:[ "c1" ] [ S.campaign_fragment c ];
+  Alcotest.(check bool) "next save replaces the .tmp" false (Sys.file_exists (path ^ ".tmp"));
+  (match S.load path with
+  | Ok st -> Alcotest.(check int) "new save loads" 99 (List.hd st.S.st_campaigns).Service.Campaign.paths
+  | Error e -> Alcotest.fail e);
+  Sys.remove path
+
+(* Every prefix and every single-byte substitution of [text] through a
+   total decoder: each must return [Ok] or [Error], never raise. *)
+let check_total what decode text =
+  let try_ s =
+    match decode s with
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e) s
+  in
+  for n = 0 to String.length text do
+    try_ (String.sub text 0 n)
+  done;
+  let b = Bytes.of_string text in
+  for i = 0 to Bytes.length b - 1 do
+    let orig = Bytes.get b i in
+    for v = 0 to 255 do
+      if Char.chr v <> orig then begin
+        Bytes.set b i (Char.chr v);
+        try_ (Bytes.to_string b)
+      end
+    done;
+    Bytes.set b i orig
+  done
+
+(* A saved snapshot (one simulated and one multicore campaign), cut or
+   corrupted: prefixes go through [load] on disk, and every one shorter
+   than the document is refused; substitutions go through the decoder
+   [load] applies to the bytes it reads. *)
+let test_snapshot_corruption_total () =
+  let path = tmp_file ".json" in
+  let par =
+    Service.Campaign.create
+      {
+        (sample_campaign ()).Service.Campaign.spec with
+        Service.Campaign.sp_name = "c2";
+        sp_runtime = Parallel 2;
+      }
+  in
+  S.save path ~rotation:[ "c1"; "c2" ] (List.map S.campaign_fragment [ sample_campaign (); par ]);
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check bool) "intact snapshot loads" true (Result.is_ok (S.load path));
+  let via_disk s =
+    Out_channel.with_open_bin path (fun oc -> output_string oc s);
+    S.load path
+  in
+  let doc_len = String.length (String.trim text) in
+  for n = 0 to String.length text - 1 do
+    match via_disk (String.sub text 0 n) with
+    | Ok _ when n < doc_len -> Alcotest.failf "a %d-byte prefix of the snapshot loaded" n
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "load raised %s on a %d-byte prefix" (Printexc.to_string e) n
+  done;
+  check_total "snapshot decode" (fun s -> Result.bind (J.parse s) S.state_of_json) text;
+  Sys.remove path
+
+let test_control_corruption_total () =
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("intact line parses: " ^ line) true
+        (Result.is_ok (Service.Control.parse_command line));
+      check_total "Control.parse_command" Service.Control.parse_command line)
+    [
+      {|{"cmd":"submit","name":"c1","target":"printf","variant":"sym-4","runtime":"parallel","domains":2,"workers":3,"speed":30,"max_steps":6000,"seed":7,"slice_instrs":500}|};
+      {|{"cmd":"status","name":"c1"}|};
+      {|{"cmd":"status"}|};
+      {|{"cmd":"pause","name":"c1"}|};
+      {|{"cmd":"resume","name":"c1"}|};
+      {|{"cmd":"cancel","name":"c1"}|};
+      {|{"cmd":"checkpoint"}|};
+      {|{"cmd":"shutdown"}|};
+    ]
 
 let test_hex_roundtrip () =
   let b = Bytes.init 64 (fun i -> Char.chr ((i * 37) land 0xff)) in
@@ -763,6 +913,7 @@ let () =
         [
           Alcotest.test_case "rejections" `Quick test_validate_rejections;
           Alcotest.test_case "cli flags" `Quick test_cli_flag_rejections;
+          Alcotest.test_case "json integers and domain counts" `Quick test_validate_json_ints;
         ] );
       ("scheduler", [ Alcotest.test_case "round robin" `Quick test_scheduler_round_robin ]);
       ( "snapshot",
@@ -770,6 +921,8 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "save/load/corrupt/version" `Quick test_snapshot_save_load;
           Alcotest.test_case "hex" `Quick test_hex_roundtrip;
+          Alcotest.test_case "torn save" `Quick test_snapshot_torn_save;
+          Alcotest.test_case "corruption never raises" `Quick test_snapshot_corruption_total;
         ] );
       ( "frontier",
         [
@@ -779,6 +932,7 @@ let () =
       ( "control",
         [
           Alcotest.test_case "command parsing" `Quick test_control_parse;
+          Alcotest.test_case "corruption never raises" `Quick test_control_corruption_total;
           Alcotest.test_case "daemon integration" `Quick test_daemon_control_integration;
         ] );
       ( "restore",

@@ -676,13 +676,13 @@ let test_clear_caches_rebuild () =
    fresh from-scratch solve ({!Smt.Solver.check_deterministic} on a
    solver created for that query, so no cache is warm) on every query of
    a growing path, whatever the earlier queries taught the shared
-   instance.  The caches and the interval fast path are off so every
-   non-trivial query reaches it. *)
+   instance.  The caches are off so every non-trivial query reaches
+   it. *)
 let prop_incremental_matches_fresh =
   QCheck2.Test.make ~count:100 ~name:"incremental verdicts match fresh-instance solver"
     QCheck2.Gen.(list_size (int_range 1 8) gen_bool_expr)
     (fun conds ->
-      let si = Smt.Solver.create ~use_sat_cache:false ~use_cex_cache:false ~use_range:false () in
+      let si = Smt.Solver.create ~use_sat_cache:false ~use_cex_cache:false () in
       let ok = ref true in
       let pc = ref (norm [ E.ult sym_a (i8 200) ]) in
       List.iter
@@ -755,8 +755,8 @@ let test_simplify_memo () =
 (* --- solver stats reconciliation ---------------------------------------------- *)
 
 let tier_sum st =
-  st.Smt.Solver.trivial + st.Smt.Solver.range_hits + st.Smt.Solver.cache_hits
-  + st.Smt.Solver.cex_hits + st.Smt.Solver.sat_calls
+  st.Smt.Solver.trivial + st.Smt.Solver.cache_hits + st.Smt.Solver.cex_hits
+  + st.Smt.Solver.sat_calls
 
 (* Regression: a trivially-true condition must count as one query answered
    by the [trivial] tier — in every entry point. *)
@@ -789,7 +789,7 @@ let prop_stats_reconcile =
   let gen =
     QCheck2.Gen.(list_size (int_range 1 20) (pair (int_bound 3) gen_bool_expr))
   in
-  QCheck2.Test.make ~count:100 ~name:"trivial+range+cache+cex+sat = queries" gen
+  QCheck2.Test.make ~count:100 ~name:"trivial+cache+cex+sat = queries" gen
     (fun ops ->
       let solver = Smt.Solver.create () in
       let pc = norm [ E.ult sym_a (i8 200) ] in
@@ -813,7 +813,7 @@ let prop_stats_reconcile =
       && st.Smt.Solver.sat_calls > s0.Smt.Solver.sat_calls
       && st.Smt.Solver.cache_hits - s0.Smt.Solver.cache_hits >= 2)
 
-(* The fused fork entry point (shared simplify, boxes and slice) answers
+(* The fused fork entry point (shared simplify and slice) answers
    exactly what a plain {!Smt.Solver.check} of the full, unsliced
    conjunction does, on both polarities.  The reference runs without
    independence, so it shares neither the slice nor the split [check]. *)
@@ -941,59 +941,6 @@ let prop_det_sound =
       | Smt.Solver.Unsat, Smt.Solver.Unsat -> true
       | _ -> false)
 
-(* --- interval analysis --------------------------------------------------------- *)
-
-(* soundness: for any expression and any concrete assignment inside the
-   boxes, the concrete value lies inside the abstract result *)
-let prop_range_sound =
-  QCheck2.Test.make ~count:500 ~name:"interval analysis is conservative"
-    QCheck2.Gen.(triple gen_expr gen_byte gen_byte)
-    (fun (e, va, vb) ->
-      let box v = Smt.Range.make ~width:8 0L v in
-      let lookup id =
-        if id = sym_id sym_a then Some (box va)
-        else if id = sym_id sym_b then Some (box vb)
-        else None
-      in
-      let r = Smt.Range.eval lookup e in
-      (* pick assignments at the box corners and inside *)
-      List.for_all
-        (fun (x, y) ->
-          let lookup_conc id =
-            if id = sym_id sym_a then Some x else if id = sym_id sym_b then Some y else None
-          in
-          Smt.Range.contains r (E.eval lookup_conc e))
-        [ (0L, 0L); (va, vb); (Int64.div va 2L, Int64.div vb 2L); (0L, vb); (va, 0L) ])
-
-(* agreement: when the fast path gives a verdict, the SAT solver agrees *)
-let prop_range_agrees_with_sat =
-  QCheck2.Test.make ~count:200 ~name:"range fast path agrees with SAT"
-    QCheck2.Gen.(pair gen_bool_expr (int_bound 255))
-    (fun (cond, bound) ->
-      let pc = norm [ E.ule sym_a (E.const ~width:8 (Int64.of_int bound)) ] in
-      let cond = Smt.Simplify.simplify cond in
-      match Option.bind (Smt.Range.boxes_of_pc pc) (fun bx -> Smt.Range.quick_feasible bx cond) with
-      | None -> true
-      | Some verdict ->
-        let solver = Smt.Solver.create ~use_range:false () in
-        Smt.Solver.branch_feasible solver ~pc cond = verdict)
-
-let test_range_basics () =
-  let box = Smt.Range.make ~width:8 10L 20L in
-  Alcotest.(check bool) "contains" true (Smt.Range.contains box 15L);
-  Alcotest.(check bool) "excludes" false (Smt.Range.contains box 21L);
-  (match Smt.Range.meet box (Smt.Range.make ~width:8 18L 30L) with
-  | Some m -> Alcotest.(check bool) "meet" true (m.Smt.Range.lo = 18L && m.Smt.Range.hi = 20L)
-  | None -> Alcotest.fail "meet must be nonempty");
-  Alcotest.(check bool) "empty meet" true
-    (Smt.Range.meet box (Smt.Range.make ~width:8 30L 40L) = None);
-  (* derived verdicts *)
-  let bx = Option.get (Smt.Range.boxes_of_pc (norm [ E.ult sym_a (i8 10) ])) in
-  Alcotest.(check (option bool)) "a<10 implies a<=20" (Some true)
-    (Smt.Range.quick_feasible bx (Smt.Simplify.simplify (E.ult sym_a (i8 20))));
-  Alcotest.(check (option bool)) "a<10 refutes a>=50" (Some false)
-    (Smt.Range.quick_feasible bx (Smt.Simplify.simplify (E.uge sym_a (i8 50))))
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1034,9 +981,6 @@ let () =
               prop_add_clause_matches_list;
             ] );
       ("cnf", qsuite [ prop_cnf_agrees_with_eval; prop_untracked_matches_tracked ]);
-      ( "range",
-        Alcotest.test_case "basics" `Quick test_range_basics
-        :: qsuite [ prop_range_sound; prop_range_agrees_with_sat ] );
       ( "solver",
         [
           Alcotest.test_case "branch feasibility" `Quick test_branch_feasible;
