@@ -9,10 +9,16 @@
 
 module Trie = Engine.Trie
 
-type 'env entry = {
-  epath : Engine.Path.t;
-  estate : 'env Engine.State.t option;  (** [None] = virtual *)
-  erecovery : bool;  (** re-seeded by crash recovery (cost accounting) *)
+(** A state cached at a fork point, as a replay start. *)
+type 'env snap
+
+(** A received batch whose members' replays pin the snapshots they pass. *)
+type 'env batch
+
+(** The worker's tag on a virtual candidate. *)
+type 'env job = {
+  recovery : bool;  (** re-seeded by crash recovery (cost accounting) *)
+  batch : 'env batch option;
 }
 
 type 'env mode =
@@ -21,47 +27,30 @@ type 'env mode =
       target : Engine.Path.t;
       remaining : Engine.Path.choice list;
       rstate : 'env Engine.State.t;
-      recov : bool;  (** replaying a recovery job *)
+      job : 'env job;
     }
-
-type policy =
-  | Random_path_only
-  | Interleaved  (** random-path alternating with coverage-optimized *)
 
 type 'env t = {
   id : int;
   cfg : 'env Engine.Executor.config;
   make_root : unit -> 'env Engine.State.t;
-  frontier : 'env entry Trie.t;
-  fence : unit Trie.t;
+  frontier : ('env, 'env job) Engine.Searcher.Core.t;
+      (** the candidates, selected by the interleaved default *)
+  mutable fences : int;
   banned : unit Trie.t;
       (** exact node paths owned by another worker after a crash
           recovery; fork products matching one are dropped (and the
           entry consumed) *)
-  rng : Random.State.t;
-  policy : policy;
-  weight : ('env Engine.State.t -> float) option;
   collect_tests : int;
-  snapshots : (string, 'env Engine.State.t) Hashtbl.t;
-  snap_queue : string Queue.t;
+  snapshots : 'env snap Trie.t;
+  snap_queue : 'env snap Queue.t;  (** FIFO eviction of unpinned snapshots *)
   snap_limit : int;
-  pins : (string, int) Hashtbl.t;
-      (** snapshot key → pin refcount; pinned snapshots survive FIFO
-          eviction while a received batch still has members outstanding *)
-  pin_of_target : (string, string) Hashtbl.t;  (** member job key → batch key *)
-  batch_members : (string, int) Hashtbl.t;  (** batch key → outstanding members *)
-  batch_keys : (string, string) Hashtbl.t;
-      (** batch key → snapshot keys pinned on its behalf (multi-bound):
-          every on-path state cached while replaying a member, so later
-          members restart from their pairwise common prefix with the
-          nearest already-replayed member *)
   mutable batch_fifo : Engine.Path.t list;
       (** received batch members not yet selected, in transfer
           (tree-adjacent) order — drained before the exploration
           strategy so each member replays from its neighbour's freshly
           pinned chain *)
   mutable mode : 'env mode;
-  mutable cov_turn : bool;
   mutable paths_completed : int;
   mutable errors : int;
   mutable pruned : int;
@@ -79,18 +68,14 @@ type 'env t = {
       (** wall-clock start of the replay in flight (profiling only) *)
 }
 
-(** [weight] replaces the coverage-optimized weighting (used e.g. by a
-    fewest-faults-first strategy).  A selected state runs for one
-    {!Engine.Executor.step} quantum, as does each replay step; a replay
-    quantum stops at the first choice, so it consumes at most one.
-    [snap_limit] bounds the replay snapshot cache (0 disables it,
-    forcing replay from the root);
-    [prof] records each from-path replay as a wall-clock [job_replay]
-    span (snapshot-exact materializations are skipped — there is no
-    replay to time). *)
+(** A selected state runs for one {!Engine.Executor.step} quantum, as
+    does each replay step; a replay quantum stops at the first choice,
+    so it consumes at most one.  [snap_limit] bounds the replay snapshot
+    cache (0 disables it, forcing replay from the root, except for the
+    snapshots a batch pins); [prof] records each from-path replay as a
+    wall-clock [job_replay] span (snapshot-exact materializations are
+    skipped — there is no replay to time). *)
 val create :
-  ?policy:policy ->
-  ?weight:('env Engine.State.t -> float) ->
   ?collect_tests:int ->
   ?snap_limit:int ->
   ?prof:Obs.Profile.t ->
@@ -121,10 +106,13 @@ val execute : 'env t -> budget:int -> int
     budget, so a caller polling between quanta pays no extra selections. *)
 val run_quantum : 'env t -> int
 
-(** The candidate the worker would run next — pending batch members
-    first, then its search policy — leaving the frontier as it is; it
-    advances the policy's turn and random state.  For tests. *)
-val select : 'env t -> 'env entry option
+(** Select the candidate the worker runs next — pending batch members
+    first, then the interleaved search — and check it out as a quantum
+    would: a virtual pick leaves the frontier, and a live one stays
+    checked out until it is written back by adding the same state to
+    [frontier] ({!Engine.Searcher.Core.add}) or retired by the next
+    change to the frontier.  For tests. *)
+val select : 'env t -> ('env, 'env job) Engine.Searcher.Core.candidate option
 
 (** Package up to [count] candidates for another worker; each becomes a
     fence node locally.  Virtual candidates are forwarded first; within
@@ -153,6 +141,8 @@ val frontier_paths : 'env t -> Engine.Path.t list
     candidate paths plus the target of an in-progress replay. *)
 val digest_paths : 'env t -> Engine.Path.t list
 
+(** Fence nodes created: candidates given away, and off-path siblings
+    met while replaying. *)
 val fence_count : 'env t -> int
 
 (** [(paths_completed, errors, useful_instrs, replay_instrs)]. *)

@@ -1,9 +1,9 @@
 (* A trie over execution-tree paths with subtree counts, supporting
-   uniform random-path descent.  The one shared implementation behind the
-   random-path searcher's state population and the cluster worker's
-   frontier/fence containers: payloads are whatever the client stores
-   (alive states, frontier entries, virtual nodes), keyed by the node's
-   root path. *)
+   uniform random-path descent.  The one shared implementation behind
+   the searcher core's path index (live and virtual candidates alike),
+   the cluster worker's snapshot cache and ban set, and the job-tree
+   encoding: payloads are whatever the client stores, keyed by the
+   node's root path. *)
 
 type 'a t = {
   mutable payload : 'a option;
@@ -90,36 +90,17 @@ let iter f t =
   in
   go t
 
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun x -> acc := f x !acc) t;
-  !acc
-
-(* The reverse of [iter]'s order: children last to first, each subtree
-   reversed, then the node's own payload.  Empty subtrees are skipped. *)
-let rec iter_rev f t =
-  if t.count > 0 then begin
-    iter_rev_children f t.children;
-    match t.payload with Some x -> f x | None -> ()
-  end
-
-and iter_rev_children f = function
-  | [] -> ()
-  | (_, n) :: rest ->
-    iter_rev_children f rest;
-    iter_rev f n
-
-let rec find_rev p t =
-  if t.count = 0 then None
-  else
-    match find_rev_children p t.children with
-    | Some _ as r -> r
-    | None -> ( match t.payload with Some x when p x -> t.payload | _ -> None)
-
-and find_rev_children p = function
-  | [] -> None
-  | (_, n) :: rest -> (
-    match find_rev_children p rest with Some _ as r -> r | None -> find_rev p n)
+(* The payload at the longest prefix of [path] that has one, with the
+   rest of [path] below it: one descent. *)
+let deepest t path =
+  let rec go t path best =
+    let best = match t.payload with Some x -> Some (x, path) | None -> best in
+    match path with
+    | [] -> best
+    | c :: rest -> (
+      match List.assoc_opt c t.children with None -> best | Some n -> go n rest best)
+  in
+  go t path None
 
 (* Nodes plus edges of the trie skeleton: the byte size of a preorder
    serialization with one structure byte per node and one choice byte per

@@ -1,6 +1,6 @@
 (** A trie over execution-tree paths with subtree counts and uniform
-    random-path descent — shared by the random-path searcher (alive-state
-    population) and the cluster worker (frontier/fence containers). *)
+    random-path descent — shared by the searcher core (its path index)
+    and the cluster worker (snapshot cache and ban set). *)
 
 type 'a t
 
@@ -26,14 +26,10 @@ val remove : 'a t -> Path.t -> bool
 val random_pick : Random.State.t -> 'a t -> 'a option
 
 val iter : ('a -> unit) -> 'a t -> unit
-val fold : ('a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
-(** [iter_rev] visits the payloads in exactly the reverse of {!iter}'s
-    order — the order of the list [fold (fun x l -> x :: l) t []] —
-    without building it; [find_rev p t] is the first payload in that
-    order satisfying [p]. *)
-val iter_rev : ('a -> unit) -> 'a t -> unit
-val find_rev : ('a -> bool) -> 'a t -> 'a option
+(** The payload at the longest prefix of the path that has one, with the
+    rest of the path below that prefix. *)
+val deepest : 'a t -> Path.t -> ('a * Path.t) option
 
 (** Nodes plus edges of the trie skeleton — the byte size of a preorder
     serialization with one structure byte per node and one per edge. *)

@@ -42,14 +42,14 @@ let reference_path_count =
      assert (result.Engine.Driver.exhausted);
      result.Engine.Driver.paths_explored)
 
-let make_worker ?(global_alloc = None) ?(collect_tests = 0) program i =
+let make_worker ?(global_alloc = None) ?(collect_tests = 0) ?snap_limit ?obs program i =
   let solver = Smt.Solver.create () in
   let cfg =
-    Engine.Executor.make_config ~solver ~handler:Engine.Executor.no_env_handler
+    Engine.Executor.make_config ?obs ~solver ~handler:Engine.Executor.no_env_handler
       ~nlines:program.Cvm.Program.nlines ~global_alloc ()
   in
   let make_root () = Engine.State.init program ~env:() ~args:[] in
-  Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:1234 ~collect_tests ()
+  Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:1234 ~collect_tests ?snap_limit ()
 
 let run_cluster ?(nworkers = 4) ?lb_disable_at ?(speed = 500) program =
   let cfg =
@@ -236,9 +236,8 @@ let gen_steal = QCheck2.Gen.(pair (int_range 600 2000) (int_range 2 5))
    most the sum of independent full-path replays minus the shared prefix
    re-walked once per extra member — the analytic prefix+suffix bound
    (each avoided prefix walk costs at least one instruction per choice). *)
-let prop_batch_replay_bound =
-  QCheck2.Test.make ~count:8 ~name:"factored batch meets the prefix+suffix replay bound" gen_steal
-    (fun (budget, count) ->
+let prop_batch_replay_bound ?snap_limit name =
+  QCheck2.Test.make ~count:8 ~name gen_steal (fun (budget, count) ->
       let src = make_worker workload 0 in
       Cluster.Worker.seed_root src;
       ignore (Cluster.Worker.execute src ~budget);
@@ -253,7 +252,7 @@ let prop_batch_replay_bound =
       (* the wire form re-expands to exactly the stolen nodes, in order *)
       if Cluster.Job.jobs_of_batch batch <> jobs then
         Alcotest.fail "batch expansion lost or reordered nodes";
-      let thief = make_worker workload 1 in
+      let thief = make_worker ?snap_limit workload 1 in
       Cluster.Worker.receive_batch thief batch;
       drain thief;
       let k = List.length jobs in
@@ -409,21 +408,46 @@ let test_job_tree_prefix_sharing () =
   Alcotest.(check int) "naive counts every path byte" (3 * 43) naive;
   Alcotest.(check bool) (Printf.sprintf "tree (%d) < naive (%d)" tree naive) true (tree < naive)
 
+(* A traced worker announces each node that enters its frontier once:
+   fork products, not the write-back of a quantum that did not fork.
+   Polling the frontier after every quantum sees every node that entered
+   it, since a quantum selects before it adds; the seeded root is not
+   announced. *)
+let test_worker_announces_candidates_once () =
+  let obs = Obs.Sink.create ~trace_capacity:100_000 () in
+  let w = make_worker ~obs:(Obs.Sink.for_worker obs 0) workload 0 in
+  Cluster.Worker.seed_root w;
+  let seen = Hashtbl.create 1024 in
+  let note () = List.iter (fun p -> Hashtbl.replace seen p ()) (Cluster.Worker.frontier_paths w) in
+  note ();
+  while Cluster.Worker.run_quantum w > 0 do
+    note ()
+  done;
+  Alcotest.(check int) "explored the tree" (Lazy.force reference_path_count)
+    w.Cluster.Worker.paths_completed;
+  let trace = Obs.Sink.trace obs in
+  Alcotest.(check int) "no trace record lost" 0 (Obs.Trace.dropped trace);
+  let announced = ref 0 in
+  Obs.Trace.iter
+    (fun r ->
+      match r.Obs.Trace.r_event with
+      | Obs.Event.Candidate_added { virt = false; _ } -> incr announced
+      | _ -> ())
+    trace;
+  Alcotest.(check int) "one candidate event per node" (Hashtbl.length seen - 1) !announced
+
 (* The selection sequence of a seeded worker on a fixed frontier: grow a
    frontier of materialized states with differing coverage weights, then
-   select from it repeatedly without running anything.  Each pick is the
-   index of its path among the frontier's sorted paths; the sequence was
-   recorded from the list-building weighted pick, so a change in the
-   candidate order, the float accumulation or the random draws moves it. *)
+   select from it repeatedly, writing each pick back as a quantum that
+   did not fork would, without running anything.  Each pick is the index
+   of its path among the frontier's sorted paths; a change in the
+   interleaving, the random draws or the sum tree moves the sequence. *)
 let test_worker_selection_sequence () =
   let w = make_worker workload 0 in
   Cluster.Worker.seed_root w;
   ignore (Cluster.Worker.execute w ~budget:3000);
-  let paths =
-    List.sort Path.compare
-      (Engine.Trie.fold (fun e acc -> e.Cluster.Worker.epath :: acc) w.Cluster.Worker.frontier [])
-  in
-  Alcotest.(check int) "frontier size" 186 (List.length paths);
+  let paths = List.sort Path.compare (Cluster.Worker.frontier_paths w) in
+  Alcotest.(check int) "frontier size" 181 (List.length paths);
   let index p =
     let rec go i = function
       | [] -> Alcotest.fail "selected a path outside the frontier"
@@ -434,13 +458,17 @@ let test_worker_selection_sequence () =
   let picks =
     List.init 40 (fun _ ->
         match Cluster.Worker.select w with
-        | Some e -> index e.Cluster.Worker.epath
+        | Some (Engine.Searcher.Core.Live st) ->
+          let i = index (Engine.State.path st) in
+          Engine.Searcher.Core.add w.Cluster.Worker.frontier st;
+          i
+        | Some (Engine.Searcher.Core.Virtual _) -> Alcotest.fail "a virtual candidate on a seeded worker"
         | None -> Alcotest.fail "empty selection")
   in
   Alcotest.(check (list int)) "selection sequence"
-    [ 20; 65; 161; 29; 162; 4; 69; 81; 18; 53; 174; 84; 125; 177; 12; 151; 133; 23; 45; 102;
-      121; 178; 115; 135; 164; 169; 40; 86; 103; 111; 176; 96; 165; 52; 167; 149; 70; 129; 31;
-      140 ]
+    [ 103; 170; 72; 119; 124; 127; 143; 176; 171; 140; 166; 50; 0; 163; 10; 98; 38; 51; 58;
+      113; 112; 162; 128; 56; 178; 64; 25; 93; 111; 123; 7; 94; 103; 41; 155; 173; 97; 9; 74;
+      137 ]
     picks
 
 (* --- trie ------------------------------------------------------------------------------------ *)
@@ -455,24 +483,14 @@ let test_trie_ops () =
   Alcotest.(check bool) "remove p1" true (Engine.Trie.remove t p1);
   Alcotest.(check bool) "remove p1 again fails" false (Engine.Trie.remove t p1);
   Alcotest.(check int) "size 1" 1 (Engine.Trie.size t);
+  (* the deepest stored prefix of a path, with the rest of the path *)
+  let deepest p = Engine.Trie.deepest t p in
+  Alcotest.(check bool) "deepest below b" true
+    (deepest (p2 @ [ Path.Branch true ]) = Some ("b", [ Path.Branch true ]));
+  Alcotest.(check bool) "deepest at b" true (deepest p2 = Some ("b", []));
+  Alcotest.(check bool) "no stored prefix" true (deepest p1 = None);
   let rng = Random.State.make [| 1 |] in
   Alcotest.(check (option string)) "random pick finds b" (Some "b") (Engine.Trie.random_pick rng t)
-
-(* [iter_rev] visits in exactly the order of the list a consing [fold]
-   builds, and [find_rev] returns the first match in that order. *)
-let test_trie_reverse_order () =
-  let t = Engine.Trie.create () in
-  List.iteri
-    (fun i p -> Engine.Trie.add t (List.map (fun b -> Path.Branch b) p) i)
-    [ []; [ true ]; [ false ]; [ true; true ]; [ true; false ]; [ false; true ]; [ true; true; false ] ];
-  let consed = Engine.Trie.fold (fun x l -> x :: l) t [] in
-  let visited = ref [] in
-  Engine.Trie.iter_rev (fun x -> visited := x :: !visited) t;
-  Alcotest.(check (list int)) "iter_rev order" consed (List.rev !visited);
-  Alcotest.(check (option int)) "find_rev: first even in that order"
-    (List.find_opt (fun x -> x mod 2 = 0) consed)
-    (Engine.Trie.find_rev (fun x -> x mod 2 = 0) t);
-  Alcotest.(check (option int)) "find_rev: no match" None (Engine.Trie.find_rev (fun x -> x > 9) t)
 
 let () =
   Alcotest.run "cluster"
@@ -496,11 +514,16 @@ let () =
           Alcotest.test_case "replay lands in quanta" `Quick test_worker_replay_quanta;
           Alcotest.test_case "collected tests capped" `Quick test_worker_caps_collected_tests;
           Alcotest.test_case "selection sequence" `Quick test_worker_selection_sequence;
+          Alcotest.test_case "candidates announced once" `Quick
+            test_worker_announces_candidates_once;
         ] );
       ( "prefix-handoff",
         qsuite
           [
-            prop_batch_replay_bound;
+            prop_batch_replay_bound "factored batch meets the prefix+suffix replay bound";
+            (* a cache of one snapshot evicts at every insertion: only the
+               batch's pins keep the shared prefix *)
+            prop_batch_replay_bound ~snap_limit:1 "the bound holds when the cache evicts";
             prop_recovery_replay_accounted;
             prop_takeback_roundtrip_exact;
           ] );
@@ -515,6 +538,5 @@ let () =
       ( "trie",
         [
           Alcotest.test_case "basic operations" `Quick test_trie_ops;
-          Alcotest.test_case "reverse order" `Quick test_trie_reverse_order;
         ] );
     ]

@@ -262,23 +262,54 @@ let chi_square counts shares =
     counts;
   !x
 
-(* Select and write back (the step did not fork) [rounds] times; count
-   how often each state is picked, by [bucket] of its root-first path. *)
-let pick_counts s states ~buckets ~bucket ~rounds =
-  List.iter s.Engine.Searcher.add states;
+module SC = Engine.Searcher.Core
+
+(* Select and write back [rounds] times: a live pick is re-added as a
+   step that did not fork would, a virtual one (which left the core) is
+   queued again.  Counts how often each candidate is picked, by [bucket]
+   of its root-first path.  [select] defaults to the closure searcher
+   [s], which holds only live states. *)
+let pick_counts ?core s states ~buckets ~bucket ~rounds =
+  let pick =
+    match core with
+    | Some c -> (
+      fun () ->
+        match SC.select c with
+        | Some (SC.Live st) ->
+          SC.add c st;
+          Engine.State.path st
+        | Some (SC.Virtual (p, ())) ->
+          SC.add_virtual c p ();
+          p
+        | None -> Alcotest.fail "core ran dry")
+    | None -> (
+      List.iter s.Engine.Searcher.add states;
+      fun () ->
+        match s.Engine.Searcher.select () with
+        | Some st ->
+          s.Engine.Searcher.add st;
+          Engine.State.path st
+        | None -> Alcotest.fail "searcher ran dry")
+  in
   let counts = Array.make buckets 0 in
   for _ = 1 to rounds do
-    match s.Engine.Searcher.select () with
-    | Some st ->
-      let b = bucket (Engine.State.path st) in
-      counts.(b) <- counts.(b) + 1;
-      s.Engine.Searcher.add st
-    | None -> Alcotest.fail "searcher ran dry"
+    let b = bucket (pick ()) in
+    counts.(b) <- counts.(b) + 1
   done;
   counts
 
+(* A core of [name] holding [states] and virtual candidates at [virtuals]. *)
+let core_with name states virtuals =
+  let c = SC.of_name ~rng:(Random.State.make [| 11 |]) name in
+  List.iter (SC.add c) states;
+  List.iter (fun p -> SC.add_virtual c p ()) virtuals;
+  c
+
 (* Weights 1, 1/2, 1/4, 1/8 (staleness 0, 1, 3, 7).  The bound is the
-   chi-square 0.1% critical value at 3 degrees of freedom. *)
+   chi-square 0.1% critical value at 3 degrees of freedom.  Virtual
+   candidates weigh 0: queued beside the live states they are never
+   picked and leave the live proportions as they are, and a population
+   of virtual candidates alone still yields every one of them. *)
 let test_cov_opt_proportional_to_weight () =
   let st0 = Engine.State.init (compile sym_branch_unit) ~env:() ~args:[] in
   let states =
@@ -286,29 +317,57 @@ let test_cov_opt_proportional_to_weight () =
       (fun i steps -> { st0 with Engine.State.path = [ Engine.Path.Sys i ]; steps; last_new_cover = 0 })
       [ 0; 1; 3; 7 ]
   in
-  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 11 |]) "cov-opt" in
+  let virtuals = List.init 3 (fun i -> [ Engine.Path.Sys (4 + i) ]) in
   let bucket = function [ Engine.Path.Sys i ] -> i | _ -> Alcotest.fail "unexpected path" in
+  let shares = [| 1.0; 0.5; 0.25; 0.125 |] in
+  let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 11 |]) "cov-opt" in
   let counts = pick_counts s states ~buckets:4 ~bucket ~rounds:20_000 in
-  let x = chi_square counts [| 1.0; 0.5; 0.25; 0.125 |] in
-  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 16.27" x) true (x < 16.27)
+  let x = chi_square counts shares in
+  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 16.27" x) true (x < 16.27);
+  let core = core_with "cov-opt" states virtuals in
+  let counts = pick_counts ~core s [] ~buckets:7 ~bucket ~rounds:20_000 in
+  Alcotest.(check (list int)) "no virtual pick while a live one exists" [ 0; 0; 0 ]
+    (Array.to_list (Array.sub counts 4 3));
+  let x = chi_square (Array.sub counts 0 4) shares in
+  Alcotest.(check bool) (Printf.sprintf "with virtuals: chi-square %.2f < 16.27" x) true (x < 16.27);
+  let core = core_with "cov-opt" [] virtuals in
+  let drained =
+    List.init 3 (fun _ ->
+        match SC.select core with
+        | Some (SC.Virtual (p, ())) -> bucket p
+        | Some (SC.Live _) -> Alcotest.fail "a live pick from virtual candidates"
+        | None -> Alcotest.fail "an all-virtual population selected nothing")
+  in
+  Alcotest.(check (list int)) "all-virtual population selects each once" [ 4; 5; 6 ]
+    (List.sort compare drained);
+  Alcotest.(check bool) "then empty" true (SC.select core = None)
 
-(* Root subtrees of 1, 3 and 5 states: each is picked a third of the
-   time, whatever its size.  The bound is the chi-square 0.1% critical
-   value at 2 degrees of freedom. *)
+(* Root subtrees of 1, 3 and 5 candidates: each is picked a third of the
+   time, whatever its size, and whether its candidates are live or
+   virtual.  The bound is the chi-square 0.1% critical value at 2
+   degrees of freedom. *)
 let test_random_path_uniform_at_root () =
   let st0 = Engine.State.init (compile sym_branch_unit) ~env:() ~args:[] in
-  let states =
+  let paths =
     List.concat_map
-      (fun (root, leaves) ->
-        List.init leaves (fun j ->
-            { st0 with Engine.State.path = List.rev [ Engine.Path.Sched root; Engine.Path.Sys j ] }))
+      (fun (root, leaves) -> List.init leaves (fun j -> [ Engine.Path.Sched root; Engine.Path.Sys j ]))
       [ (0, 1); (1, 3); (2, 5) ]
   in
+  let live p = { st0 with Engine.State.path = List.rev p } in
   let s = Engine.Searcher.of_name ~rng:(Random.State.make [| 11 |]) "random-path" in
   let bucket = function Engine.Path.Sched r :: _ -> r | _ -> Alcotest.fail "unexpected path" in
-  let counts = pick_counts s states ~buckets:3 ~bucket ~rounds:9_000 in
+  let counts = pick_counts s (List.map live paths) ~buckets:3 ~bucket ~rounds:9_000 in
   let x = chi_square counts [| 1.0; 1.0; 1.0 |] in
-  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 13.82" x) true (x < 13.82)
+  Alcotest.(check bool) (Printf.sprintf "chi-square %.2f < 13.82" x) true (x < 13.82);
+  (* the lone candidate of subtree 0 and the even leaves elsewhere are
+     virtual *)
+  let virt = function [ Engine.Path.Sched 0; _ ] -> true | [ _; Engine.Path.Sys j ] -> j mod 2 = 0 | _ -> false in
+  let core =
+    core_with "random-path" (List.map live (List.filter (fun p -> not (virt p)) paths)) (List.filter virt paths)
+  in
+  let counts = pick_counts ~core s [] ~buckets:3 ~bucket ~rounds:9_000 in
+  let x = chi_square counts [| 1.0; 1.0; 1.0 |] in
+  Alcotest.(check bool) (Printf.sprintf "with virtuals: chi-square %.2f < 13.82" x) true (x < 13.82)
 
 (* --- hang detection ------------------------------------------------------------- *)
 
