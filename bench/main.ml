@@ -55,7 +55,6 @@ let cluster ?(speed = 100) ?(status = 5) ?(latency = 1) ?lb_disable_at ?(goal = 
       faults;
       init_frontier = None;
       init_bans = [];
-      stop_after_instrs = None;
     }
   in
   CD.run ?obs cfg
@@ -584,8 +583,7 @@ let ablation_allocator () =
         faults = Cluster.Faultplan.none;
         init_frontier = None;
         init_bans = [];
-        stop_after_instrs = None;
-      }
+        }
     in
     let r = CD.run cfg in
     Printf.printf "%-22s paths=%4d (reference %d)  broken replays=%d\n" name r.CD.total_paths

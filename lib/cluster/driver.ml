@@ -61,15 +61,10 @@ type 'env config = {
   bucket_ticks : int;       (* stats bucket size (Fig. 12 uses 10 s) *)
   coverable_lines : int;    (* denominator for global coverage fraction *)
   faults : Faultplan.t;     (* crash / loss / partition schedule *)
-  (* Campaign-service hooks (see lib/service): a run may start from a
-     checkpointed frontier instead of the root, and may be preempted
-     after an instruction budget.  Preemption drains the cluster to a
-     barrier — no execution budgets granted, in-flight leases allowed to
-     settle — at which point the union of worker digests partitions the
-     unexplored region exactly and is exported for a later resume. *)
+  (* Campaign-service hook (see lib/service): a run may start from a
+     checkpointed frontier instead of the root. *)
   init_frontier : Job.t list option; (* [Some jobs]: seed these, not the root *)
   init_bans : Job.t list;   (* checkpointed ban set to re-install *)
-  stop_after_instrs : int option; (* drain + export once useful instrs reach this *)
 }
 
 type bucket = {
@@ -88,16 +83,16 @@ let fresh_bucket t =
 (* Everything a campaign must persist to resume this run later and reach
    the exact totals of an uninterrupted one: the unexplored frontier as
    job-tree path encodings (each node exactly once, taken at a drained
-   barrier), the cumulative ban set, this run's counters, and the union
-   coverage bit vector. *)
+   barrier), the cumulative ban set, and the union coverage bit vector. *)
 type frontier_export = {
   fx_jobs : Job.t list;      (* every unexplored candidate, exactly once *)
   fx_bans : Job.t list;      (* cumulative ban set (crash recoveries) *)
-  fx_paths : int;            (* this run's completed-path total *)
-  fx_errors : int;
   fx_coverage : Bytes.t;     (* union line bit vector of this run *)
 }
 
+(* One slice's result: every counter covers this slice only (for [run],
+   the whole run), so a caller summing the slices of one cluster gets the
+   totals of an uninterrupted run. *)
 type result = {
   ticks : int;               (* virtual time consumed *)
   reached_goal : bool;
@@ -115,17 +110,25 @@ type result = {
   retransmits : int;         (* job batches resent after an ack timeout *)
   recovery_replay_instrs : int; (* replay cost of reconstructing orphans *)
   solver_stats : Smt.Solver.stats; (* cluster-wide aggregate, dead workers included *)
-  per_worker_solver : (int * Smt.Solver.stats) list; (* live workers at run end *)
+  per_worker_solver : (int * Smt.Solver.stats) list; (* live workers at slice end *)
   export : frontier_export option;
-      (* present iff [stop_after_instrs] was set and the run reached a
-         drained barrier (budget preemption or natural exhaustion); a
-         [max_ticks] bailout mid-flight yields [None] *)
+      (* present iff the slice stopped at a drained barrier (budget
+         preemption or natural exhaustion); a [max_ticks] bailout
+         mid-flight yields [None] *)
 }
 
-let run ?obs (cfg : 'env config) =
+(* A started cluster between slices.  [advance] closes over the whole
+   simulation state built by [start]: workers, inbox, transport, ledger,
+   balancer and virtual clock all persist from one slice to the next. *)
+type 'env t = {
+  workers : 'env Worker.t option array;
+  advance : int -> result;
+}
+
+let start ?obs (cfg : 'env config) =
   (match Faultplan.validate cfg.faults ~nworkers:cfg.nworkers with
   | Ok () -> ()
-  | Error m -> invalid_arg ("Driver.run: " ^ m));
+  | Error m -> invalid_arg ("Driver.start: " ^ m));
   let workers : 'env Worker.t option array = Array.make cfg.nworkers None in
   let departed = Array.make cfg.nworkers false in (* crashed; blocks re-arrival *)
   let frt = Faultplan.make cfg.faults in
@@ -140,16 +143,32 @@ let run ?obs (cfg : 'env config) =
     | None -> [||]
     | Some s -> Array.init cfg.nworkers (Obs.Sink.for_worker s)
   in
-  let idle_acc = Array.make cfg.nworkers 0 in (* cumulative unused budget *)
+  let idle_acc = Array.make cfg.nworkers 0 in (* unused budget this slice *)
   let d_solver = Smt.Solver.zero_stats () in  (* dead workers' solver counters *)
+  (* each live engine's counters at the start of the slice (zero for an
+     engine spawned during it): per-worker results and timeline samples
+     count from here, so a paused cluster's slices sum like a run's *)
+  let base_useful = Array.make cfg.nworkers 0 in
+  let base_replay = Array.make cfg.nworkers 0 in
+  let base_solver = Array.init cfg.nworkers (fun _ -> Smt.Solver.zero_stats ()) in
   let sample_worker i (w : 'env Worker.t) =
     if obs <> None then begin
       let stats = w.Worker.cfg.Executor.stats in
       let ss = Smt.Solver.stats w.Worker.cfg.Executor.solver in
-      Obs.Sink.observe wsinks.(i) ~useful:stats.Executor.useful_instrs
-        ~replay:stats.Executor.replay_instrs ~idle:idle_acc.(i)
-        ~depth:(Worker.queue_length w) ~queries:ss.Smt.Solver.queries
-        ~sat_calls:ss.Smt.Solver.sat_calls
+      Obs.Sink.observe wsinks.(i)
+        ~useful:(stats.Executor.useful_instrs - base_useful.(i))
+        ~replay:(stats.Executor.replay_instrs - base_replay.(i))
+        ~idle:idle_acc.(i) ~depth:(Worker.queue_length w)
+        ~queries:(ss.Smt.Solver.queries - base_solver.(i).Smt.Solver.queries)
+        ~sat_calls:(ss.Smt.Solver.sat_calls - base_solver.(i).Smt.Solver.sat_calls)
+    end
+  in
+  (* zero the timeline's cumulative cursors of worker [i], so the counts
+     from here are not mistaken for a continuation of another engine's *)
+  let zero_timeline i =
+    if obs <> None then begin
+      idle_acc.(i) <- 0;
+      Obs.Sink.observe wsinks.(i) ~useful:0 ~replay:0 ~idle:0 ~depth:0 ~queries:0 ~sat_calls:0
     end
   in
   (* the balancer is created when the first worker joins, sized from that
@@ -159,16 +178,9 @@ let run ?obs (cfg : 'env config) =
   let inbox : (int * message) list ref = ref [] in (* (deliver_tick, msg) *)
   let tick = ref 0 in
   let transfers_total = ref 0 in
-  let buckets = ref [] in
+  let buckets = ref [] in (* closed during the current slice *)
   let cur_bucket = ref (fresh_bucket 0) in
-  let stop = ref false in
-  let reached = ref false in
   let root_seeded = ref false in
-  (* drain mode (budget preemption): no execution budgets are granted and
-     no new transfers are issued, but message delivery, acks, reports and
-     retransmission sweeps continue until no lease is in flight — the
-     barrier at which worker digests partition the unexplored region. *)
-  let draining = ref false in
   (* counters of crashed workers, captured at crash time: the reported
      path/error counts live in the transport's credits (unreported
      completions are redone by recovery and counted there — never
@@ -254,12 +266,10 @@ let run ?obs (cfg : 'env config) =
       if !lb_pending_disable then Balancer.disable b;
       lb := Some b);
     workers.(i) <- Some w;
-    (* fresh engine: zero the timeline's cumulative cursors so the
-       rejoined worker's counters are not mistaken for a continuation *)
-    if obs <> None then begin
-      idle_acc.(i) <- 0;
-      Obs.Sink.observe wsinks.(i) ~useful:0 ~replay:0 ~idle:0 ~depth:0 ~queries:0 ~sat_calls:0
-    end;
+    base_useful.(i) <- 0;
+    base_replay.(i) <- 0;
+    base_solver.(i) <- Smt.Solver.zero_stats ();
+    zero_timeline i;
     w
   in
   (* lease id -> worker that processed it: receiver-side dedup, and the
@@ -310,251 +320,297 @@ let run ?obs (cfg : 'env config) =
         !d_broken )
       (alive_workers ())
   in
+  (* [(id, f slot worker)] for every live worker *)
+  let per_live f =
+    Array.to_list workers
+    |> List.mapi (fun i w -> Option.map (fun w -> (w.Worker.id, f i w)) w)
+    |> List.filter_map Fun.id
+  in
+  let recovery_replay () =
+    List.fold_left
+      (fun acc w -> acc + w.Worker.recovery_replay_instrs)
+      !d_recov_replay (alive_workers ())
+  in
+  let solver_total () =
+    let agg = Smt.Solver.zero_stats () in
+    Smt.Solver.accum_stats agg d_solver;
+    List.iter
+      (fun w -> Smt.Solver.accum_stats agg (Smt.Solver.stats w.Worker.cfg.Executor.solver))
+      (alive_workers ());
+    agg
+  in
 
-  while not !stop do
-    let t = !tick in
-    (match obs with Some s -> Obs.Sink.set_now s t | None -> ());
-    (* scheduled faults: crash-stop, then fresh-engine rejoins *)
-    List.iter
-      (fun i -> Transport.handle_crash transport ~now:t ~worker:i)
-      (Faultplan.crashes_at frt ~tick:t);
-    List.iter
-      (fun i ->
-        if i >= 0 && i < cfg.nworkers && workers.(i) = None then begin
-          departed.(i) <- false;
-          emit (Obs.Event.Rejoin { worker = i });
-          ignore (spawn i)
-        end)
-      (Faultplan.rejoins_at frt ~tick:t);
-    (* worker arrivals *)
-    for i = 0 to cfg.nworkers - 1 do
-      if workers.(i) = None && (not departed.(i)) && cfg.join_tick i <= t then begin
-        emit (Obs.Event.Join { worker = i });
-        let w = spawn i in
-        if i = 0 && not !root_seeded then begin
-          (match cfg.init_frontier with
-          | None ->
-            Worker.seed_root w;
-            Transport.seed_root transport ~dst:0 ~now:t
-          | Some jobs ->
-            (* resume: the checkpointed frontier becomes virtual
-               candidates on the first worker (the balancer spreads them
-               like any load imbalance), leased as a delivered seed so a
-               crash before the first report re-seeds it.  Replaying a
-               restored frontier is restoration cost, not ordinary
-               rebalancing replay: it books as recovery, consistent with
-               the other failure-path re-imports (see DESIGN.md, "Prefix
-               handoff").  The slice budget already counts only useful
-               instructions, so the classification changes accounting,
-               not behavior. *)
-            Worker.receive_jobs ~recovery:true w jobs;
-            Transport.seed_jobs transport ~dst:0 ~jobs ~now:t);
-          root_seeded := true
+  (* One slice: tick until the cluster has retired [budget] more useful
+     instructions (or reached its goal, or spent [max_ticks] ticks), then
+     drain to a barrier.  The next slice picks up at the next tick with
+     every worker's frontier, snapshots and solver as this one left them. *)
+  let advance budget =
+    let tick0 = !tick in
+    let paths0, errors0, useful0, replay0, broken0 = totals () in
+    let transfers0 = !transfers_total in
+    let crashes0 = Transport.crashes transport in
+    let recovered0 = Transport.recovered_jobs transport in
+    let retransmits0 = Transport.retransmits transport in
+    let recov0 = recovery_replay () in
+    let solver0 = solver_total () in
+    (match obs with Some s -> Obs.Sink.set_now s tick0 | None -> ());
+    Array.iteri
+      (fun i w ->
+        match w with
+        | None -> ()
+        | Some w ->
+          let _, _, useful, replay = Worker.stats w in
+          base_useful.(i) <- useful;
+          base_replay.(i) <- replay;
+          base_solver.(i) <- Smt.Solver.copy_stats w.Worker.cfg.Executor.solver;
+          zero_timeline i)
+      workers;
+    buckets := [];
+    let stop = ref false in
+    let reached = ref false in
+    (* drain mode (budget preemption): no execution budgets are granted and
+       no new transfers are issued, but message delivery, acks, reports and
+       retransmission sweeps continue until no lease is in flight — the
+       barrier at which worker digests partition the unexplored region. *)
+    let draining = ref false in
+    while not !stop do
+      let t = !tick in
+      (match obs with Some s -> Obs.Sink.set_now s t | None -> ());
+      (* scheduled faults: crash-stop, then fresh-engine rejoins *)
+      List.iter
+        (fun i -> Transport.handle_crash transport ~now:t ~worker:i)
+        (Faultplan.crashes_at frt ~tick:t);
+      List.iter
+        (fun i ->
+          if i >= 0 && i < cfg.nworkers && workers.(i) = None then begin
+            departed.(i) <- false;
+            emit (Obs.Event.Rejoin { worker = i });
+            ignore (spawn i)
+          end)
+        (Faultplan.rejoins_at frt ~tick:t);
+      (* worker arrivals *)
+      for i = 0 to cfg.nworkers - 1 do
+        if workers.(i) = None && (not departed.(i)) && cfg.join_tick i <= t then begin
+          emit (Obs.Event.Join { worker = i });
+          let w = spawn i in
+          if i = 0 && not !root_seeded then begin
+            (match cfg.init_frontier with
+            | None ->
+              Worker.seed_root w;
+              Transport.seed_root transport ~dst:0 ~now:t
+            | Some jobs ->
+              (* resume: the checkpointed frontier becomes virtual
+                 candidates on the first worker (the balancer spreads them
+                 like any load imbalance), leased as a delivered seed so a
+                 crash before the first report re-seeds it.  Replaying a
+                 restored frontier is restoration cost, not ordinary
+                 rebalancing replay: it books as recovery, consistent with
+                 the other failure-path re-imports (see DESIGN.md, "Prefix
+                 handoff").  The slice budget already counts only useful
+                 instructions, so the classification changes accounting,
+                 not behavior. *)
+              Worker.receive_jobs ~recovery:true w jobs;
+              Transport.seed_jobs transport ~dst:0 ~jobs ~now:t);
+            root_seeded := true
+          end
         end
-      end
-    done;
-    (* deliver due messages *)
-    let due, later = List.partition (fun (at, _) -> at <= t) !inbox in
-    inbox := later;
-    List.iter
-      (fun (_, msg) ->
-        match msg with
-        | Jobs { lease; src; dst; encoded; recovery } -> (
-          match workers.(dst) with
-          | Some w ->
-            (* always (re)acknowledge: the previous ack may have been
-               lost; deliver the payload only once per lease *)
-            send_net ~at:(t + cfg.latency) ~src:dst ~dst:Faultplan.lb
-              (Ack { lease; src = dst });
-            if not (Hashtbl.mem processed_leases lease) then begin
-              Hashtbl.replace processed_leases lease dst;
-              let batch =
-                match Job.decode_batch encoded with
-                | Ok b -> b
-                | Error e -> failwith ("Driver: corrupt job batch: " ^ e)
-              in
-              let count = Job.batch_size batch in
-              emit (Obs.Event.Job_transfer { lease; src; dst; count; recovery });
-              Worker.receive_batch ~recovery w batch;
-              transfers_total := !transfers_total + count;
-              !cur_bucket.transferred <- !cur_bucket.transferred + count
-            end
-          | None -> ())
-        | Transfer_request { src; dst; count } -> (
-          (* during a drain no new leases may be created: the jobs stay
-             in the source's digest, which is what the export records *)
-          if not !draining then
-            match (workers.(src), workers.(dst)) with
-            | Some w, Some _ ->
-              let jobs = Worker.transfer_out w ~count in
-              if jobs <> [] then
-                ignore (Transport.issue_transfer transport ~src ~dst ~jobs ~now:t)
-            | _ -> ())
-        | Ack { lease; _ } -> Ledger.mark_delivered ledger ~lease ~now:t)
-      due;
-    (* balancer disable hook (Fig. 13) *)
-    (match cfg.lb_disable_at with
-    | Some at when t = at -> (
-      match !lb with Some b -> Balancer.disable b | None -> lb_pending_disable := true)
-    | Some _ | None -> ());
-    (* each worker runs its per-tick instruction budget (suspended while
-       draining to a preemption barrier) *)
-    if not !draining then
-      Array.iteri
-        (fun i w ->
-          match w with
-          | Some w ->
-            let used = Worker.execute w ~budget:(cfg.speed i) in
-            if obs <> None then begin
-              idle_acc.(i) <- idle_acc.(i) + max 0 (cfg.speed i - used);
-              sample_worker i w
-            end
-          | None -> ())
-        workers;
-    (* periodic status reports and rebalancing.  Reports are the reliable
-       control plane: each doubles as the worker's durable recovery point
-       in the ledger (frontier digest + cumulative counters). *)
-    if t mod cfg.status_interval = 0 then begin
-      match !lb with
-      | None -> ()
-      | Some b ->
+      done;
+      (* deliver due messages *)
+      let due, later = List.partition (fun (at, _) -> at <= t) !inbox in
+      inbox := later;
+      List.iter
+        (fun (_, msg) ->
+          match msg with
+          | Jobs { lease; src; dst; encoded; recovery } -> (
+            match workers.(dst) with
+            | Some w ->
+              (* always (re)acknowledge: the previous ack may have been
+                 lost; deliver the payload only once per lease *)
+              send_net ~at:(t + cfg.latency) ~src:dst ~dst:Faultplan.lb
+                (Ack { lease; src = dst });
+              if not (Hashtbl.mem processed_leases lease) then begin
+                Hashtbl.replace processed_leases lease dst;
+                let batch =
+                  match Job.decode_batch encoded with
+                  | Ok b -> b
+                  | Error e -> failwith ("Driver: corrupt job batch: " ^ e)
+                in
+                let count = Job.batch_size batch in
+                emit (Obs.Event.Job_transfer { lease; src; dst; count; recovery });
+                Worker.receive_batch ~recovery w batch;
+                transfers_total := !transfers_total + count;
+                !cur_bucket.transferred <- !cur_bucket.transferred + count
+              end
+            | None -> ())
+          | Transfer_request { src; dst; count } -> (
+            (* during a drain no new leases may be created: the jobs stay
+               in the source's digest, which is what the export records *)
+            if not !draining then
+              match (workers.(src), workers.(dst)) with
+              | Some w, Some _ ->
+                let jobs = Worker.transfer_out w ~count in
+                if jobs <> [] then
+                  ignore (Transport.issue_transfer transport ~src ~dst ~jobs ~now:t)
+              | _ -> ())
+          | Ack { lease; _ } -> Ledger.mark_delivered ledger ~lease ~now:t)
+        due;
+      (* balancer disable hook (Fig. 13) *)
+      (match cfg.lb_disable_at with
+      | Some at when t = at -> (
+        match !lb with Some b -> Balancer.disable b | None -> lb_pending_disable := true)
+      | Some _ | None -> ());
+      (* each worker runs its per-tick instruction budget (suspended while
+         draining to a preemption barrier) *)
+      if not !draining then
         Array.iteri
           (fun i w ->
             match w with
-            | None -> ()
             | Some w ->
-              let paths, errs, _, _ = Worker.stats w in
-              let received =
-                Hashtbl.fold (fun id dst acc -> if dst = i then id :: acc else acc)
-                  processed_leases []
-              in
-              Ledger.record_report ~received ledger ~worker:i ~tick:t
-                ~digest:(Worker.digest_paths w) ~paths ~errors:errs;
-              let cov = w.Worker.cfg.Executor.coverage in
-              let global =
-                Balancer.report ~tick:t b ~worker:i ~queue_len:(Worker.queue_length w)
-                  ~coverage:cov
-              in
-              (* the worker merges the global vector into its own so its
-                 local coverage-optimized strategy pursues the global goal *)
-              ignore (Executor.merge_coverage w.Worker.cfg global))
+              let used = Worker.execute w ~budget:(cfg.speed i) in
+              if obs <> None then begin
+                idle_acc.(i) <- idle_acc.(i) + max 0 (cfg.speed i - used);
+                sample_worker i w
+              end
+            | None -> ())
           workers;
-        if not !draining then
-          List.iter
-            (fun { Balancer.src; dst; count } ->
-              send_net ~at:(t + cfg.latency) ~src:Faultplan.lb ~dst:src
-                (Transfer_request { src; dst; count }))
-            (Balancer.rebalance ~now:t ~staleness:(2 * cfg.status_interval) b)
-    end;
-    (* at-least-once delivery: the transport resends leases past their
-       backoff deadline, evicts destinations that exhaust the retransmit
-       budget (the crash path keeps the re-route exact), and re-routes
-       orphans parked while no worker was alive *)
-    Transport.tick transport ~now:t;
-    (* bucket bookkeeping: sample the candidate population every tick so
-       the bucket reports an average, not an end-of-bucket snapshot *)
-    !cur_bucket.cand_sum <-
-      !cur_bucket.cand_sum
-      + List.fold_left (fun acc w -> acc + Worker.queue_length w) 0 (alive_workers ());
-    !cur_bucket.cand_samples <- !cur_bucket.cand_samples + 1;
-    if (t + 1) mod cfg.bucket_ticks = 0 then begin
-      let _, _, useful, _, _ = totals () in
-      !cur_bucket.candidates <- !cur_bucket.cand_sum / max 1 !cur_bucket.cand_samples;
-      !cur_bucket.useful <- useful;
-      !cur_bucket.coverage <- global_coverage_fraction ();
-      buckets := !cur_bucket :: !buckets;
-      cur_bucket := fresh_bucket (t + 1)
-    end;
-    (* goal checks.  Exhaustion means the partitioned exploration really
-       is complete: the root was seeded, no job is in flight or awaiting
-       an ack or parked for recovery, and every live worker is idle.
-       Workers whose join tick never arrives cannot block it. *)
-    let exhausted () =
-      !root_seeded
-      && !inbox = []
-      && Transport.quiesced transport
-      && (match alive_workers () with
-         | [] -> false
-         | ws -> List.for_all Worker.is_idle ws)
+      (* periodic status reports and rebalancing.  Reports are the reliable
+         control plane: each doubles as the worker's durable recovery point
+         in the ledger (frontier digest + cumulative counters). *)
+      if t mod cfg.status_interval = 0 then begin
+        match !lb with
+        | None -> ()
+        | Some b ->
+          Array.iteri
+            (fun i w ->
+              match w with
+              | None -> ()
+              | Some w ->
+                let paths, errs, _, _ = Worker.stats w in
+                let received =
+                  Hashtbl.fold (fun id dst acc -> if dst = i then id :: acc else acc)
+                    processed_leases []
+                in
+                Ledger.record_report ~received ledger ~worker:i ~tick:t
+                  ~digest:(Worker.digest_paths w) ~paths ~errors:errs;
+                let cov = w.Worker.cfg.Executor.coverage in
+                let global =
+                  Balancer.report ~tick:t b ~worker:i ~queue_len:(Worker.queue_length w)
+                    ~coverage:cov
+                in
+                (* the worker merges the global vector into its own so its
+                   local coverage-optimized strategy pursues the global goal *)
+                ignore (Executor.merge_coverage w.Worker.cfg global))
+            workers;
+          if not !draining then
+            List.iter
+              (fun { Balancer.src; dst; count } ->
+                send_net ~at:(t + cfg.latency) ~src:Faultplan.lb ~dst:src
+                  (Transfer_request { src; dst; count }))
+              (Balancer.rebalance ~now:t ~staleness:(2 * cfg.status_interval) b)
+      end;
+      (* at-least-once delivery: the transport resends leases past their
+         backoff deadline, evicts destinations that exhaust the retransmit
+         budget (the crash path keeps the re-route exact), and re-routes
+         orphans parked while no worker was alive *)
+      Transport.tick transport ~now:t;
+      (* bucket bookkeeping: sample the candidate population every tick so
+         the bucket reports an average, not an end-of-bucket snapshot *)
+      !cur_bucket.cand_sum <-
+        !cur_bucket.cand_sum
+        + List.fold_left (fun acc w -> acc + Worker.queue_length w) 0 (alive_workers ());
+      !cur_bucket.cand_samples <- !cur_bucket.cand_samples + 1;
+      if (t + 1) mod cfg.bucket_ticks = 0 then begin
+        let _, _, useful, _, _ = totals () in
+        !cur_bucket.candidates <- !cur_bucket.cand_sum / max 1 !cur_bucket.cand_samples;
+        !cur_bucket.useful <- useful;
+        !cur_bucket.coverage <- global_coverage_fraction ();
+        buckets := !cur_bucket :: !buckets;
+        cur_bucket := fresh_bucket (t + 1)
+      end;
+      (* goal checks.  Exhaustion means the partitioned exploration really
+         is complete: the root was seeded, no job is in flight or awaiting
+         an ack or parked for recovery, and every live worker is idle.
+         Workers whose join tick never arrives cannot block it. *)
+      let exhausted () =
+        !root_seeded
+        && !inbox = []
+        && Transport.quiesced transport
+        && (match alive_workers () with
+           | [] -> false
+           | ws -> List.for_all Worker.is_idle ws)
+      in
+      (match cfg.goal with
+      | Exhaust -> if exhausted () then begin reached := true; stop := true end
+      | Coverage_target target ->
+        if t mod cfg.status_interval = 0 && global_coverage_fraction () >= target then begin
+          reached := true;
+          stop := true
+        end
+        else if exhausted () then stop := true
+      | Time_limit -> if exhausted () then begin reached := true; stop := true end);
+      (* budget preemption: once the cluster has retired the instruction
+         budget, drain to a barrier and stop there with an export.  Only
+         *useful* instructions count: replaying a resumed frontier is
+         restoration cost, and charging it to the budget would let a slice
+         whose replay bill exceeds the budget drain with zero progress —
+         a campaign restored behind a deep frontier would then spin
+         forever.  Counting useful work alone guarantees every slice
+         advances exploration, so chained slices terminate. *)
+      if not !draining then begin
+        let _, _, useful, _, _ = totals () in
+        if useful - useful0 >= budget then draining := true
+      end;
+      if !draining && !inbox = [] && Transport.quiesced transport then stop := true;
+      incr tick;
+      if !tick - tick0 >= cfg.max_ticks then stop := true
+    done;
+    let paths, errors, useful, replay, broken = totals () in
+    (* the frontier export: only meaningful at a drained barrier (budget
+       preemption, or natural exhaustion — where the digests are empty and
+       the export records just bans and coverage) *)
+    let export =
+      if not (!inbox = [] && Transport.quiesced transport) then None
+      else
+        Some
+          {
+            fx_jobs = List.concat_map Worker.digest_paths (alive_workers ());
+            fx_bans = Transport.bans transport;
+            fx_coverage = global_coverage_bytes ();
+          }
     in
-    (match cfg.goal with
-    | Exhaust -> if exhausted () then begin reached := true; stop := true end
-    | Coverage_target target ->
-      if t mod cfg.status_interval = 0 && global_coverage_fraction () >= target then begin
-        reached := true;
-        stop := true
-      end
-      else if exhausted () then stop := true
-    | Time_limit -> if exhausted () then begin reached := true; stop := true end);
-    (* budget preemption: once the cluster has retired the instruction
-       budget, drain to a barrier and stop there with an export.  Only
-       *useful* instructions count: replaying a resumed frontier is
-       restoration cost, and charging it to the budget would let a slice
-       whose replay bill exceeds the budget drain with zero progress —
-       a campaign restored behind a deep frontier would then spin
-       forever.  Counting useful work alone guarantees every slice
-       advances exploration, so chained slices terminate. *)
-    (match cfg.stop_after_instrs with
-    | Some budget when not !draining ->
-      let _, _, useful, _, _ = totals () in
-      if useful >= budget then draining := true
-    | Some _ | None -> ());
-    if !draining && !inbox = [] && Transport.quiesced transport then stop := true;
-    incr tick;
-    if !tick >= cfg.max_ticks then stop := true
-  done;
-  let total_paths, total_errors, useful, replay, broken = totals () in
-  (* the frontier export: only meaningful at a drained barrier (budget
-     preemption, or natural exhaustion under a budget — where the digests
-     are empty and the export records just counters, bans and coverage) *)
-  let export =
-    match cfg.stop_after_instrs with
-    | None -> None
-    | Some _ when not (!inbox = [] && Transport.quiesced transport) -> None
-    | Some _ ->
-      Some
-        {
-          fx_jobs = List.concat_map Worker.digest_paths (alive_workers ());
-          fx_bans = Transport.bans transport;
-          fx_paths = total_paths;
-          fx_errors = total_errors;
-          fx_coverage = global_coverage_bytes ();
-        }
+    {
+      ticks = !tick - tick0;
+      reached_goal = !reached;
+      total_paths = paths - paths0;
+      total_errors = errors - errors0;
+      useful_instrs = useful - useful0;
+      replay_instrs = replay - replay0;
+      broken_replays = broken - broken0;
+      transfers = !transfers_total - transfers0;
+      buckets = List.rev !buckets;
+      per_worker_useful =
+        per_live (fun i w ->
+            let _, _, useful, _ = Worker.stats w in
+            useful - base_useful.(i));
+      final_coverage = global_coverage_fraction ();
+      crashes = Transport.crashes transport - crashes0;
+      recovered_jobs = Transport.recovered_jobs transport - recovered0;
+      retransmits = Transport.retransmits transport - retransmits0;
+      recovery_replay_instrs = recovery_replay () - recov0;
+      solver_stats = Smt.Solver.diff_stats (solver_total ()) solver0;
+      per_worker_solver =
+        per_live (fun i w ->
+            Smt.Solver.diff_stats (Smt.Solver.stats w.Worker.cfg.Executor.solver) base_solver.(i));
+      export;
+    }
   in
-  let solver_agg = Smt.Solver.zero_stats () in
-  Smt.Solver.accum_stats solver_agg d_solver;
-  List.iter
-    (fun w -> Smt.Solver.accum_stats solver_agg (Smt.Solver.stats w.Worker.cfg.Executor.solver))
-    (alive_workers ());
-  {
-    ticks = !tick;
-    reached_goal = !reached;
-    total_paths;
-    total_errors;
-    useful_instrs = useful;
-    replay_instrs = replay;
-    broken_replays = broken;
-    transfers = !transfers_total;
-    buckets = List.rev !buckets;
-    per_worker_useful =
-      List.map
-        (fun w -> (w.Worker.id, w.Worker.cfg.Executor.stats.Executor.useful_instrs))
-        (alive_workers ());
-    final_coverage = global_coverage_fraction ();
-    crashes = Transport.crashes transport;
-    recovered_jobs = Transport.recovered_jobs transport;
-    retransmits = Transport.retransmits transport;
-    recovery_replay_instrs =
-      List.fold_left
-        (fun acc w -> acc + w.Worker.recovery_replay_instrs)
-        !d_recov_replay (alive_workers ());
-    solver_stats = solver_agg;
-    per_worker_solver =
-      List.map
-        (fun w -> (w.Worker.id, Smt.Solver.copy_stats w.Worker.cfg.Executor.solver))
-        (alive_workers ());
-    export;
-  }
+  { workers; advance }
+
+let advance t ~budget = t.advance budget
+
+let shed t = Array.iter (Option.iter Worker.shed) t.workers
+
+let run ?obs cfg = advance (start ?obs cfg) ~budget:max_int
 
 (* Convenience: a homogeneous cluster configuration with sensible
    defaults.  [make_worker] receives the worker id. *)
@@ -574,5 +630,4 @@ let default_config ?(faults = Faultplan.none) ~nworkers ~make_worker ~coverable_
     faults;
     init_frontier = None;
     init_bans = [];
-    stop_after_instrs = None;
   }

@@ -41,26 +41,15 @@ type 'env config = {
       (** campaign resume: seed these checkpointed frontier nodes on the
           first worker instead of the root job *)
   init_bans : Job.t list;   (** checkpointed ban set to re-install *)
-  stop_after_instrs : int option;
-      (** campaign preemption: once the cluster retires this many
-          {e useful} instructions, stop granting execution budgets, let
-          in-flight leases settle, and stop at the drained barrier with
-          [result.export] filled.  Replay instructions (restoring a
-          resumed frontier) are not charged, so every slice is
-          guaranteed to advance exploration and chained slices
-          terminate even when the replay bill exceeds the budget *)
 }
 
 (** Everything a campaign persists to resume a run and reach the exact
     totals of an uninterrupted one: the unexplored frontier as job path
     encodings (each node exactly once, captured at a drained barrier),
-    the cumulative ban set, this run's counters, and the union coverage
-    bit vector. *)
+    the cumulative ban set, and the union coverage bit vector. *)
 type frontier_export = {
   fx_jobs : Job.t list;
   fx_bans : Job.t list;
-  fx_paths : int;
-  fx_errors : int;
   fx_coverage : Bytes.t;
 }
 
@@ -74,6 +63,9 @@ type bucket = {
   mutable coverage : float;  (** global coverage fraction at bucket end *)
 }
 
+(** One slice of a cluster ({!advance}), or a whole {!run}.  Every
+    counter covers this slice only, so the slices of one cluster sum to
+    the counters of an uninterrupted run. *)
 type result = {
   ticks : int;
   reached_goal : bool;
@@ -93,21 +85,46 @@ type result = {
   solver_stats : Smt.Solver.stats;
       (** cluster-wide solver aggregate, dead workers included *)
   per_worker_solver : (int * Smt.Solver.stats) list;
-      (** per-worker solver counters for workers alive at run end *)
+      (** per-worker solver counters for workers alive at slice end *)
   export : frontier_export option;
-      (** present iff [stop_after_instrs] was set and the run reached a
-          drained barrier (budget preemption or natural exhaustion); a
-          [max_ticks] bailout mid-flight yields [None] *)
+      (** present iff the slice stopped at a drained barrier (budget
+          preemption or natural exhaustion); a [max_ticks] bailout
+          mid-flight yields [None] *)
 }
 
-(** [obs] enables observability for the run: the driver advances the
-    sink's virtual clock, samples one timeline point per live worker per
-    tick (utilization, frontier depth, solver activity), and traces
-    cluster control-plane events (joins, crashes, rejoins, job
-    transfers); the ledger and balancer trace through the same sink.
-    Workers built by [make_worker] are expected to carry
-    [Obs.Sink.for_worker obs i] in their engine config so engine and
-    solver events are attributed to them. *)
+(** A started cluster: its workers, transport, lease ledger, balancer,
+    inbox and virtual clock, paused between slices. *)
+type 'env t
+
+(** Set up a cluster without running it.  [obs] enables observability:
+    the driver advances the sink's virtual clock, samples one timeline
+    point per live worker per tick (utilization, frontier depth, solver
+    activity; counted from the start of each slice), and traces cluster
+    control-plane events (joins, crashes, rejoins, job transfers); the
+    ledger and balancer trace through the same sink.  Workers built by
+    [make_worker] are expected to carry [Obs.Sink.for_worker obs i] in
+    their engine config so engine and solver events are attributed to
+    them. *)
+val start : ?obs:Obs.Sink.t -> 'env config -> 'env t
+
+(** Run one slice: tick until the cluster has retired [budget] more
+    {e useful} instructions, then stop granting execution budgets, let
+    in-flight leases settle, and stop at the drained barrier with
+    [result.export] filled.  Replay instructions (restoring a resumed
+    frontier) are not charged, so every slice advances exploration and
+    chained slices terminate even when the replay bill exceeds the
+    budget.  The slice also stops at the goal or after [max_ticks]
+    ticks.  The next [advance] continues from where this one stopped,
+    so the slices of one cluster reach the totals of {!run}. *)
+val advance : 'env t -> budget:int -> result
+
+(** Shed a paused cluster to its live states: every worker drops the
+    snapshots no outstanding batch member pins and its solver caches
+    ({!Worker.shed}).  Exploration is unchanged; the next slice pays
+    for some replay and solving again. *)
+val shed : 'env t -> unit
+
+(** [start] followed by one unbounded [advance]. *)
 val run : ?obs:Obs.Sink.t -> 'env config -> result
 
 (** A homogeneous cluster with sensible defaults (speed 2000, status every

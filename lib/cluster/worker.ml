@@ -209,6 +209,16 @@ let cache_snapshot ?batch w p st =
     Queue.add s w.snap_queue;
     if Queue.length w.snap_queue > w.snap_limit then evict w
 
+(* Drop what a paused worker can rebuild: every snapshot no outstanding
+   batch member pins (a later replay restarts from an older ancestor or
+   the root) and the solver caches.  The frontier's live states stay. *)
+let shed w =
+  for _ = 1 to Queue.length w.snap_queue do
+    let s = Queue.take w.snap_queue in
+    if s.pins > 0 then Queue.add s w.snap_queue else ignore (Trie.remove w.snapshots s.spath)
+  done;
+  Smt.Solver.clear_caches w.cfg.Executor.solver
+
 (* A batch member is done (replay landed, broke, hit an exact snapshot,
    or the job left this worker again): release the batch's pinned
    snapshots once no member is outstanding. *)

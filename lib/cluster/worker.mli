@@ -121,6 +121,11 @@ val select : 'env t -> ('env, 'env job) Engine.Searcher.Core.candidate option
     offered nodes share the longest possible prefix. *)
 val transfer_out : 'env t -> count:int -> Job.t list
 
+(** Drop what a paused worker can rebuild — the snapshots no
+    outstanding batch member pins, and the solver caches — keeping its
+    frontier's live states. *)
+val shed : 'env t -> unit
+
 (** Import transferred jobs as virtual candidates.  [recovery] tags
     re-seeded orphans of a crashed worker for cost accounting. *)
 val receive_jobs : ?recovery:bool -> 'env t -> Job.t list -> unit

@@ -165,7 +165,7 @@ let make_worker ?obs ?(opts = default_cluster_options) (t : target) id =
   Cluster.Worker.create ~id ~cfg ~make_root ~seed:opts.cseed ()
 
 let cluster_config ?obs ?(options = default_cluster_options) ?init_frontier ?(init_bans = [])
-    ?stop_after_instrs (t : target) =
+    (t : target) =
   let opts = options in
   {
     Cluster.Driver.nworkers = opts.nworkers;
@@ -188,27 +188,26 @@ let cluster_config ?obs ?(options = default_cluster_options) ?init_frontier ?(in
     faults = opts.fault_plan;
     init_frontier;
     init_bans;
-    stop_after_instrs;
   }
 
 let run_cluster ?obs ?options (t : target) =
   Cluster.Driver.run ?obs (cluster_config ?obs ?options t)
 
-(* One campaign slice (the service's unit of scheduling): run the target
-   on the simulated cluster for at most [budget] instructions, starting
-   from a checkpointed frontier when [resume] is given, and drain to a
-   barrier whose frontier export the caller persists.  Chaining slices
-   until the export is empty reaches the exact path/error totals of one
-   uninterrupted exhaustive run. *)
-let run_cluster_slice ?obs ?options ?resume ~budget (t : target) =
+(* A simulated cluster set up to run in slices (Cluster.Driver.advance),
+   seeded with the root or, when [resume] is given, with a checkpointed
+   frontier and its bans.  Advancing one cluster slice after slice and
+   chaining fresh clusters, each resumed from the last slice's export,
+   both reach the exact path/error totals of one uninterrupted exhaustive
+   run; the campaign daemon does the first for the campaigns it keeps
+   warm and the second for the rest (see Service.Daemon). *)
+let start_cluster ?obs ?options ?resume (t : target) =
   let init_frontier, init_bans =
     match resume with
     | None -> (None, [])
     | Some (fx : Cluster.Driver.frontier_export) ->
       (Some fx.Cluster.Driver.fx_jobs, fx.Cluster.Driver.fx_bans)
   in
-  Cluster.Driver.run ?obs
-    (cluster_config ?obs ?options ?init_frontier ~init_bans ~stop_after_instrs:budget t)
+  Cluster.Driver.start ?obs (cluster_config ?obs ?options ?init_frontier ~init_bans t)
 
 (* --- true-multicore runs ------------------------------------------------------------ *)
 

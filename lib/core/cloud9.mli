@@ -81,23 +81,26 @@ val default_cluster_options : cluster_options
     traced alongside engine and solver activity. *)
 val run_cluster : ?obs:Obs.Sink.t -> ?options:cluster_options -> target -> Cluster.Driver.result
 
-(** One campaign slice — the campaign service's unit of scheduling.  Runs
-    the target on the simulated cluster until [budget] {e useful}
-    instructions have executed (replay spent restoring a resumed frontier
-    is not charged, so every slice makes exploration progress), starting
-    from a checkpointed frontier when [resume] is given, then drains
-    in-flight transfers to a barrier and
-    returns with [result.export] holding the frontier/bans/coverage to
-    persist.  Chaining slices until the export's job list is empty
+(** A simulated cluster set up to run in slices — the campaign
+    service's unit of scheduling — seeded with the root or, when
+    [resume] is given, with a checkpointed frontier and its ban set.
+    Each {!Cluster.Driver.advance} runs until [budget] {e useful}
+    instructions have executed (replay spent restoring a resumed
+    frontier is not charged, so every slice makes exploration progress),
+    then drains in-flight transfers to a barrier and returns with
+    [result.export] holding the frontier/bans/coverage to persist.
+    Advancing one cluster until the export's job list is empty, or
+    chaining fresh clusters each resumed from the previous export,
     reaches the exact path/error totals of one uninterrupted exhaustive
-    run (the restore≡uninterrupted argument in DESIGN.md). *)
-val run_cluster_slice :
+    run (the restore≡uninterrupted argument in DESIGN.md).  The campaign
+    daemon keeps a bounded number of clusters alive between a campaign's
+    slices and resumes the others from their stored frontier. *)
+val start_cluster :
   ?obs:Obs.Sink.t ->
   ?options:cluster_options ->
   ?resume:Cluster.Driver.frontier_export ->
-  budget:int ->
   target ->
-  Cluster.Driver.result
+  Posix.Handler.env Cluster.Driver.t
 
 (** Run the target on [ndomains] real OCaml domains ({!Cluster.Parallel})
     — true multicore, for wall-clock scaling measurements.  Worker

@@ -21,7 +21,8 @@
    gated elsewhere, so any drift is a real behavior change); wall-clock
    and host-shape keys are never compared; parallel runtime counters
    that depend on where real domains are when a steal or a crash lands
-   (transfers, steals, recovery replay) are notes; everything else
+   (transfers, steals, recovered jobs, retransmits, recovery replay) are
+   notes; everything else
    numeric gets a loose relative tolerance that only gross movement
    breaks. *)
 
@@ -40,11 +41,14 @@ let ends_with ~suffix s =
   l >= ls && String.sub s (l - ls) ls = suffix
 
 (* Wall-clock / host-shape keys: never comparable across runs or hosts.
-   "learned"/"deleted" are CDCL clause-database sizes — downstream of
-   cache-hit ordering that varies run to run, so a 3x swing is normal. *)
+   "crash_tick" is derived from a wall-clock time (the fault-free run's
+   length, in coordinator ticks).  "learned"/"deleted" are CDCL
+   clause-database sizes — downstream of cache-hit ordering that varies
+   run to run, so a 3x swing is normal. *)
 let ignored_key k =
   ends_with ~suffix:"_s" k || ends_with ~suffix:"_ms" k || ends_with ~suffix:"_ns" k
-  || ends_with ~suffix:"per_query" k || k = "seconds" || k = "host_cores" || k = "learned"
+  || ends_with ~suffix:"seconds" k || ends_with ~suffix:"per_query" k || k = "crash_tick"
+  || k = "host_cores" || k = "learned"
   || k = "deleted"
   || (String.length k >= 7 && String.sub k 0 7 = "speedup" && k <> "speedup_verdict")
   || ends_with ~suffix:"overhead_pct" k
@@ -68,9 +72,12 @@ let exact_key k =
   ends_with ~suffix:"paths" k || ends_with ~suffix:"errors" k || k = "tenants" || k = "tests"
 
 (* Scheduling-dependent keys: on real domains the same run can steal 1
-   or 3 jobs and replay 0 or 742 instructions after a crash, so a change
-   in them is a note, never a regression. *)
-let scheduling_key k = k = "recovery_replay_instrs" || k = "transfers" || k = "steals"
+   or 3 jobs, replay 0 or 742 instructions after a crash, and find 6 or
+   36 of the victim's jobs orphaned, so a change in them is a note, never
+   a regression. *)
+let scheduling_key k =
+  k = "recovery_replay_instrs" || k = "transfers" || k = "steals" || k = "recovered_jobs"
+  || k = "retransmits"
 
 let default_tolerance = 0.5 (* +/-50%: catches collapses, forgives run-to-run noise *)
 

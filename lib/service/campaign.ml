@@ -4,11 +4,15 @@
    the ban set and the union coverage vector — which is exactly what the
    snapshot codec persists (see {!Snapshot}).
 
-   A simulated-runtime campaign advances in preemptible slices through
-   {!Core.Cloud9.run_cluster_slice}: each slice resumes from the stored
-   frontier, runs an instruction budget, and drains to a barrier whose
-   export replaces the stored frontier.  A multicore campaign runs to
-   completion in a single (non-preemptible) turn on real domains. *)
+   A simulated-runtime campaign advances in preemptible slices of a
+   simulated cluster ({!Cluster.Driver.advance}): each slice runs an
+   instruction budget and drains to a barrier whose export replaces the
+   stored frontier.  The cluster is either one the daemon kept warm
+   since the campaign's last slice, or a cold one resumed from the stored
+   frontier ({!resume_export}); either way the stored frontier is the
+   campaign's whole persisted progress, so warm state is never needed to
+   restore it.  A multicore campaign runs to completion in a single
+   (non-preemptible) turn on real domains. *)
 
 module Path = Engine.Path
 
@@ -145,13 +149,12 @@ let resume_export c =
       {
         Cluster.Driver.fx_jobs = c.frontier;
         fx_bans = c.bans;
-        fx_paths = 0;
-        fx_errors = 0;
         fx_coverage = Bytes.create 0;
       }
 
-(* Control-plane summary (one JSONL [status] event row). *)
-let summary c =
+(* Control-plane summary (one JSONL [status] event row).  [warm]: the
+   daemon holds the campaign's cluster alive between slices. *)
+let summary ~warm c =
   let module J = Obs.Json in
   J.Obj
     [
@@ -164,6 +167,7 @@ let summary c =
         | Sim -> J.Str "sim"
         | Parallel n -> J.Obj [ ("domains", J.Num (float_of_int n)) ] );
       ("status", J.Str (status_to_string c.status));
+      ("warm", J.Bool warm);
       ("paths", J.Num (float_of_int c.paths));
       ("errors", J.Num (float_of_int c.errors));
       ("instructions", J.Num (float_of_int (c.useful + c.replay)));

@@ -62,5 +62,7 @@ val apply_parallel : t -> Cluster.Parallel.result -> unit
 (** Resume point for the next slice; [None] = seed the root. *)
 val resume_export : t -> Cluster.Driver.frontier_export option
 
-(** Control-plane summary row. *)
-val summary : t -> Obs.Json.t
+(** Control-plane summary row.  [warm] says whether the daemon holds the
+    campaign's simulated cluster alive between slices; it is reported,
+    never persisted. *)
+val summary : warm:bool -> t -> Obs.Json.t

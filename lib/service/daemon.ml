@@ -4,6 +4,21 @@
    snapshot (atomic rename-on-write) and restored on restart, resuming
    every campaign from its last drained barrier.
 
+   Warm campaigns: a simulated campaign's slice ends at a drained barrier,
+   where its frontier is exported and checkpointed.  Rebuilding the
+   cluster from that export at the next slice means replaying every
+   frontier path (paper section 3.2, lazy replay) with cold solvers.  So
+   the daemon keeps up to [warm_limit] clusters alive between slices and
+   advances them where they stopped.  A kept cluster is first shed to its
+   live states (unpinned snapshots and solver caches are dropped), and a
+   slot goes to a campaign only while one is free: under round-robin
+   grants the most recently granted campaign is the one evicted, because
+   evicting the least recently granted would drop each cluster just
+   before its next grant.  A slot is freed when its campaign finishes,
+   is paused or is cancelled.  Warm state is never persisted: every
+   barrier still updates the stored frontier and the checkpoint, and a
+   restored daemon resumes every campaign cold.
+
    Control plane: a JSONL command file (or pipe) polled by byte offset —
    only complete newline-terminated lines are consumed, so a writer
    caught mid-line is simply picked up on the next poll.  Events go out
@@ -32,11 +47,19 @@ let default_config ~state_file =
     telemetry = None;
   }
 
+(* How many campaigns keep their simulated cluster alive between slices.
+   A warm coreutils tenant of the end-to-end benchmark holds 0.27 MB on
+   average (0.56 MB at most) after shedding; the limit is sized against
+   its peak RSS (EXPERIMENTS.md, "Warm campaigns"). *)
+let warm_limit = 6
+
 type t = {
   cfg : config;
   sched : Scheduler.t;
   campaigns : (string, Campaign.t) Hashtbl.t;
   tele : Telemetry.t option;
+  warm : (string, Posix.Handler.env Cluster.Driver.t) Hashtbl.t;
+      (* name -> the campaign's cluster, paused at its last barrier *)
   frags : (string, (int * Campaign.status) * string) Hashtbl.t;
       (* name -> (slices, status) at encoding, snapshot fragment *)
   mutable control_pos : int;     (* bytes of the control file consumed *)
@@ -115,8 +138,13 @@ let campaigns t =
   |> List.sort (fun a b ->
          compare a.Campaign.spec.Campaign.sp_name b.Campaign.spec.Campaign.sp_name)
 
+let is_warm t name = Hashtbl.mem t.warm name
+
+let summary t (c : Campaign.t) =
+  Campaign.summary ~warm:(is_warm t c.Campaign.spec.Campaign.sp_name) c
+
 let campaign_pairs t =
-  List.map (fun c -> (c.Campaign.spec.Campaign.sp_name, Campaign.summary c)) (campaigns t)
+  List.map (fun c -> (c.Campaign.spec.Campaign.sp_name, summary t c)) (campaigns t)
 
 let telemetry_flush t =
   match t.tele with
@@ -160,6 +188,7 @@ let create cfg =
       sched = Scheduler.create ();
       campaigns = Hashtbl.create 16;
       frags = Hashtbl.create 16;
+      warm = Hashtbl.create warm_limit;
       tele = Option.map Telemetry.create cfg.telemetry;
       control_pos = 0;
       slices_since_ckpt = 0;
@@ -188,7 +217,7 @@ let find t name = Hashtbl.find_opt t.campaigns name
 let campaign_rows t names =
   names
   |> List.sort compare
-  |> List.filter_map (fun n -> Option.map Campaign.summary (find t n))
+  |> List.filter_map (fun n -> Option.map (summary t) (find t n))
 
 (* --- command handling -------------------------------------------------- *)
 
@@ -221,11 +250,12 @@ let handle_command t = function
   | Control.Status (Some name) -> (
     match find t name with
     | None -> emit t (Control.Rejected { line = name; reason = "unknown campaign" })
-    | Some c -> emit t (Control.Status_report [ Campaign.summary c ]))
+    | Some c -> emit t (Control.Status_report [ summary t c ]))
   | Control.Pause name -> (
     match find t name with
     | Some c when Campaign.runnable c ->
       c.Campaign.status <- Campaign.Paused;
+      Hashtbl.remove t.warm name;
       emit t (Control.Accepted name)
     | Some _ -> emit t (Control.Rejected { line = name; reason = "not runnable" })
     | None -> emit t (Control.Rejected { line = name; reason = "unknown campaign" }))
@@ -241,6 +271,7 @@ let handle_command t = function
     | Some c when c.Campaign.status <> Campaign.Done ->
       c.Campaign.status <- Campaign.Cancelled;
       Scheduler.remove t.sched name;
+      Hashtbl.remove t.warm name;
       emit t (Control.Accepted name)
     | Some _ -> emit t (Control.Rejected { line = name; reason = "already done" })
     | None -> emit t (Control.Rejected { line = name; reason = "unknown campaign" }))
@@ -320,7 +351,7 @@ let run_slice t (c : Campaign.t) =
         ~replay:r.Cluster.Parallel.replay_instrs
         ~solver_queries:r.Cluster.Parallel.solver_stats.Smt.Solver.queries
         ~crashes:r.Cluster.Parallel.crashes ~retransmits:r.Cluster.Parallel.retransmits;
-      emit t (Control.Campaign_done { name = s.sp_name; summary = Campaign.summary c })
+      emit t (Control.Campaign_done { name = s.sp_name; summary = summary t c })
     | Campaign.Sim -> (
       let options =
         {
@@ -332,14 +363,26 @@ let run_slice t (c : Campaign.t) =
         }
       in
       let budget = Option.value s.sp_slice_instrs ~default:t.cfg.slice_instrs in
-      let resume = Campaign.resume_export c in
+      let driver =
+        match Hashtbl.find_opt t.warm s.sp_name with
+        | Some d -> d
+        | None ->
+          Core.Cloud9.start_cluster ?obs:t.cfg.obs ~options ?resume:(Campaign.resume_export c)
+            target
+      in
       c.Campaign.status <- Campaign.Running;
-      let r = Core.Cloud9.run_cluster_slice ?obs:t.cfg.obs ~options ?resume ~budget target in
+      let r = Cluster.Driver.advance driver ~budget in
       match Campaign.apply_slice c r ~coverable with
       | Error e ->
+        Hashtbl.remove t.warm s.sp_name;
         c.Campaign.status <- Campaign.Paused;
         emit t (Control.Service_error e)
       | Ok () ->
+        if c.Campaign.status = Campaign.Done then Hashtbl.remove t.warm s.sp_name
+        else if is_warm t s.sp_name || Hashtbl.length t.warm < warm_limit then begin
+          Cluster.Driver.shed driver;
+          Hashtbl.replace t.warm s.sp_name driver
+        end;
         bump t c ~paths:r.Cluster.Driver.total_paths ~errors:r.Cluster.Driver.total_errors
           ~instrs:(r.Cluster.Driver.useful_instrs + r.Cluster.Driver.replay_instrs);
         telemetry_slice t c ~useful:r.Cluster.Driver.useful_instrs
@@ -347,8 +390,8 @@ let run_slice t (c : Campaign.t) =
           ~solver_queries:r.Cluster.Driver.solver_stats.Smt.Solver.queries
           ~crashes:r.Cluster.Driver.crashes ~retransmits:r.Cluster.Driver.retransmits;
         if c.Campaign.status = Campaign.Done then
-          emit t (Control.Campaign_done { name = s.sp_name; summary = Campaign.summary c })
-        else emit t (Control.Progress { name = s.sp_name; summary = Campaign.summary c })))
+          emit t (Control.Campaign_done { name = s.sp_name; summary = summary t c })
+        else emit t (Control.Progress { name = s.sp_name; summary = summary t c })))
 
 (* One daemon step: drain the control plane, then grant one slice to the
    next runnable campaign in rotation. *)

@@ -17,6 +17,15 @@ val default_config : state_file:string -> config
 
 type t
 
+(** How many simulated campaigns keep their cluster alive between slices
+    (a fixed constant).  Every other campaign resumes its next slice
+    from its stored frontier. *)
+val warm_limit : int
+
+(** Does the daemon hold this campaign's cluster alive between slices?
+    Reported in summary rows as ["warm"]; never persisted. *)
+val is_warm : t -> string -> bool
+
 (** Restores from [state_file] when it exists; [Error] on a corrupt or
     version-mismatched snapshot. *)
 val create : config -> (t, string) result

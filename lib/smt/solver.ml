@@ -205,6 +205,17 @@ let accum_stats acc src =
   acc.cex_hits <- acc.cex_hits + src.cex_hits;
   acc.sat_calls <- acc.sat_calls + src.sat_calls
 
+(* The counters of [a] not yet counted in [b], an earlier copy. *)
+let diff_stats a b =
+  {
+    queries = a.queries - b.queries;
+    trivial = a.trivial - b.trivial;
+    range_hits = 0;
+    cache_hits = a.cache_hits - b.cache_hits;
+    cex_hits = a.cex_hits - b.cex_hits;
+    sat_calls = a.sat_calls - b.sat_calls;
+  }
+
 let sample_gauges t =
   match t.obs with
   | None -> ()

@@ -74,6 +74,10 @@ val zero_stats : unit -> stats
     aggregating per-worker solvers into a cluster total). *)
 val accum_stats : stats -> stats -> unit
 
+(** [diff_stats a b] is [a]'s counters minus those of [b], an earlier
+    copy of the same counters (for per-slice deltas). *)
+val diff_stats : stats -> stats -> stats
+
 (** Drop all caches {e and} retire the persistent incremental instance;
     models transferred to another worker lose their source's caches and
     must never solve against the source's stale activation groups (paper

@@ -1,7 +1,8 @@
 (* Tests for the cluster layer: completeness and disjointness of the
    dynamic tree partitioning (the union of all workers' explorations must
    equal exactly the single-node exploration), job transfer and lazy
-   replay, load balancing, and the trie/job-encoding utilities. *)
+   replay, the resumable driver (slices sum to a run), load balancing,
+   and the trie/job-encoding utilities. *)
 
 open Lang.Builder
 module Path = Engine.Path
@@ -307,6 +308,62 @@ let prop_takeback_roundtrip_exact =
       && w.Cluster.Worker.broken_replays = 0
       && w.Cluster.Worker.recovery_replay_instrs <= stats.Engine.Executor.replay_instrs)
 
+(* --- resumable driver ------------------------------------------------------------------------ *)
+
+let slice_config ?init_frontier ?(init_bans = []) () =
+  {
+    (Cluster.Driver.default_config ~nworkers:3 ~make_worker:(make_worker workload)
+       ~coverable_lines:(List.length (Cvm.Program.covered_lines workload))
+       ())
+    with
+    Cluster.Driver.speed = (fun _ -> 150);
+    status_interval = 5;
+    max_ticks = 200_000;
+    init_frontier;
+    init_bans;
+  }
+
+(* Slice budgets, each with whether the paused cluster is shed after it. *)
+let gen_slices = QCheck2.Gen.(list_size (int_range 1 6) (pair (int_range 200 3000) bool))
+
+(* One cluster advanced by random budgets (the daemon's warm campaign)
+   reaches the totals of one uninterrupted run, and so does a new cluster
+   started from any of its barriers' exports (a cold resume): every
+   barrier's frontier holds exactly the unexplored rest. *)
+let prop_driver_resume_exact =
+  QCheck2.Test.make ~count:10 ~name:"advanced slices and cold resumes reach the run's totals"
+    gen_slices (fun slices ->
+      let full = Cluster.Driver.run (slice_config ()) in
+      let d = Cluster.Driver.start (slice_config ()) in
+      let rec go paths errors slices =
+        let budget, shed = match slices with s :: _ -> s | [] -> (max_int, false) in
+        let r = Cluster.Driver.advance d ~budget in
+        let fx =
+          match r.Cluster.Driver.export with
+          | Some fx -> fx
+          | None -> Alcotest.fail "a slice ended without a drained barrier"
+        in
+        let paths = paths + r.Cluster.Driver.total_paths in
+        let errors = errors + r.Cluster.Driver.total_errors in
+        if fx.Cluster.Driver.fx_jobs = [] then (paths, errors)
+        else begin
+          let cold =
+            Cluster.Driver.run
+              (slice_config ~init_frontier:fx.Cluster.Driver.fx_jobs
+                 ~init_bans:fx.Cluster.Driver.fx_bans ())
+          in
+          if paths + cold.Cluster.Driver.total_paths <> full.Cluster.Driver.total_paths then
+            Alcotest.failf "cold resume after %d paths reaches %d, not %d" paths
+              (paths + cold.Cluster.Driver.total_paths) full.Cluster.Driver.total_paths;
+          if shed then Cluster.Driver.shed d;
+          go paths errors (match slices with _ :: rest -> rest | [] -> [])
+        end
+      in
+      let paths, errors = go 0 0 slices in
+      paths = full.Cluster.Driver.total_paths
+      && errors = full.Cluster.Driver.total_errors
+      && paths = Lazy.force reference_path_count)
+
 (* --- balancer ---------------------------------------------------------------------------- *)
 
 let test_balancer_classification () =
@@ -527,6 +584,7 @@ let () =
             prop_recovery_replay_accounted;
             prop_takeback_roundtrip_exact;
           ] );
+      ("driver", qsuite [ prop_driver_resume_exact ]);
       ( "balancer",
         [
           Alcotest.test_case "classification" `Quick test_balancer_classification;

@@ -688,12 +688,14 @@ let test_bench_diff_rules () =
    counts beside them and the ok gates still regress. *)
 let test_bench_diff_scheduling_notes () =
   let module BD = Obs.Bench_diff in
-  let artifact ?(paths = 706) ?(errors = 134) ?(tests = 706) ?(ok = true) ~replay ~transfers
-      ~steals () =
+  let artifact ?(paths = 706) ?(errors = 134) ?(tests = 706) ?(ok = true) ?(seconds = 0.0469)
+      ?(crash_tick = 15.0) ?(recovered = 36.0) ?(retransmits = 0.0) ~replay ~transfers ~steals () =
     J.Obj
       [
         ("bench", J.Str "faults");
         ("quick", J.Bool false);
+        ("fault_free_seconds", J.Num seconds);
+        ("crash_tick", J.Num crash_tick);
         ( "runs",
           J.Arr
             [
@@ -703,6 +705,8 @@ let test_bench_diff_scheduling_notes () =
                   ("paths", J.Num (float_of_int paths));
                   ("errors", J.Num (float_of_int errors));
                   ("tests", J.Num (float_of_int tests));
+                  ("recovered_jobs", J.Num recovered);
+                  ("retransmits", J.Num retransmits);
                   ("recovery_replay_instrs", J.Num replay);
                   ("transfers", J.Num transfers);
                   ("steals", J.Num steals);
@@ -712,9 +716,20 @@ let test_bench_diff_scheduling_notes () =
       ]
   in
   let base = artifact ~replay:624.0 ~transfers:32.0 ~steals:3.0 () in
-  let moved = BD.compare base (artifact ~replay:0.0 ~transfers:16.0 ~steals:1.0 ()) in
+  let moved =
+    BD.compare base
+      (artifact ~recovered:6.0 ~retransmits:1.0 ~replay:0.0 ~transfers:16.0 ~steals:1.0 ())
+  in
   Alcotest.(check bool) "scheduling drift is not a regression" true (BD.ok moved);
-  Alcotest.(check int) "one note per moved counter" 3 (List.length moved.BD.notes);
+  Alcotest.(check int) "one note per moved counter" 5 (List.length moved.BD.notes);
+  (* the fault-free wall time, and the crash tick derived from it, are
+     not compared at all *)
+  let timed =
+    BD.compare base
+      (artifact ~seconds:0.1401 ~crash_tick:44.0 ~replay:624.0 ~transfers:32.0 ~steals:3.0 ())
+  in
+  Alcotest.(check bool) "wall-clock drift is not a regression" true (BD.ok timed);
+  Alcotest.(check int) "nor a note" 0 (List.length timed.BD.notes);
   let regresses name cur = Alcotest.(check bool) name false (BD.ok (BD.compare base cur)) in
   let replay = 742.0 and transfers = 24.0 and steals = 2.0 in
   regresses "paths drift flagged" (artifact ~paths:705 ~replay ~transfers ~steals ());

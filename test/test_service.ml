@@ -2,7 +2,8 @@
    save/load, path-encoding parse/print properties, the checkpointed
    frontier differential (sliced and restored runs reach the exact
    totals of an uninterrupted one), round-robin fairness, CLI-shared
-   validation rejections, and the JSONL control plane end to end. *)
+   validation rejections, the JSONL control plane end to end, and warm
+   campaigns (eviction, kill/restore, pause and cancel stay exact). *)
 
 module J = Obs.Json
 module Path = Engine.Path
@@ -420,7 +421,7 @@ let test_export_serialize_reimport_differential () =
   let t = printf_target () in
   let full = C.run_cluster ~options:small_options t in
   (* slice 1: preempt after a small budget, frontier captured at barrier *)
-  let r1 = C.run_cluster_slice ~options:small_options ~budget:4000 t in
+  let r1 = Cluster.Driver.advance (C.start_cluster ~options:small_options t) ~budget:4000 in
   let fx = Option.get r1.Cluster.Driver.export in
   Alcotest.(check bool) "mid-run frontier nonempty" true (fx.Cluster.Driver.fx_jobs <> []);
   (* round-trip every frontier/ban path through the snapshot wire format *)
@@ -437,7 +438,9 @@ let test_export_serialize_reimport_differential () =
     }
   in
   (* slice 2: resume from the reparsed frontier, run to exhaustion *)
-  let r2 = C.run_cluster_slice ~options:small_options ~resume:fx ~budget:max_int t in
+  let r2 =
+    Cluster.Driver.advance (C.start_cluster ~options:small_options ~resume:fx t) ~budget:max_int
+  in
   let fx2 = Option.get r2.Cluster.Driver.export in
   Alcotest.(check (list pass)) "exhausted" [] fx2.Cluster.Driver.fx_jobs;
   Alcotest.(check int) "paths match uninterrupted"
@@ -737,6 +740,169 @@ let test_multi_tenant_progress () =
     [ "a"; "b"; "c" ];
   if Sys.file_exists state then Sys.remove state
 
+(* --- warm campaigns ------------------------------------------------------ *)
+
+module D = Service.Daemon
+module SC = Service.Campaign
+
+(* The totals every printf/sym-4 campaign of [submit_spec] must reach. *)
+let uninterrupted = lazy (C.run_cluster ~options:small_options (printf_target ()))
+
+let warm_config ?control ?events ?telemetry state =
+  {
+    (D.default_config ~state_file:state) with
+    D.control_file = control;
+    events_file = events;
+    telemetry;
+    slice_instrs = 1500;
+    checkpoint_every = 1;
+  }
+
+let append_line file line =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+  output_string oc (line ^ "\n");
+  close_out oc
+
+let submit_all d names = List.iter (fun n -> D.submit d (submit_spec ~slice:1500 n)) names
+
+let step_sliced d =
+  match D.step d with `Sliced n -> n | _ -> Alcotest.fail "expected a slice"
+
+let warm_names d names = List.filter (D.is_warm d) names
+
+(* Drive to completion; the number of warm clusters never exceeds the
+   limit, and finished campaigns hold none. *)
+let drive_warm d names =
+  let rec go n =
+    if n > 5000 then Alcotest.fail "daemon did not converge"
+    else
+      match D.step d with
+      | `Sliced _ ->
+        if List.length (warm_names d names) > D.warm_limit then
+          Alcotest.fail "more warm clusters than the limit";
+        go (n + 1)
+      | `Idle | `Stopped -> ()
+  in
+  go 0;
+  Alcotest.(check (list string)) "no warm cluster outlives its campaign" [] (warm_names d names)
+
+let check_exact d names =
+  let full = Lazy.force uninterrupted in
+  List.iter
+    (fun n ->
+      let c = Option.get (D.find d n) in
+      Alcotest.(check bool) (n ^ " done") true (c.SC.status = SC.Done);
+      Alcotest.(check int) (n ^ " paths == uninterrupted") full.Cluster.Driver.total_paths c.SC.paths;
+      Alcotest.(check int) (n ^ " errors == uninterrupted") full.Cluster.Driver.total_errors
+        c.SC.errors)
+    names
+
+let campaign_names k = List.init k (Printf.sprintf "w%d")
+
+let remove_files = List.iter (fun f -> if Sys.file_exists f then Sys.remove f)
+
+(* More campaigns than warm slots: the first [warm_limit] granted keep
+   theirs, the rest run cold until a slot frees, and every campaign
+   reaches the exact uninterrupted totals. *)
+let test_warm_eviction () =
+  let state = tmp_file "_state.json" in
+  let d = Result.get_ok (D.create (warm_config state)) in
+  let names = campaign_names (D.warm_limit + 2) in
+  submit_all d names;
+  List.iter (fun _ -> ignore (step_sliced d)) names;
+  Alcotest.(check (list string)) "the first granted hold the slots"
+    (List.filteri (fun i _ -> i < D.warm_limit) names)
+    (warm_names d names);
+  drive_warm d names;
+  check_exact d names;
+  remove_files [ state ]
+
+(* Kill the daemon while its campaigns are warm: the restored daemon has
+   no warm state and resumes each campaign from its checkpointed
+   frontier to the exact totals. *)
+let test_warm_kill_restore () =
+  let state = tmp_file "_state.json" in
+  let cfg = warm_config state in
+  let d = Result.get_ok (D.create cfg) in
+  let names = campaign_names 3 in
+  submit_all d names;
+  for _ = 1 to 6 do
+    ignore (step_sliced d)
+  done;
+  Alcotest.(check (list string)) "all warm before the kill" names (warm_names d names);
+  let d2 = Result.get_ok (D.create cfg) in
+  Alcotest.(check (list string)) "none warm after the restore" [] (warm_names d2 names);
+  drive_warm d2 names;
+  check_exact d2 names;
+  remove_files [ state ]
+
+(* [warm_limit] + 1 campaigns; after one round the last is the only cold
+   one.  Pausing (or cancelling) [w0] frees its slot, so the last
+   campaign keeps its cluster from its next slice on. *)
+let test_warm_slot_freed ~cancel () =
+  let state = tmp_file "_state.json" and control = tmp_file "_cmds.jsonl" in
+  let d = Result.get_ok (D.create (warm_config ~control state)) in
+  let names = campaign_names (D.warm_limit + 1) in
+  let last = List.nth names D.warm_limit in
+  submit_all d names;
+  List.iter (fun _ -> ignore (step_sliced d)) names;
+  Alcotest.(check bool) "the last granted is cold" false (D.is_warm d last);
+  append_line control
+    (Printf.sprintf {|{"cmd":"%s","name":"w0"}|} (if cancel then "cancel" else "pause"));
+  let rec until_last () = if step_sliced d <> last then until_last () in
+  until_last ();
+  Alcotest.(check bool) "w0's slot is free" false (D.is_warm d "w0");
+  Alcotest.(check bool) "the last campaign took it" true (D.is_warm d last);
+  if not cancel then append_line control {|{"cmd":"resume","name":"w0"}|};
+  drive_warm d names;
+  let w0 = Option.get (D.find d "w0") in
+  if cancel then begin
+    Alcotest.(check bool) "w0 cancelled" true (w0.SC.status = SC.Cancelled);
+    check_exact d (List.tl names)
+  end
+  else check_exact d names;
+  remove_files [ state; control ]
+
+(* The "warm" flag in status event rows and status file rows, and its
+   absence from the snapshot. *)
+let test_warm_summary_rows () =
+  let state = tmp_file "_state.json"
+  and control = tmp_file "_cmds.jsonl"
+  and events = tmp_file "_events.jsonl"
+  and status = tmp_file "_status.json" in
+  let telemetry =
+    { Service.Telemetry.default_config with cadence_slices = 1; status_file = Some status }
+  in
+  let d = Result.get_ok (D.create (warm_config ~control ~events ~telemetry state)) in
+  submit_all d [ "w0" ];
+  ignore (step_sliced d);
+  append_line control {|{"cmd":"status"}|};
+  ignore (step_sliced d);
+  let warm_of row = J.member "warm" row in
+  let status_rows =
+    List.filter_map
+      (fun ev ->
+        if J.member "event" ev = Some (J.Str "status") then
+          Option.bind (J.member "campaigns" ev) J.to_list
+        else None)
+      (read_events events)
+  in
+  (match status_rows with
+  | [ [ row ] ] -> Alcotest.(check bool) "status event row" true (warm_of row = Some (J.Bool true))
+  | _ -> Alcotest.fail "expected one status event with one row");
+  (match J.parse (String.trim (read_file status)) with
+  | Ok doc -> (
+    match Option.bind (J.member "campaigns" doc) J.to_list with
+    | Some [ row ] -> Alcotest.(check bool) "status file row" true (warm_of row = Some (J.Bool true))
+    | _ -> Alcotest.fail "expected one status file row")
+  | Error e -> Alcotest.fail e);
+  let snapshot = read_file state in
+  let rec mentions_warm i =
+    i + 6 <= String.length snapshot && (String.sub snapshot i 6 = {|"warm"|} || mentions_warm (i + 1))
+  in
+  Alcotest.(check bool) "not persisted" false (mentions_warm 0);
+  remove_files [ state; control; events; status ]
+
 (* --- telemetry health machine ------------------------------------------- *)
 
 module T = Service.Telemetry
@@ -943,6 +1109,14 @@ let () =
             test_incremental_checkpoint_bytes;
         ] );
       ("fairness", [ Alcotest.test_case "multi-tenant progress" `Quick test_multi_tenant_progress ]);
+      ( "warm",
+        [
+          Alcotest.test_case "eviction past the limit" `Quick test_warm_eviction;
+          Alcotest.test_case "kill/restore while warm" `Quick test_warm_kill_restore;
+          Alcotest.test_case "pause frees the slot" `Quick (test_warm_slot_freed ~cancel:false);
+          Alcotest.test_case "cancel frees the slot" `Quick (test_warm_slot_freed ~cancel:true);
+          Alcotest.test_case "summary rows" `Quick test_warm_summary_rows;
+        ] );
       ( "telemetry",
         [
           Alcotest.test_case "config validation" `Quick test_telemetry_validation;
