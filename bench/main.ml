@@ -1013,7 +1013,9 @@ let bench_solver () =
   in
   let hcount = function Some (Obs.Metrics.Vhistogram h) -> h.vcount | _ -> 0 in
   let run program =
-    Smt.Simplify.clear_memo ();
+    (* collect the previous scenario's terms, and with them their memoized
+       simplified forms, so each scenario's rewriter counts start cold *)
+    Gc.full_major ();
     Smt.Simplify.reset_stats ();
     let sink = Obs.Sink.create () in
     let prof = Obs.Profile.create sink in

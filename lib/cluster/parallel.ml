@@ -366,10 +366,7 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
   try
     let w = cfg.make_worker i in
     Fun.protect
-      ~finally:(fun () ->
-        Option.iter Obs.Sink.flush w.Worker.cfg.Executor.obs;
-        (* the domain parks after this run: drop the terms its memo pins *)
-        Smt.Simplify.clear_memo ())
+      ~finally:(fun () -> Option.iter Obs.Sink.flush w.Worker.cfg.Executor.obs)
       (fun () ->
         (* Runtime spans go through the worker's own (buffered) view when
            it has one, so they merge on the same flush path as everything

@@ -37,14 +37,15 @@ let of_string s =
       match s.[i] with
       | 'T' -> go (i + 1) (Branch true :: acc)
       | 'F' -> go (i + 1) (Branch false :: acc)
-      | ('s' | 'y') as c ->
+      | ('s' | 'y') as c -> (
         let stop = digits (i + 1) in
-        if stop = i + 1 then
-          Error (Printf.sprintf "path %S: '%c' at %d lacks its index" s c i)
-        else (
-          match int_of_string_opt (String.sub s (i + 1) (stop - i - 1)) with
-          | None -> Error (Printf.sprintf "path %S: bad index at %d" s (i + 1))
-          | Some k -> go stop ((if c = 's' then Sched k else Sys k) :: acc))
+        let index = String.sub s (i + 1) (stop - i - 1) in
+        (* only the canonical decimal, so what decodes re-encodes to the
+           same bytes: no empty index, no leading zero, no overflow *)
+        match int_of_string_opt index with
+        | Some k when string_of_int k = index ->
+          go stop ((if c = 's' then Sched k else Sys k) :: acc)
+        | _ -> Error (Printf.sprintf "path %S: bad index %S at %d" s index (i + 1)))
       | c -> Error (Printf.sprintf "path %S: unexpected %C at %d" s c i)
   in
   go 0 []

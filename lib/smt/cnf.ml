@@ -7,8 +7,8 @@
    implements unsigned arithmetic.
 
    A context can be used one-shot ([assert_expr] + [solve], one query) or
-   persistently: [activate] blasts a constraint once, keyed on its
-   hashcons id, and guards its root assertion behind a fresh activation
+   persistently: [activate] blasts a constraint once, keyed on the
+   term, and guards its root assertion behind a fresh activation
    literal so it only binds when that literal is assumed.  The gate
    clauses themselves are definitional (always satisfiable), so a
    persistent instance is a growing library of translated circuits from
@@ -45,16 +45,20 @@ type dep = {
 
 type frame = { mutable fvars : int list; mutable frefs : int list; fclo : int }
 
+(* Keyed by the term itself (hashed by id), so a translated term stays
+   alive, and keeps its id, as long as the context does. *)
+module Etbl = Hashtbl.Make (Expr)
+
 type ctx = {
   sat : Sat.t;
   true_lit : int;
-  cache : (int, int array * int) Hashtbl.t;
-    (* hashcons id -> literal per bit, dep index *)
+  cache : (int array * int) Etbl.t;
+    (* term -> literal per bit, dep index *)
   sym_bits : (int, int array) Hashtbl.t; (* sym id -> SAT var per bit *)
   divmod_cache : (int * int, int array * int array * int) Hashtbl.t;
     (* (a id, b id) -> quotient bits, remainder bits, dep index *)
-  groups : (int, int * int) Hashtbl.t;
-    (* constraint hashcons id -> activation literal, dep index *)
+  groups : (int * int) Etbl.t;
+    (* constraint -> activation literal, dep index *)
   mutable deps : dep array; (* dense arena of cone records *)
   mutable ndeps : int;
   mutable walked : int array; (* dep index -> last mark generation *)
@@ -72,10 +76,10 @@ let create () =
   {
     sat;
     true_lit;
-    cache = Hashtbl.create 256;
+    cache = Etbl.create 256;
     sym_bits = Hashtbl.create 64;
     divmod_cache = Hashtbl.create 16;
-    groups = Hashtbl.create 64;
+    groups = Etbl.create 64;
     deps = Array.make 256 no_dep;
     ndeps = 0;
     walked = Array.make 256 0;
@@ -317,14 +321,13 @@ let imply_vec_eq ctx cond a b =
     a
 
 let rec translate ctx (e : Expr.t) : int array =
-  let id = Expr.id e in
-  match Hashtbl.find_opt ctx.cache id with
+  match Etbl.find_opt ctx.cache e with
   | Some (bits, idx) ->
     note_ref ctx idx;
     bits
   | None ->
     let bits, idx = in_frame ctx (fun () -> translate_uncached ctx e) in
-    Hashtbl.replace ctx.cache id (bits, idx);
+    Etbl.replace ctx.cache e (bits, idx);
     note_ref ctx idx;
     bits
 
@@ -418,11 +421,11 @@ let assert_expr ctx e =
 (* Activation-guarded assertion for persistent contexts: translate [e]
    (hitting the cross-query translation cache) and add the single guarded
    clause [not a \/ root], inert until [a] is assumed.  Keyed on the
-   pre-lowering hashcons id, since that is what re-occurring constraints
+   pre-lowering term, since that is what re-occurring constraints
    present.  Returns the activation literal and whether the group was
    newly blasted. *)
 let activate ctx e =
-  match Hashtbl.find_opt ctx.groups (Expr.id e) with
+  match Etbl.find_opt ctx.groups e with
   | Some (a, _) -> (a, false)
   | None ->
     let lowered = Simplify.lower e in
@@ -437,7 +440,7 @@ let activate ctx e =
           Sat.add_clause ctx.sat [| neg a; bits.(0) |];
           a)
     in
-    Hashtbl.replace ctx.groups (Expr.id e) (a, did);
+    Etbl.replace ctx.groups e (a, did);
     (a, true)
 
 let solve ctx = Sat.solve ctx.sat
@@ -467,7 +470,7 @@ let solve_activated ctx es =
   let gs =
     List.map
       (fun e ->
-        match Hashtbl.find_opt ctx.groups (Expr.id e) with
+        match Etbl.find_opt ctx.groups e with
         | Some g -> g
         | None -> invalid_arg "Cnf.solve_activated: constraint not activated")
       es
@@ -483,7 +486,7 @@ let solve_activated ctx es =
   Sat.solve_with_assumptions ctx.sat (List.map fst gs)
 let num_clauses ctx = Sat.num_clauses ctx.sat
 let num_vars ctx = Sat.num_vars ctx.sat
-let num_groups ctx = Hashtbl.length ctx.groups
+let num_groups ctx = Etbl.length ctx.groups
 let sat_stats ctx = Sat.stats ctx.sat
 let is_ok ctx = Sat.is_ok ctx.sat
 

@@ -9,8 +9,10 @@
    Every term is interned in a global weak hashcons table, so structurally
    equal terms are physically equal and each carries a unique [id].  That
    makes [equal] O(1), [compare] an int comparison, [width] a field read,
-   and lets caches downstream (simplify memo, solver caches, CNF bit maps)
-   key on ids instead of walking structures. *)
+   and lets caches downstream (solver caches, CNF bit maps) key on ids
+   instead of walking structures.  Two memos live on the node itself: its
+   symbol set and its simplified form, each computed once and dropped with
+   the node. *)
 
 module Iset = Set.Make (Int)
 
@@ -47,7 +49,12 @@ type t = {
   node : node;
   width : int;
   syms_memo : Iset.t option Atomic.t;
+  simp_memo : simp Atomic.t;
 }
+
+(* A normal term's memo says [Normal] rather than pointing at the term
+   itself: a self-reference would make polymorphic equality on it loop. *)
+and simp = Unknown | Normal | Rewrites_to of t
 
 and node =
   | Const of { width : int; value : int64 }
@@ -257,10 +264,17 @@ let hashcons_stats () =
     next_id = Atomic.get next_id;
   }
 
+(* Every lookup probe shares these two memo cells, so a probe allocates
+   no [Atomic]; nothing reads or writes them, because a probe never
+   escapes [hashcons].  Only the node that gets interned gets cells of
+   its own. *)
+let no_syms : Iset.t option Atomic.t = Atomic.make None
+let no_simp = Atomic.make Unknown
+
 let hashcons node =
   (* the probe's id is never read: [Hashed_node] hashes and compares on the
      node alone, so an id of -1 finds any interned equal *)
-  let probe = { id = -1; node; width = node_width node; syms_memo = Atomic.make None } in
+  let probe = { id = -1; node; width = node_width node; syms_memo = no_syms; simp_memo = no_simp } in
   let s = shards.(shard_of_hash (Hashed_node.hash probe)) in
   lock_shard s;
   match Wtbl.find_opt s.tbl probe with
@@ -269,7 +283,8 @@ let hashcons node =
     Atomic.incr hc_hits;
     r
   | None ->
-    let t = { probe with id = Atomic.fetch_and_add next_id 1 } in
+    let id = Atomic.fetch_and_add next_id 1 in
+    let t = { probe with id; syms_memo = Atomic.make None; simp_memo = Atomic.make Unknown } in
     Wtbl.add s.tbl t;
     Mutex.unlock s.lock;
     Atomic.incr hc_misses;

@@ -12,7 +12,8 @@
     id/symbol counters are atomic, so terms may be built and shared
     freely across domains.
     Consequently {!equal} is physical identity, {!compare} compares ids,
-    {!width} is a field read, and {!sym_set} is memoized per node.  Terms
+    {!width} is a field read, and {!sym_set} and {!Simplify.simplify} are
+    memoized per node.  Terms
     can only be built through the smart constructors ([t] is a private
     record), which is what keeps the interning invariant. *)
 
@@ -45,7 +46,8 @@ type binop =
   | Concat  (** [concat a b] puts [a] in the high bits *)
 
 (** A term: the unique hashcons [id], the structural [node], the cached
-    bit [width], and a lazily computed symbol-support set.  Pattern-match
+    bit [width], and two lazily filled memos, its symbol-support set and
+    its simplified form.  Pattern-match
     via the [node] field, e.g.
     [match e.node with Binop (Eq, a, b) -> ...]. *)
 type t = private {
@@ -53,7 +55,12 @@ type t = private {
   node : node;
   width : int;
   syms_memo : Iset.t option Atomic.t;  (** internal: use {!sym_set} *)
+  simp_memo : simp Atomic.t;  (** internal: use {!Simplify.simplify} *)
 }
+
+(** What {!Simplify.simplify} knows of a term: nothing yet, that the term
+    is its own simplified form, or its simplified form. *)
+and simp = Unknown | Normal | Rewrites_to of t
 
 and node =
   | Const of { width : int; value : int64 }

@@ -7,9 +7,10 @@
 
    The rewriter is bottom-up; rules are applied to a fixpoint at each node
    (each rule strictly decreases a well-founded measure, so this
-   terminates).  Results are memoized globally by hashcons id: because
-   terms are interned, each distinct subterm in the whole process is
-   rewritten at most once, no matter how many path conditions share it. *)
+   terminates).  Results are memoized on the node itself: because terms
+   are interned, each distinct live subterm is rewritten at most once, no
+   matter how many path conditions or domains share it, and its memo dies
+   with it. *)
 
 open Expr
 
@@ -39,9 +40,9 @@ let operand_order a b =
 
 (* Rewrite statistics, for the solver microbenchmark: [visits] counts
    rewriter entries into un-memoized nodes, [rewrites] counts rule
-   applications, [memo_hits] counts simplifications answered from the
-   memo table.  Domain-local, like the memo itself: each domain counts
-   its own rewriting work, with no cross-domain write contention. *)
+   applications, [memo_hits] counts simplifications answered from a
+   node's memo slot.  Domain-local: each domain counts its own rewriting
+   work, with no cross-domain write contention. *)
 type rw_stats = { mutable visits : int; mutable rewrites : int; mutable memo_hits : int }
 
 let stats_key =
@@ -162,49 +163,17 @@ let lower_srem a b =
   let r = binop Urem (abs a) (abs b) in
   ite (eq b zero) a (ite (slt a zero) (unop Neg r) r)
 
-(* Domain-local memo: hashcons id -> simplified form.  Safe to share
-   across solvers within a domain because simplification is deterministic
-   and context-free; domain-local (rather than shared + locked) because
-   the memo is queried on every constraint of every query — the hottest
-   lookup in the solver — and a per-domain table keeps that lookup
-   lock-free.  Worker domains redundantly re-simplify terms another
-   domain already canonicalized; they compute identical results (the
-   rewriter is deterministic), so the duplication costs time only, never
-   correctness.  The table is weak-free (it pins results), so it is
-   capped and dropped wholesale when it outgrows the cap. *)
-let memo_cap = 1 lsl 20
-
-let memo_key : (int, Expr.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
-
-let memo () = Domain.DLS.get memo_key
-let memo_size () = Hashtbl.length (memo ())
-let clear_memo () = Hashtbl.reset (memo ())
-
-let rec simplify e =
-  let memo = memo () in
-  match Hashtbl.find_opt memo (Expr.id e) with
-  | Some r ->
-    let s = stats_live () in
-    s.memo_hits <- s.memo_hits + 1;
-    r
-  | None ->
-    let r = simplify_node e in
-    if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
-    Hashtbl.replace memo (Expr.id e) r;
-    (* simplify is idempotent: record the result as its own fixpoint so
-       re-simplifying an already-canonical term is a single lookup *)
-    if not (Expr.equal r e) then Hashtbl.replace memo (Expr.id r) r;
-    r
-
-and simplify_node e =
+(* Rewrite [e] with [simp] simplifying its children and the result of a
+   fired rule: [simplify] passes itself, [is_normal] a recursion that
+   reads no memo. *)
+let rewrite simp e =
   let s = stats_live () in
   s.visits <- s.visits + 1;
   match e.node with
   | Const _ | Sym _ -> e
-  | Unop (op, e1) -> unop op (simplify e1)
+  | Unop (op, e1) -> unop op (simp e1)
   | Binop (op, a, b) ->
-    let a = simplify a and b = simplify b in
+    let a = simp a and b = simp b in
     let a, b = if commutative op && operand_order a b > 0 then (b, a) else (a, b) in
     let folded = binop op a b in
     (match folded.node with
@@ -212,23 +181,49 @@ and simplify_node e =
       match rewrite_binop op' a' b' with
       | Some e' ->
         s.rewrites <- s.rewrites + 1;
-        simplify e'
+        simp e'
       | None -> folded)
     | _ -> folded)
   | Ite (c, a, b) ->
-    let c = simplify c and a = simplify a and b = simplify b in
+    let c = simp c and a = simp a and b = simp b in
     let folded = ite c a b in
     (match folded.node with
     | Ite (c', a', b') -> (
       match rewrite_ite c' a' b' with
       | Some e' ->
         s.rewrites <- s.rewrites + 1;
-        simplify e'
+        simp e'
       | None -> folded)
     | _ -> folded)
-  | Extract { e = e1; off; len } -> extract (simplify e1) ~off ~len
-  | Zext (e1, w) -> zext (simplify e1) w
-  | Sext (e1, w) -> sext (simplify e1) w
+  | Extract { e = e1; off; len } -> extract (simp e1) ~off ~len
+  | Zext (e1, w) -> zext (simp e1) w
+  | Sext (e1, w) -> sext (simp e1) w
+
+let memo_hit r =
+  let s = stats_live () in
+  s.memo_hits <- s.memo_hits + 1;
+  r
+
+(* The memo is the term's own [simp_memo] slot, published through its
+   [Atomic] as in {!Expr.sym_set}.  Sharing it across domains is safe:
+   the rewriter is deterministic and equal results intern to the same
+   physical node, so racing domains store the same value and a lost write
+   costs a recompute, never correctness. *)
+let rec simplify e =
+  match Atomic.get e.simp_memo with
+  | Normal -> memo_hit e
+  | Rewrites_to r -> memo_hit r
+  | Unknown ->
+    let r = rewrite simplify e in
+    (* simplify is idempotent: mark the result as its own fixpoint so
+       re-simplifying an already-canonical term is a single slot read *)
+    Atomic.set r.simp_memo Normal;
+    if r != e then Atomic.set e.simp_memo (Rewrites_to r);
+    r
+
+let is_normal e =
+  let rec fresh e = rewrite fresh e in
+  fresh e == e
 
 (* Recursively replace Sdiv/Srem with their unsigned lowering; used by the
    CNF translation. *)

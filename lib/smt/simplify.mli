@@ -2,10 +2,9 @@
 
 (** [simplify e] applies constant folding, algebraic identities, and
     commutative-operand normalization bottom-up, preserving the concrete
-    semantics of {!Expr.eval} exactly.  Results are memoized per domain
-    by hashcons id, so each distinct subterm is
-    rewritten at most once per domain — the memo is domain-local storage,
-    keeping the solver's hottest lookup lock-free under parallelism. *)
+    semantics of {!Expr.eval} exactly.  The result is memoized on the node
+    itself, so each distinct live subterm is rewritten at most once, the
+    result is visible to every domain, and the memo dies with the node. *)
 val simplify : Expr.t -> Expr.t
 
 (** [lower e] recursively replaces signed division and remainder with an
@@ -15,7 +14,7 @@ val simplify : Expr.t -> Expr.t
 val lower : Expr.t -> Expr.t
 
 (** Rewriter counters: [visits] = un-memoized nodes entered, [rewrites] =
-    rule applications, [memo_hits] = calls answered from the memo. *)
+    rule applications, [memo_hits] = calls answered from a node's memo. *)
 type rw_stats = { mutable visits : int; mutable rewrites : int; mutable memo_hits : int }
 
 (** Snapshot of the calling domain's counters. *)
@@ -23,9 +22,8 @@ val stats : unit -> rw_stats
 
 val reset_stats : unit -> unit
 
-(** Number of entries memoized in the calling domain. *)
-val memo_size : unit -> int
-
-(** Drop the calling domain's memoized results (e.g. alongside
-    {!Solver.clear_caches}). *)
-val clear_memo : unit -> unit
+(** [is_normal e] holds when [e] is a fixpoint of {!simplify}, re-derived
+    by rewriting the whole term without reading or writing any memo.  A
+    reference check for tests: it does not share subterm work, so it is
+    exponential in the depth of a shared DAG. *)
+val is_normal : Expr.t -> bool

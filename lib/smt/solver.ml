@@ -11,7 +11,7 @@
      evaluation before invoking the SAT solver.
 
    Expressions are hash-consed ({!Expr}), so the hot path is id
-   arithmetic: cache keys are id lists, canonical ordering is id order,
+   arithmetic: cache keys hash by id, canonical ordering is id order,
    and symbol-support sets are memoized per term.
 
    Caches and slicing can each be disabled at construction for ablation
@@ -55,7 +55,6 @@ type obs = {
   g_sat_cache : Obs.Metrics.gauge;
   g_det_cache : Obs.Metrics.gauge;
   g_cex_models : Obs.Metrics.gauge;
-  g_simplify_memo : Obs.Metrics.gauge;
   g_hc_entries : Obs.Metrics.gauge;
   g_hc_hits : Obs.Metrics.gauge;
   g_hc_misses : Obs.Metrics.gauge;
@@ -65,6 +64,16 @@ type obs = {
 }
 
 let gauge_period = 256
+
+(* Answer caches keyed by the id-sorted constraints themselves, not their
+   ids, so a cached constraint stays alive, and keeps its id, as long as
+   its entry does. *)
+module Key = Hashtbl.Make (struct
+  type t = Expr.t list
+
+  let equal = List.equal Expr.equal
+  let hash = List.fold_left (fun h e -> (h * 65599) + Expr.hash e) 0
+end)
 
 type t = {
   stats : stats;
@@ -76,8 +85,8 @@ type t = {
   use_cex_cache : bool;
   use_independence : bool;
   mutable inc : Cnf.ctx option;  (* the persistent incremental instance *)
-  sat_cache : (int list, result) Hashtbl.t; (* key: ids of id-sorted constraints *)
-  det_cache : (int list, result) Hashtbl.t;
+  sat_cache : result Key.t; (* key: id-sorted constraints *)
+  det_cache : result Key.t;
   mutable cex_models : Model.t list;
   cex_limit : int;
 }
@@ -99,7 +108,6 @@ let make_obs sink =
     g_sat_cache = Obs.Metrics.gauge m "solver_sat_cache_entries";
     g_det_cache = Obs.Metrics.gauge m "solver_det_cache_entries";
     g_cex_models = Obs.Metrics.gauge m "solver_cex_models";
-    g_simplify_memo = Obs.Metrics.gauge m "simplify_memo_entries";
     g_hc_entries = Obs.Metrics.gauge m "hashcons_entries";
     g_hc_hits = Obs.Metrics.gauge m "hashcons_hits";
     g_hc_misses = Obs.Metrics.gauge m "hashcons_misses";
@@ -163,8 +171,8 @@ let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = 
     use_cex_cache;
     use_independence;
     inc = None;
-    sat_cache = Hashtbl.create 1024;
-    det_cache = Hashtbl.create 256;
+    sat_cache = Key.create 1024;
+    det_cache = Key.create 256;
     cex_models = [];
     cex_limit = 32;
   }
@@ -220,10 +228,9 @@ let sample_gauges t =
   match t.obs with
   | None -> ()
   | Some o ->
-    Obs.Metrics.set o.g_sat_cache (float_of_int (Hashtbl.length t.sat_cache));
-    Obs.Metrics.set o.g_det_cache (float_of_int (Hashtbl.length t.det_cache));
+    Obs.Metrics.set o.g_sat_cache (float_of_int (Key.length t.sat_cache));
+    Obs.Metrics.set o.g_det_cache (float_of_int (Key.length t.det_cache));
     Obs.Metrics.set o.g_cex_models (float_of_int (List.length t.cex_models));
-    Obs.Metrics.set o.g_simplify_memo (float_of_int (Simplify.memo_size ()));
     let hc = Expr.hashcons_stats () in
     Obs.Metrics.set o.g_hc_entries (float_of_int hc.Expr.table_size);
     Obs.Metrics.set o.g_hc_hits (float_of_int hc.Expr.hits);
@@ -262,8 +269,8 @@ let note t kind tier sat =
    never solve against the source worker's activation groups — the next
    SAT call rebuilds from an empty instance, exactly like the caches. *)
 let clear_caches t =
-  Hashtbl.reset t.sat_cache;
-  Hashtbl.reset t.det_cache;
+  Key.reset t.sat_cache;
+  Key.reset t.det_cache;
   t.cex_models <- [];
   match t.inc with
   | Some _ ->
@@ -284,9 +291,6 @@ let normalize constraints =
       else go (c :: acc) rest
   in
   go [] constraints
-
-(* The cache key of an id-sorted constraint list. *)
-let key_of = List.map Expr.id
 
 (* Transitive closure of constraints connected to [seed] through shared
    symbols.  Symbol-support sets are memoized per term ({!Expr.sym_set}),
@@ -353,7 +357,7 @@ let inc_ctx t =
 
 (* Assumption-based solve on the per-solver persistent instance: each
    constraint's clause group is blasted at most once per instance
-   ([Cnf.activate], keyed on hashcons id), the query is the conjunction
+   ([Cnf.activate], keyed on the term), the query is the conjunction
    of the groups' activation literals, and the CDCL core keeps learned
    clauses, activities and phases between calls — so the second polarity
    of a fork, and later queries sharing a pc prefix, start from
@@ -411,8 +415,7 @@ let remember_model t m =
    normalized (id-sorted) and non-empty.  [kind] labels the trace event
    with the querying entry point. *)
 let check_normalized t ~kind constraints =
-  let k = if t.use_sat_cache then key_of constraints else [] in
-  let cached = if t.use_sat_cache then Hashtbl.find_opt t.sat_cache k else None in
+  let cached = if t.use_sat_cache then Key.find_opt t.sat_cache constraints else None in
   match cached with
   | Some r ->
     t.stats.cache_hits <- t.stats.cache_hits + 1;
@@ -437,7 +440,7 @@ let check_normalized t ~kind constraints =
         (match r with Sat m -> remember_model t m | Unsat -> ());
         r
     in
-    if t.use_sat_cache then Hashtbl.replace t.sat_cache k r;
+    if t.use_sat_cache then Key.replace t.sat_cache constraints r;
     r
 
 (* The symbol-connected components of an id-sorted constraint list, each
@@ -573,12 +576,12 @@ let fork_feasible t ~pc cond =
    is one too: two workers replaying the same path obtain the same model
    — the solver-side requirement for replay determinism (paper section 6,
    "Broken Replays").  Results are memoized per component in a dedicated
-   cache whose entries are themselves deterministic, keyed by id for O(1)
-   hashing (a key miss just means a deterministic recompute); a new
-   branch changes one component, so only that one is re-solved. *)
+   cache whose entries are themselves deterministic, keyed like the
+   satisfiability cache (a key miss just means a deterministic
+   recompute); a new branch changes one component, so only that one is
+   re-solved. *)
 let solve_deterministic t part =
-  let k = key_of part in
-  match Hashtbl.find_opt t.det_cache k with
+  match Key.find_opt t.det_cache part with
   | Some r ->
     t.stats.cache_hits <- t.stats.cache_hits + 1;
     note t "det" Obs.Event.Det_cache (is_sat r);
@@ -587,7 +590,7 @@ let solve_deterministic t part =
     t.stats.sat_calls <- t.stats.sat_calls + 1;
     let r = solve_fresh (List.sort Expr.compare_structural part) in
     note t "det" Obs.Event.Sat_call (is_sat r);
-    Hashtbl.replace t.det_cache k r;
+    Key.replace t.det_cache part r;
     r
 
 let check_deterministic t constraints =

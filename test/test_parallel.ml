@@ -53,6 +53,20 @@ let test_hashcons_stress () =
   Alcotest.(check bool) "ids monotone" true (st.Expr.next_id >= IS.max_elt ids);
   Alcotest.(check bool) "interning hit the table" true (st.Expr.hits > 0)
 
+(* A deep chain over many symbols, so a memo race has real surface.
+   [mul acc x] puts the compound operand first, so simplify reorders
+   every level; [~twin:true] builds the reordered chain directly, a
+   different term with the same simplified form. *)
+let chain ?(twin = false) base i =
+  let rec build depth acc =
+    if depth = 0 then acc
+    else
+      let x = Expr.sym_with_id ~id:(base + (i * 40) + depth) ~name:"s" 32 in
+      let prod = if twin then Expr.mul x acc else Expr.mul acc x in
+      build (depth - 1) (Expr.add prod (Expr.of_int ~width:32 depth))
+  in
+  build 32 (Expr.sym_with_id ~id:(base + (i * 40)) ~name:"s" 32)
+
 (* The sym_set memo is published through an Atomic on each node: domains
    racing to memoize the same shared term must all read either None or a
    fully built set, never a torn value.  Build a deep shared expression,
@@ -60,31 +74,12 @@ let test_hashcons_stress () =
    the sequentially computed reference. *)
 let test_syms_memo_race () =
   let nd = 4 in
-  (* deep chain over many symbols so the memo race has real surface *)
-  let terms =
-    Array.init 64 (fun i ->
-        let rec build depth acc =
-          if depth = 0 then acc
-          else
-            let x = Expr.sym_with_id ~id:(2_000_000 + (i * 40) + depth) ~name:"s" 32 in
-            build (depth - 1) (Expr.add (Expr.mul acc x) (Expr.of_int ~width:32 depth))
-        in
-        build 32 (Expr.sym_with_id ~id:(2_000_000 + (i * 40)) ~name:"s" 32))
-  in
+  let terms = Array.init 64 (chain 2_000_000) in
   let reference = Array.map Expr.sym_set terms in
   (* fresh structurally-equal terms intern to the same memoized nodes, so
      the reference walk above already primed some memos; rebuild a second
      batch that no one has walked yet to race on cold memos too *)
-  let cold =
-    Array.init 64 (fun i ->
-        let rec build depth acc =
-          if depth = 0 then acc
-          else
-            let x = Expr.sym_with_id ~id:(3_000_000 + (i * 40) + depth) ~name:"s" 32 in
-            build (depth - 1) (Expr.add (Expr.mul acc x) (Expr.of_int ~width:32 depth))
-        in
-        build 32 (Expr.sym_with_id ~id:(3_000_000 + (i * 40)) ~name:"s" 32))
-  in
+  let cold = Array.init 64 (chain 3_000_000) in
   let walk () = Array.map Expr.sym_set cold in
   let results = Array.map Domain.join (Array.init nd (fun _ -> Domain.spawn walk)) in
   let cold_reference = Array.map Expr.sym_set cold in
@@ -103,6 +98,29 @@ let test_syms_memo_race () =
         Alcotest.failf "memoized sym_set changed at term %d" i)
     terms;
   Alcotest.(check int) "reference cardinality sane" 33 (Expr.Iset.cardinal reference.(0))
+
+(* The simplified form lives in an Atomic slot on each node too.  The
+   reference simplifies the twins sequentially, which leaves the cold
+   chains' own slots empty; then 4 domains simplify the cold chains at
+   once.  Every answer must be the reference's physical node and its own
+   fixpoint, both by its slot and re-derived without any memo. *)
+let test_simplify_race () =
+  let nd = 4 in
+  let reference = Array.map Smt.Simplify.simplify (Array.init 64 (chain ~twin:true 4_000_000)) in
+  let cold = Array.init 64 (chain 4_000_000) in
+  let simplify_all () = Array.map Smt.Simplify.simplify cold in
+  let results = Array.map Domain.join (Array.init nd (fun _ -> Domain.spawn simplify_all)) in
+  Array.iter
+    (fun per_domain ->
+      Array.iteri
+        (fun i r ->
+          if r != reference.(i) then
+            Alcotest.failf "concurrent simplify disagrees with sequential at term %d" i;
+          if Smt.Simplify.simplify r != r || not (Smt.Simplify.is_normal r) then
+            Alcotest.failf "concurrent simplify at term %d is not its own fixpoint" i)
+        per_domain)
+    results;
+  Alcotest.(check bool) "the cold chains needed rewriting" true (cold.(0) != reference.(0))
 
 (* Fresh symbols minted concurrently must never collide. *)
 let test_fresh_sym_unique () =
@@ -264,6 +282,7 @@ let () =
         [
           Alcotest.test_case "hashcons 4-domain stress" `Quick test_hashcons_stress;
           Alcotest.test_case "sym_set memo 4-domain race" `Quick test_syms_memo_race;
+          Alcotest.test_case "simplify memo 4-domain race" `Quick test_simplify_race;
           Alcotest.test_case "fresh_sym unique across domains" `Quick test_fresh_sym_unique;
         ] );
       ( "profiling",

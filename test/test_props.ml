@@ -170,14 +170,32 @@ let prop_prefix_codec =
          <= List.fold_left (fun a p -> a + Path.length p) 0 ps
             + (if ps = [] then 0 else Path.length prefix))
 
+(* Decoding never raises, and any Ok result re-encodes to the same bytes. *)
+let decodes_only_canonical s =
+  match Path.decode_batch s with Error _ -> true | Ok b -> Path.encode_batch b = s
+
 let prop_prefix_codec_rejects_garbage =
   QCheck2.Test.make ~count:300 ~name:"batch codec rejects corrupt wire strings"
     QCheck2.Gen.(string_size ~gen:printable (int_bound 20))
-    (fun s ->
-      (* decode never raises; any Ok result re-encodes to the same bytes *)
-      match Path.decode_batch s with
-      | Error _ -> true
-      | Ok b -> Path.encode_batch b = s)
+    decodes_only_canonical
+
+(* The same check on corrupted valid wire strings: every truncation and
+   every single-byte substitution of an [encode_batch] output. *)
+let prop_batch_codec_survives_corruption =
+  QCheck2.Test.make ~count:50 ~name:"batch codec survives truncation and byte substitution"
+    ~print:(fun ps -> Path.encode_batch (Path.factor ps))
+    gen_batch (fun ps ->
+      let wire = Path.encode_batch (Path.factor ps) in
+      let positions = List.init (String.length wire) Fun.id in
+      List.for_all (fun len -> decodes_only_canonical (String.sub wire 0 len)) positions
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun c ->
+                 decodes_only_canonical
+                   (String.mapi (fun j x -> if j = i then Char.chr c else x) wire))
+               (List.init 256 Fun.id))
+           positions)
 
 (* --- Trie: model-based ---------------------------------------------------------- *)
 
@@ -430,16 +448,16 @@ let gen_constraint =
   return (if neg then E.not_ c else c)
 
 (* [State.add_constraint] keeps the pc normalized — every member a
-   simplify fixpoint (checked on an empty memo, so idempotence is really
-   re-derived) and none trivially true. *)
+   simplify fixpoint and none trivially true.  [is_normal] re-derives the
+   fixpoint without the per-node memo, which would answer [simplify c == c]
+   from the slot [add_constraint] itself wrote. *)
 let prop_add_constraint_normalized =
   QCheck2.Test.make ~count:300 ~name:"add_constraint keeps pc normalized"
     QCheck2.Gen.(list_size (int_range 1 12) gen_constraint)
     (fun cs ->
       let st = List.fold_left Engine.State.add_constraint searcher_st0 cs in
       let pc = st.Engine.State.pc in
-      Smt.Simplify.clear_memo ();
-      List.for_all (fun c -> Smt.Simplify.simplify c == c && not (E.is_true c)) pc)
+      List.for_all (fun c -> Smt.Simplify.is_normal c && not (E.is_true c)) pc)
 
 (* --- solver determinism ---------------------------------------------------------------- *)
 
@@ -494,7 +512,14 @@ let () =
           Alcotest.test_case "faults" `Quick test_memory_faults;
         ]
         @ qsuite [ prop_memory_roundtrip ] );
-      ("path", qsuite [ prop_path_prefix; prop_prefix_codec; prop_prefix_codec_rejects_garbage ]);
+      ( "path",
+        qsuite
+          [
+            prop_path_prefix;
+            prop_prefix_codec;
+            prop_prefix_codec_rejects_garbage;
+            prop_batch_codec_survives_corruption;
+          ] );
       ( "trie",
         qsuite
           [ prop_trie_matches_assoc_model; prop_trie_random_pick_member; prop_trie_random_pick_draws ]

@@ -741,7 +741,7 @@ let test_hashcons_buckets_spread () =
     true (st.E.max_bucket <= 22);
   ignore (Sys.opaque_identity nodes)
 
-let test_simplify_memo () =
+let test_memoized_simplify () =
   let e = E.add (E.mul sym_a (i8 2)) (E.sub sym_b sym_b) in
   ignore (Smt.Simplify.simplify e);
   Smt.Simplify.reset_stats ();
@@ -750,7 +750,70 @@ let test_simplify_memo () =
   Alcotest.(check bool) "repeat simplify is a memo hit" true
     (st.Smt.Simplify.memo_hits >= 1 && st.Smt.Simplify.visits = 0);
   let r2 = Smt.Simplify.simplify r1 in
-  Alcotest.(check bool) "simplify is idempotent (shared node)" true (r1 == r2)
+  Alcotest.(check bool) "simplify is idempotent (shared node)" true (r1 == r2);
+  Alcotest.(check bool) "the result is normal without the memo" true (Smt.Simplify.is_normal r1);
+  Alcotest.(check bool) "the input is not" false (Smt.Simplify.is_normal e)
+
+(* An interning hit allocates no memo cell: every lookup probe shares one
+   pair, and only an interned node gets its own.  The words of one
+   [E.const] hit on this compiler (OCaml 5.1, no flambda) are:
+   - [const] itself: the [Const] node (header + width + value = 3), the
+     truncated boxed int64 (header + custom ops + payload = 3) and the
+     boxed mask it is computed with (3);
+   - the probe record: header + id, node, width, syms_memo, simp_memo = 6;
+   - [Weak.Make]'s lookup: its bucket-loop closure (header + 11 = 12) and
+     the [Some] of the matching slot (2);
+   29 in all.  A fresh [Atomic] per probe (header + 1 field = 2, with one
+   field less in the probe) made it 30. *)
+let test_const_hit_allocation () =
+  (* [c] keeps the constant interned, so every call below is a hit *)
+  let c = E.const ~width:8 0x5aL in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (E.const ~width:8 0x5aL))
+  done;
+  let per_hit = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.0)) "minor words per interning hit" 29.0 per_hit;
+  ignore (Sys.opaque_identity c)
+
+let memcached2x4 () =
+  Core.Cloud9.target "memcached2x4" (Targets.Memcached_mini.symbolic_packets ~npackets:2 ~pkt_len:4)
+
+(* A finished run pins no terms: once its states, solver and report are
+   garbage, the terms they built are collectable, simplified forms
+   included.  A memo kept beside the term, keyed by id, kept every term
+   the run simplified alive after it.  This must be the suite's first run
+   of the target: under such a memo an earlier run would already have
+   pinned the same terms. *)
+let test_finished_run_pins_no_terms () =
+  let target = memcached2x4 () in
+  let live () =
+    Gc.full_major ();
+    (E.hashcons_stats ()).E.table_size
+  in
+  let before = live () in
+  ignore (Sys.opaque_identity (Core.Cloud9.run_local target));
+  let after = live () in
+  if after > before then Alcotest.failf "live terms grew %d -> %d over a finished run" before after
+
+(* Solver counts are a function of the queries, not of when the GC runs.
+   A constraint that dies between two queries comes back as a new term
+   with a new id, so the answer caches and the incremental instance hold
+   the terms they key on: a constraint they know stays the term they
+   know.  The same run under a 32 KB minor heap and an eager major GC
+   must answer every tier exactly as often. *)
+let test_solver_counts_ignore_gc () =
+  let target = memcached2x4 () in
+  let counts () =
+    let r = Core.Cloud9.run_local target in
+    (r.Core.Cloud9.solver_stats, r.Core.Cloud9.inc_stats)
+  in
+  let reference = counts () in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4096; space_overhead = 10 };
+  let eager = Fun.protect ~finally:(fun () -> Gc.set gc) counts in
+  Alcotest.(check bool) "same solver and incremental counts" true (reference = eager)
 
 (* --- solver stats reconciliation ---------------------------------------------- *)
 
@@ -960,7 +1023,12 @@ let () =
         ] );
       ( "simplify",
         Alcotest.test_case "identities" `Quick test_simplify_identities
-        :: Alcotest.test_case "memoization" `Quick test_simplify_memo
+        :: Alcotest.test_case "memoization" `Quick test_memoized_simplify
+        :: Alcotest.test_case "an interning hit allocates only its probe" `Quick
+             test_const_hit_allocation
+        :: Alcotest.test_case "a finished run pins no terms" `Quick test_finished_run_pins_no_terms
+        :: Alcotest.test_case "solver counts do not depend on GC timing" `Quick
+             test_solver_counts_ignore_gc
         :: qsuite [ prop_simplify_preserves_semantics; prop_lower_preserves_semantics ] );
       ( "sat",
         [
