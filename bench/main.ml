@@ -338,27 +338,10 @@ let t5 () =
     let coverable =
       List.filter (fun l -> l <= server_lines) (Cvm.Program.covered_lines program)
     in
-    let covered =
-      List.filter
-        (fun l -> Char.code (Bytes.get vec (l / 8)) land (1 lsl (l mod 8)) <> 0)
-        coverable
-    in
-    float_of_int (List.length covered) /. float_of_int (max 1 (List.length coverable))
+    Engine.Coverage.fraction ~coverable:(List.length coverable)
+      (List.length (List.filter (Engine.Coverage.mem vec) coverable))
   in
-  let union vecs =
-    match vecs with
-    | [] -> Bytes.create 0
-    | first :: _ ->
-      let acc = Bytes.make (Bytes.length first) '\000' in
-      List.iter
-        (fun v ->
-          for i = 0 to min (Bytes.length acc) (Bytes.length v) - 1 do
-            Bytes.set acc i
-              (Char.chr (Char.code (Bytes.get acc i) lor Char.code (Bytes.get v i)))
-          done)
-        vecs;
-      acc
-  in
+  let union vecs = List.fold_left Engine.Coverage.union_into (Bytes.create 0) vecs in
   let run_method programs =
     let results =
       List.map
@@ -1341,7 +1324,6 @@ let bench_faults_parallel ?(quick = false) () =
   in
   let run_timed plan =
     let cfg = CP.default_config ~faults:plan ~ndomains ~make_worker () in
-    let cfg = { cfg with CP.heartbeat_ticks = 1_000; watchdog = 120.0 } in
     let t0 = Unix.gettimeofday () in
     let r = CP.run ~coverable_lines:coverable cfg in
     (r, Unix.gettimeofday () -. t0, cfg.CP.tick_period)
@@ -1980,13 +1962,13 @@ let bench_telemetry ?(quick = false) () =
   c.SC.bans <- c.SC.frontier @ c.SC.bans;
   let saturated =
     let n = c.SC.coverable in
-    let b = Bytes.make ((n + 7) / 8) '\000' in
+    let b = Engine.Coverage.create ~nlines:n in
     for i = 0 to n - 1 do
-      Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
+      ignore (Engine.Coverage.add b i)
     done;
     b
   in
-  SC.or_coverage c saturated;
+  c.SC.coverage <- Engine.Coverage.union_into c.SC.coverage saturated;
   SC.recompute_coverage_frac c;
   (* the slice that lands the saturated fraction registers as a gain;
      dry counting starts after it *)

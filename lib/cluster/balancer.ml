@@ -16,23 +16,21 @@ type t = {
   starved_only : bool; (* feed only workers that reported an empty queue *)
   queues : (int, int) Hashtbl.t; (* worker id -> last reported queue length *)
   last_report : (int, int) Hashtbl.t; (* worker id -> tick of last report *)
-  global_coverage : Bytes.t;
+  mutable global_coverage : Bytes.t; (* grows to the vectors' length on the first merge *)
   mutable enabled : bool; (* Fig. 13 disables balancing mid-run *)
-  mutable total_transfers_requested : int;
   obs : Obs.Sink.t option;
   queue_mean : Obs.Metrics.gauge option;  (* resolved at create *)
   queue_sigma : Obs.Metrics.gauge option;
 }
 
-let create ?(delta = 0.5) ?(starved_only = false) ?obs ~coverage_bytes () =
+let create ?(delta = 0.5) ?(starved_only = false) ?obs () =
   {
     delta;
     starved_only;
     queues = Hashtbl.create 16;
     last_report = Hashtbl.create 16;
-    global_coverage = Bytes.make coverage_bytes '\000';
+    global_coverage = Bytes.create 0;
     enabled = true;
-    total_transfers_requested = 0;
     obs;
     queue_mean = Option.map (fun s -> Obs.Metrics.gauge (Obs.Sink.metrics s) "lb_queue_mean") obs;
     queue_sigma =
@@ -41,16 +39,15 @@ let create ?(delta = 0.5) ?(starved_only = false) ?obs ~coverage_bytes () =
 
 let disable t = t.enabled <- false
 
+let merge_coverage t coverage =
+  t.global_coverage <- Engine.Coverage.union_into t.global_coverage coverage
+
 (* A worker status update: merge coverage, remember the queue length, and
    return the current global coverage for the worker to merge back. *)
 let report ?(tick = 0) t ~worker ~queue_len ~coverage =
   Hashtbl.replace t.queues worker queue_len;
   Hashtbl.replace t.last_report worker tick;
-  let n = min (Bytes.length coverage) (Bytes.length t.global_coverage) in
-  for i = 0 to n - 1 do
-    Bytes.set t.global_coverage i
-      (Char.chr (Char.code (Bytes.get t.global_coverage i) lor Char.code (Bytes.get coverage i)))
-  done;
+  merge_coverage t coverage;
   Bytes.copy t.global_coverage
 
 let forget t ~worker =
@@ -148,7 +145,6 @@ let rebalance ?now ?(staleness = max_int) t =
         (fun { src; dst; count } ->
           Hashtbl.replace t.queues src (max 0 ((Hashtbl.find t.queues src) - count));
           Hashtbl.replace t.queues dst (Hashtbl.find t.queues dst + count);
-          t.total_transfers_requested <- t.total_transfers_requested + count;
           match t.obs with
           | Some s -> Obs.Sink.event s (Obs.Event.Transfer_request { src; dst; count })
           | None -> ())
@@ -157,4 +153,4 @@ let rebalance ?now ?(staleness = max_int) t =
     end
   end
 
-let global_coverage t = t.global_coverage
+let global_coverage t = Bytes.copy t.global_coverage

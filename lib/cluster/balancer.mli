@@ -12,8 +12,7 @@ type t
     false) only workers that reported an empty queue count as under, so
     no transfer ever goes to a worker that still has work.  [obs] traces
     issued transfer requests and exports the queue mean/sigma gauges. *)
-val create :
-  ?delta:float -> ?starved_only:bool -> ?obs:Obs.Sink.t -> coverage_bytes:int -> unit -> t
+val create : ?delta:float -> ?starved_only:bool -> ?obs:Obs.Sink.t -> unit -> t
 
 (** Stop issuing transfer requests (Fig. 13's mid-run disable). *)
 val disable : t -> unit
@@ -24,8 +23,12 @@ val disable : t -> unit
     local strategy. *)
 val report : ?tick:int -> t -> worker:int -> queue_len:int -> coverage:Bytes.t -> Bytes.t
 
+(** OR a vector into the global overlay (which starts empty and grows
+    to the vectors' length on the first merge). *)
+val merge_coverage : t -> Bytes.t -> unit
+
 (** Drop a departed worker's entries so its stale queue length no longer
-    skews classification (called by the driver on a crash). *)
+    skews classification (called on a crash). *)
 val forget : t -> worker:int -> unit
 
 (** Compute transfer requests from the last reported queue lengths.  Each
@@ -37,4 +40,5 @@ val forget : t -> worker:int -> unit
     nor attract transfers. *)
 val rebalance : ?now:int -> ?staleness:int -> t -> request list
 
+(** A copy of the global overlay. *)
 val global_coverage : t -> Bytes.t

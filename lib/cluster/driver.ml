@@ -18,14 +18,15 @@
    is leased and retransmitted with exponential backoff until
    acknowledged; receivers deduplicate by lease id.  Status reports are
    the reliable control plane and double as each worker's durable
-   recovery point.  The lease/crash-recovery state machine itself lives
-   in {!Transport}, shared with the real-domain {!Parallel} runtime;
-   this driver supplies the virtual-time backend: a latency-stamped
-   inbox lossy per {!Faultplan.fate}, and a [begin_crash] that drops the
-   simulated engine, filters undeliverable traffic, and forgets the
-   balancer entry.  A live worker that exhausts a lease's retransmit
-   budget is evicted through the same crash path, which is what keeps
-   re-routing from ever double-exploring a subtree.
+   recovery point.  The balancer, the lease ledger and the
+   crash-recovery state machine live in the coordinator {!Transport},
+   shared with the real-domain {!Parallel} runtime, and lease dedup in
+   each {!Worker}; this driver supplies the virtual-time backend: a
+   latency-stamped inbox lossy per {!Faultplan.fate}, the clock, and a
+   [begin_crash] that drops the simulated engine and filters
+   undeliverable traffic.  A live worker that exhausts a lease's
+   retransmit budget is evicted through the same crash path, which is
+   what keeps re-routing from ever double-exploring a subtree.
 
    One tick nominally represents 10 ms of virtual time. *)
 
@@ -118,8 +119,8 @@ type result = {
 }
 
 (* A started cluster between slices.  [advance] closes over the whole
-   simulation state built by [start]: workers, inbox, transport, ledger,
-   balancer and virtual clock all persist from one slice to the next. *)
+   simulation state built by [start]: workers, inbox, transport and
+   virtual clock all persist from one slice to the next. *)
 type 'env t = {
   workers : 'env Worker.t option array;
   advance : int -> result;
@@ -171,10 +172,6 @@ let start ?obs (cfg : 'env config) =
       Obs.Sink.observe wsinks.(i) ~useful:0 ~replay:0 ~idle:0 ~depth:0 ~queries:0 ~sat_calls:0
     end
   in
-  (* the balancer is created when the first worker joins, sized from that
-     worker's coverage vector (all workers' vectors have the same length) *)
-  let lb = ref None in
-  let lb_pending_disable = ref false in
   let inbox : (int * message) list ref = ref [] in (* (deliver_tick, msg) *)
   let tick = ref 0 in
   let transfers_total = ref 0 in
@@ -216,7 +213,9 @@ let start ?obs (cfg : 'env config) =
             send_net ~at:(!tick + jobs_delay encoded) ~src ~dst
               (Jobs { lease; src; dst; encoded; recovery }));
         install_bans =
-          (fun bans -> List.iter (fun w -> Worker.ban_paths w bans) (alive_workers ()));
+          (fun bans ->
+            List.iter (fun w -> Worker.ban_paths w bans) (alive_workers ());
+            []);
         live_workers =
           (fun () ->
             Array.to_list workers
@@ -248,23 +247,13 @@ let start ?obs (cfg : 'env config) =
                       | Transfer_request { src; dst; _ } -> src <> i && dst <> i
                       | Ack _ -> true (* stale acks are ignored by the ledger *))
                     !inbox;
-                (match !lb with Some b -> Balancer.forget b ~worker:i | None -> ());
                 workers.(i) <- None;
                 true);
       }
   in
-  let ledger = Transport.ledger transport in
   let spawn i =
     let w = cfg.make_worker i in
     Worker.ban_paths w (Transport.bans transport);
-    (match !lb with
-    | Some _ -> ()
-    | None ->
-      let b =
-        Balancer.create ~coverage_bytes:(Bytes.length w.Worker.cfg.Executor.coverage) ?obs ()
-      in
-      if !lb_pending_disable then Balancer.disable b;
-      lb := Some b);
     workers.(i) <- Some w;
     base_useful.(i) <- 0;
     base_replay.(i) <- 0;
@@ -272,41 +261,16 @@ let start ?obs (cfg : 'env config) =
     zero_timeline i;
     w
   in
-  (* lease id -> worker that processed it: receiver-side dedup, and the
-     source of the cumulative acknowledgement piggybacked on reports *)
-  let processed_leases : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let global_coverage_fraction () =
-    match !lb with
-    | None -> 0.0
-    | Some b ->
-      (* merge every live worker's vector into the LB's view *)
-      let g = Balancer.global_coverage b in
-      List.iter
-        (fun w ->
-          let c = w.Worker.cfg.Executor.coverage in
-          for i = 0 to min (Bytes.length g) (Bytes.length c) - 1 do
-            Bytes.set g i (Char.chr (Char.code (Bytes.get g i) lor Char.code (Bytes.get c i)))
-          done)
-        (alive_workers ());
-      if cfg.coverable_lines = 0 then 1.0
-      else float_of_int (Executor.popcount_bytes g) /. float_of_int cfg.coverable_lines
+  (* the balancer's overlay with every live engine's vector merged in
+     (engines may be ahead of their last reports); a resumed campaign ORs
+     the exported copy into its own, since lines covered only by
+     completed paths are not re-covered by frontier replays *)
+  let global_coverage () =
+    Transport.global_coverage transport
+      (List.map (fun w -> w.Worker.cfg.Executor.coverage) (alive_workers ()))
   in
-  (* the same union, as raw bytes — exported so a resumed campaign can OR
-     slices together (lines covered only by completed paths are not
-     re-covered by frontier replays) *)
-  let global_coverage_bytes () =
-    match !lb with
-    | None -> Bytes.create 0
-    | Some b ->
-      let g = Balancer.global_coverage b in
-      List.iter
-        (fun w ->
-          let c = w.Worker.cfg.Executor.coverage in
-          for i = 0 to min (Bytes.length g) (Bytes.length c) - 1 do
-            Bytes.set g i (Char.chr (Char.code (Bytes.get g i) lor Char.code (Bytes.get c i)))
-          done)
-        (alive_workers ());
-      Bytes.copy g
+  let global_coverage_fraction () =
+    Engine.Coverage.(fraction ~coverable:cfg.coverable_lines (popcount (global_coverage ())))
   in
   let totals () =
     List.fold_left
@@ -428,8 +392,7 @@ let start ?obs (cfg : 'env config) =
                  lost; deliver the payload only once per lease *)
               send_net ~at:(t + cfg.latency) ~src:dst ~dst:Faultplan.lb
                 (Ack { lease; src = dst });
-              if not (Hashtbl.mem processed_leases lease) then begin
-                Hashtbl.replace processed_leases lease dst;
+              if Worker.accept_lease w ~lease then begin
                 let batch =
                   match Job.decode_batch encoded with
                   | Ok b -> b
@@ -452,13 +415,10 @@ let start ?obs (cfg : 'env config) =
                 if jobs <> [] then
                   ignore (Transport.issue_transfer transport ~src ~dst ~jobs ~now:t)
               | _ -> ())
-          | Ack { lease; _ } -> Ledger.mark_delivered ledger ~lease ~now:t)
+          | Ack { lease; _ } -> Transport.ack transport ~lease ~now:t)
         due;
       (* balancer disable hook (Fig. 13) *)
-      (match cfg.lb_disable_at with
-      | Some at when t = at -> (
-        match !lb with Some b -> Balancer.disable b | None -> lb_pending_disable := true)
-      | Some _ | None -> ());
+      if cfg.lb_disable_at = Some t then Transport.disable_balancing transport;
       (* each worker runs its per-tick instruction budget (suspended while
          draining to a preemption barrier) *)
       if not !draining then
@@ -477,36 +437,27 @@ let start ?obs (cfg : 'env config) =
          control plane: each doubles as the worker's durable recovery point
          in the ledger (frontier digest + cumulative counters). *)
       if t mod cfg.status_interval = 0 then begin
-        match !lb with
-        | None -> ()
-        | Some b ->
-          Array.iteri
-            (fun i w ->
-              match w with
-              | None -> ()
-              | Some w ->
-                let paths, errs, _, _ = Worker.stats w in
-                let received =
-                  Hashtbl.fold (fun id dst acc -> if dst = i then id :: acc else acc)
-                    processed_leases []
-                in
-                Ledger.record_report ~received ledger ~worker:i ~tick:t
-                  ~digest:(Worker.digest_paths w) ~paths ~errors:errs;
-                let cov = w.Worker.cfg.Executor.coverage in
-                let global =
-                  Balancer.report ~tick:t b ~worker:i ~queue_len:(Worker.queue_length w)
-                    ~coverage:cov
-                in
-                (* the worker merges the global vector into its own so its
-                   local coverage-optimized strategy pursues the global goal *)
-                ignore (Executor.merge_coverage w.Worker.cfg global))
-            workers;
-          if not !draining then
-            List.iter
-              (fun { Balancer.src; dst; count } ->
-                send_net ~at:(t + cfg.latency) ~src:Faultplan.lb ~dst:src
-                  (Transfer_request { src; dst; count }))
-              (Balancer.rebalance ~now:t ~staleness:(2 * cfg.status_interval) b)
+        Array.iteri
+          (fun i w ->
+            match w with
+            | None -> ()
+            | Some w ->
+              let paths, errors, _, _ = Worker.stats w in
+              let global =
+                Transport.report transport ~worker:i ~tick:t ~queue_len:(Worker.queue_length w)
+                  ~coverage:w.Worker.cfg.Executor.coverage ~digest:(Worker.digest_paths w) ~paths
+                  ~errors ~received:w.Worker.imported_leases
+              in
+              (* the worker merges the global vector into its own so its
+                 local coverage-optimized strategy pursues the global goal *)
+              Executor.merge_coverage w.Worker.cfg global)
+          workers;
+        if not !draining then
+          List.iter
+            (fun { Transport.src; dst; count } ->
+              send_net ~at:(t + cfg.latency) ~src:Faultplan.lb ~dst:src
+                (Transfer_request { src; dst; count }))
+            (Transport.rebalance ~now:t ~staleness:(2 * cfg.status_interval) transport)
       end;
       (* at-least-once delivery: the transport resends leases past their
          backoff deadline, evicts destinations that exhaust the retransmit
@@ -575,7 +526,7 @@ let start ?obs (cfg : 'env config) =
           {
             fx_jobs = List.concat_map Worker.digest_paths (alive_workers ());
             fx_bans = Transport.bans transport;
-            fx_coverage = global_coverage_bytes ();
+            fx_coverage = global_coverage ();
           }
     in
     {

@@ -60,6 +60,3 @@ let decode_batch s =
   match Path.decode_batch s with
   | Ok (prefix, suffixes) -> Ok { prefix; suffixes }
   | Error _ as e -> e
-
-(* Wire size of the factored batch: the codec string itself. *)
-let batch_encoded_size b = String.length (encode_batch b)

@@ -36,4 +36,3 @@ val batch_size : batch -> int
 val encode_batch : batch -> string
 
 val decode_batch : string -> (batch, string) result
-val batch_encoded_size : batch -> int

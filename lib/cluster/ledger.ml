@@ -165,13 +165,17 @@ let tick_timeouts t ~now =
     t.leases;
   (!resend, !failed)
 
-let cancel t ~lease = Hashtbl.remove t.leases lease
-
 (* Leases whose jobs may still be in flight (no ack yet).  Delivered
    leases do not block exhaustion: their jobs sit in a live frontier or
    are already explored. *)
 let pending t =
   Hashtbl.fold (fun _ l acc -> if l.delivered = None then acc + 1 else acc) t.leases 0
+
+(* Jobs of the leases still crossing the wire to [dst]. *)
+let in_flight_jobs t ~dst =
+  Hashtbl.fold
+    (fun _ l acc -> if l.l_dst = dst && l.delivered = None then acc + List.length l.l_jobs else acc)
+    t.leases 0
 
 let retransmits t = t.retransmits
 

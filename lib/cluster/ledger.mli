@@ -63,11 +63,12 @@ val record_report :
     actually arrived but every ack was lost. *)
 val tick_timeouts : t -> now:int -> lease list * lease list
 
-val cancel : t -> lease:int -> unit
-
 (** Number of leases whose jobs may still be in flight (unacknowledged).
     Nonzero blocks the [Exhaust] goal. *)
 val pending : t -> int
+
+(** Jobs of the unacknowledged leases routed to [dst]. *)
+val in_flight_jobs : t -> dst:int -> int
 
 val retransmits : t -> int
 

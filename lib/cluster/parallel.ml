@@ -7,8 +7,9 @@
    the same fault model: Faultplan-driven domain crashes (crash-stop
    with amnesia, observed at quantum poll points), mid-run rejoins on a
    fresh domain, and seeded loss / delay / duplication on the job wire,
-   all recovered exactly through the same {!Ledger} lease protocol the
-   simulation uses.  The moving parts:
+   all recovered exactly by the same coordinator, {!Transport}, that the
+   simulation uses: this runtime keeps only its message plane (mailboxes
+   and domains) and its wall clock.  The moving parts:
 
    - Each worker domain owns a real [Worker.t] (created *inside* the
      domain by [make_worker], so domain-local solver state lands on the
@@ -17,22 +18,23 @@
      merged-coverage feedback, a wake-up poke, and stop.
 
    - The coordinator runs on the calling domain and is the only thread
-     that touches the transport/ledger.  Workers never ship jobs to each
+     that touches the transport.  Workers never ship jobs to each
      other directly any more: a steal victim *offers* its batch back to
      the coordinator, which leases it ({!Transport.issue_transfer}) and
      forwards it — so every batch in flight is covered by a lease and a
      crash anywhere loses nothing.  Receivers deduplicate by lease id
-     and acknowledge every delivery (at-least-once, exactly-once
-     import).
+     ({!Worker.accept_lease}) and acknowledge every delivery
+     (at-least-once, exactly-once import).
 
    - Time: the coordinator counts one tick per [tick_period] seconds of
      wall clock, waiting for its mailbox with the next tick as deadline
      (a [select] on a wake-up pipe that workers ring when they push to
      a sleeping coordinator).  Ticks drive the fault schedule,
      delayed-message delivery, lease retransmission/eviction sweeps
-     ({!Transport.tick}), heartbeat failure detection, and the progress
-     watchdog.  Ticks also bound every coordinator block: even with all
-     workers dead, the loop keeps waking.
+     ({!Transport.tick}), heartbeat failure detection (armed when the
+     fault plan is not empty), and the progress watchdog.  Ticks also
+     bound every coordinator block: even with all workers dead, the loop
+     keeps waking.
 
    - Crash-stop: a crash is *declared* first (slot marked dead, its
      later messages filtered, its leases orphaned and re-seeded via
@@ -46,7 +48,7 @@
      {!Executor.quantum} at a time and drains its mailbox after each, so
      a [Steal] or a crash flag is answered within one quantum; it
      reports its queue every [status_every] quanta.  The coordinator
-     runs the {!Balancer} after every drain round that handled a status
+     runs the balancer after every drain round that handled a status
      report: queue estimates only change when a report arrives, and
      the one-raid-per-victim / one-feed-per-thief guards keep a round
      from re-raiding on numbers it already acted on.  No timer gates a
@@ -285,12 +287,8 @@ type 'env config = {
   ndomains : int;
   make_worker : int -> 'env Worker.t;
   status_every : int;
-  mailbox_capacity : int;
   faults : Faultplan.t;
   tick_period : float;
-  heartbeat_ticks : int;
-  push_timeout : float;
-  watchdog : float;
   obs : Obs.Sink.t option;
       (* when set, the runtime itself is profiled: mailbox waits, steal
          round-trips and (recovery) replays per worker domain, quiescence
@@ -302,14 +300,27 @@ let default_config ?obs ?(faults = Faultplan.none) ~ndomains ~make_worker () =
     ndomains;
     make_worker;
     status_every = 16;
-    mailbox_capacity = 4_096;
     faults;
     tick_period = 0.001;
-    heartbeat_ticks = 0;
-    push_timeout = 1.0;
-    watchdog = 120.0;
     obs;
   }
+
+(* Messages a worker mailbox holds before a push waits (the
+   coordinator's holds this many per slot, plus one). *)
+let mailbox_capacity = 4_096
+
+(* Seconds a coordinator->worker push may wait on a full mailbox. *)
+let push_timeout = 1.0
+
+(* Ticks of silence before a busy worker is suspected; twice that and it
+   is declared crashed.  Only a faulty run arms the detector (1 s at the
+   default 1 ms tick), so a false positive can never perturb a
+   fault-free run. *)
+let heartbeat_ticks = 1_000
+
+(* Seconds without a coordinator message before the run dumps its state
+   and fails instead of hanging. *)
+let watchdog = 120.0
 
 type result = {
   ndomains : int;
@@ -374,10 +385,6 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
         let prof = Option.map Obs.Profile.create w.Worker.cfg.Executor.obs in
         if initial_bans <> [] then Worker.ban_paths w initial_bans;
         if seed then Worker.seed_root w;
-        (* lease ids already imported: dedup for at-least-once delivery,
-           and the cumulative ack piggybacked on every status report *)
-        let imported : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-        let imported_list = ref [] in
         let stop = ref false in
         let crashed () = Atomic.get crash in
         let send_ctl msg = ignore (Mailbox.push_timeout coord msg ~timeout:ctl_timeout) in
@@ -396,14 +403,12 @@ let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~ini
                  errors;
                  useful;
                  replay = replay - w.Worker.recovery_replay_instrs;
-                 received = !imported_list;
+                 received = w.Worker.imported_leases;
                })
         in
         let process = function
           | Jobs { lease; encoded; recovery; issued_ns } ->
-            if not (Hashtbl.mem imported lease) then begin
-              Hashtbl.replace imported lease ();
-              imported_list := lease :: !imported_list;
+            if Worker.accept_lease w ~lease then begin
               (match Job.decode_batch encoded with
               | Ok b -> Worker.receive_batch ~recovery w b
               | Error e -> failwith ("Parallel: corrupt job batch: " ^ e));
@@ -534,10 +539,6 @@ type slot = {
   mutable s_idle : bool;  (* from the last processed status / ack *)
   mutable s_queue_len : int;
   mutable s_pending_steals : int;  (* steals pushed, offers not yet back *)
-  mutable s_pending_jobs : int;
-      (* jobs leased to this worker and not yet acknowledged: its idle
-         reports meanwhile must not read as starvation, or the balancer
-         raids another victim for a worker already being fed *)
   mutable s_useful : int;  (* this incarnation's last reported useful instructions *)
   mutable s_replay : int;  (* ... and rebalancing replay *)
   mutable s_last_heard : int;  (* tick of the last message from this incarnation *)
@@ -556,19 +557,18 @@ let run ~coverable_lines (cfg : 'env config) =
      pushes to it or the next tick falls due *)
   let bell_in, bell_out = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock bell_out;
-  let coord = Mailbox.create ~bell:bell_out ~cap:(cfg.mailbox_capacity * (n + 1)) () in
+  let coord = Mailbox.create ~bell:bell_out ~cap:(mailbox_capacity * (n + 1)) () in
   let slots =
     Array.init n (fun i ->
         {
           s_id = i;
-          s_inbox = Mailbox.create ~cap:cfg.mailbox_capacity ();
+          s_inbox = Mailbox.create ~cap:mailbox_capacity ();
           s_crash = Atomic.make false;
           s_incarnation = 0;
           s_dead = false;
           s_idle = false;
           s_queue_len = 0;
           s_pending_steals = 0;
-          s_pending_jobs = 0;
           s_useful = 0;
           s_replay = 0;
           s_last_heard = 0;
@@ -592,9 +592,7 @@ let run ~coverable_lines (cfg : 'env config) =
   (* cluster-wide useful and rebalancing-replay instructions, as of the
      latest reports (the replay budget's ledger) *)
   let useful_total = ref 0 and replay_total = ref 0 in
-  let balancer = ref None in
   let issued_ns_hint = ref 0 in
-  let transport_ref = ref None in
   (* last crash-or-rejoin tick in the plan: after it, an all-dead cluster
      can never revive, so the run may stop (graceful degradation) *)
   let horizon =
@@ -612,29 +610,15 @@ let run ~coverable_lines (cfg : 'env config) =
     (* a full mailbox on a wedged or dead worker must never block the
        coordinator: bounded push, overflow = the wire dropped it (the
        lease layer retransmits) *)
-    ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:cfg.push_timeout)
-  in
-  (* in-flight lease sizes, to unwind s_pending_jobs when a lease is
-     acknowledged (directly or via a report's piggybacked ack list) *)
-  let pending_of_lease : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
-  let lease_settled lease =
-    match Hashtbl.find_opt pending_of_lease lease with
-    | None -> ()
-    | Some (dst, count) ->
-      Hashtbl.remove pending_of_lease lease;
-      let sl = slots.(dst) in
-      if not sl.s_dead then sl.s_pending_jobs <- max 0 (sl.s_pending_jobs - count)
+    ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:push_timeout)
   in
   let send_jobs ~src ~lease ~dst ~batch ~recovery ~resend =
     let sl = slots.(dst) in
     if not sl.s_dead then begin
       let issued_ns = if resend then 0 else !issued_ns_hint in
       issued_ns_hint := 0;
-      if not resend then begin
+      if not resend then
         emit (Obs.Event.Job_transfer { lease; src; dst; count = Job.batch_size batch; recovery });
-        Hashtbl.replace pending_of_lease lease (dst, Job.batch_size batch);
-        sl.s_pending_jobs <- sl.s_pending_jobs + Job.batch_size batch
-      end;
       let msg = Jobs { lease; encoded = Job.encode_batch batch; recovery; issued_ns } in
       if not faulty then push_wire sl msg
       else
@@ -652,25 +636,18 @@ let run ~coverable_lines (cfg : 'env config) =
     Array.to_list slots
     |> List.filter_map (fun sl -> if sl.s_dead then None else Some (sl.s_id, sl.s_queue_len))
   in
+  (* bans are the one worker-bound message that must not be silently
+     lost: a worker wedged enough to time the push out is handed back
+     for the transport to crash-stop *)
   let install_bans bans =
-    (* bans are the one worker-bound message that must not be silently
-       lost (a live worker missing one could re-explore a transferred
-       subtree), so a worker wedged enough to time the push out is
-       declared crashed — which is itself exact *)
-    let wedged = ref [] in
-    Array.iter
-      (fun sl ->
+    Array.fold_left
+      (fun wedged sl ->
         if
           (not sl.s_dead)
-          && not (Mailbox.push_timeout sl.s_inbox (Bans bans) ~timeout:cfg.push_timeout)
-        then wedged := sl.s_id :: !wedged)
-      slots;
-    List.iter
-      (fun i ->
-        match !transport_ref with
-        | Some tr -> Transport.handle_crash tr ~now:!now ~worker:i
-        | None -> ())
-      !wedged
+          && not (Mailbox.push_timeout sl.s_inbox (Bans bans) ~timeout:push_timeout)
+        then sl.s_id :: wedged
+        else wedged)
+      [] slots
   in
   let begin_crash ~worker:i =
     if i < 0 || i >= n then false
@@ -687,20 +664,19 @@ let run ~coverable_lines (cfg : 'env config) =
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke);
         sl.s_pending_steals <- 0;
-        sl.s_pending_jobs <- 0;
         sl.s_suspect <- false;
-        (match !balancer with Some b -> Balancer.forget b ~worker:i | None -> ());
         emit (Obs.Event.Crash { worker = i });
         true
       end
   in
+  (* starvation is answered within a quantum, so moves between busy
+     workers would only turn useful work into replay: feed only the
+     starved *)
   let transport =
-    Transport.create ?obs:cobs
+    Transport.create ?obs:cobs ~starved_only:true
       ~base_timeout:64 (* ticks: ~64 ms before the first retransmit *)
       { Transport.nworkers = n; send_jobs; install_bans; live_workers; begin_crash }
   in
-  transport_ref := Some transport;
-  let ledger = Transport.ledger transport in
   let spawn sl ~seed =
     let inbox = sl.s_inbox and crash = sl.s_crash in
     let incarnation = sl.s_incarnation in
@@ -729,18 +705,6 @@ let run ~coverable_lines (cfg : 'env config) =
     faulty
     && match Faultplan.fate frt ~tick:!now ~src ~dst with Faultplan.Drop -> true | _ -> false
   in
-  let get_balancer coverage =
-    match !balancer with
-    | Some b -> b
-    | None ->
-      (* starvation is answered within a quantum, so moves between busy
-         workers would only turn useful work into replay *)
-      let b =
-        Balancer.create ~starved_only:true ~coverage_bytes:(Bytes.length coverage) ?obs:cobs ()
-      in
-      balancer := Some b;
-      b
-  in
   let on_tick () =
     incr now;
     let t = !now in
@@ -754,14 +718,13 @@ let run ~coverable_lines (cfg : 'env config) =
             let sl = slots.(v) in
             (* fresh incarnation: new mailbox and crash flag, so nothing
                addressed to (or signed by) the dead one can cross over *)
-            sl.s_inbox <- Mailbox.create ~cap:cfg.mailbox_capacity ();
+            sl.s_inbox <- Mailbox.create ~cap:mailbox_capacity ();
             sl.s_crash <- Atomic.make false;
             sl.s_incarnation <- sl.s_incarnation + 1;
             sl.s_dead <- false;
             sl.s_idle <- false;
             sl.s_queue_len <- 0;
             sl.s_pending_steals <- 0;
-            sl.s_pending_jobs <- 0;
             sl.s_useful <- 0;
             sl.s_replay <- 0;
             sl.s_last_heard <- t;
@@ -783,25 +746,21 @@ let run ~coverable_lines (cfg : 'env config) =
        suspected after one interval and declared crashed after two.
        Idle workers are silent by design and exempt — jobs routed to a
        truly dead idle worker are caught by lease eviction instead. *)
-    if cfg.heartbeat_ticks > 0 then
+    if faulty then
       Array.iter
         (fun sl ->
           if (not sl.s_dead) && not sl.s_idle then begin
             let silent = t - sl.s_last_heard in
-            if silent > 2 * cfg.heartbeat_ticks then
+            if silent > 2 * heartbeat_ticks then
               Transport.handle_crash transport ~now:t ~worker:sl.s_id
-            else if silent > cfg.heartbeat_ticks then sl.s_suspect <- true
+            else if silent > heartbeat_ticks then sl.s_suspect <- true
           end)
         slots;
-    if
-      cfg.watchdog > 0.0
-      && (not !watchdog_fired)
-      && Unix.gettimeofday () -. !last_progress > cfg.watchdog
-    then begin
+    if (not !watchdog_fired) && Unix.gettimeofday () -. !last_progress > watchdog then begin
       watchdog_fired := true;
       Printf.eprintf
         "parallel: watchdog after %.0fs without progress: pending=%d parked=%d delayed=%d\n%!"
-        cfg.watchdog (Ledger.pending ledger)
+        watchdog (Transport.pending_leases transport)
         (Transport.parked_orphans transport)
         (List.length !delayed);
       Array.iter
@@ -831,15 +790,9 @@ let run ~coverable_lines (cfg : 'env config) =
         sl.s_queue_len <- queue_len;
         (* the report is the worker's durable recovery point: digest +
            counters were snapshotted in-domain, so they are consistent *)
-        Ledger.record_report ~received ledger ~worker ~tick:!now ~digest ~paths ~errors;
-        List.iter lease_settled received;
-        let b = get_balancer coverage in
-        (* report queue + in-flight jobs: a worker already being fed must
-           not classify as starved while the batch crosses the wire *)
         let global =
-          Balancer.report ~tick:!now b ~worker
-            ~queue_len:(queue_len + sl.s_pending_jobs)
-            ~coverage
+          Transport.report transport ~worker ~tick:!now ~queue_len ~coverage ~digest ~paths ~errors
+            ~received
         in
         (* Coverage feedback only to busy workers: echoing it to an idle
            reporter would wake it for nothing, and the wake-report cycle
@@ -889,8 +842,7 @@ let run ~coverable_lines (cfg : 'env config) =
         (* the fault plan may lose the ack in "transit": the lease then
            retransmits and the receiver's dedup re-acks *)
         if not (fate_drops ~src:worker ~dst:Faultplan.lb) then begin
-          Ledger.mark_delivered ledger ~lease ~now:!now;
-          lease_settled lease;
+          Transport.ack transport ~lease ~now:!now;
           (* the acking worker just imported work (or re-acked a dup; a
              still-idle worker re-reports idleness on its next wake) *)
           sl.s_idle <- false
@@ -910,10 +862,9 @@ let run ~coverable_lines (cfg : 'env config) =
      while the cluster's replay stays within [1/replay_budget] of its
      useful work. *)
   let rebalance () =
-    match !balancer with
-    | Some b when !replay_total * replay_budget <= !useful_total ->
+    if !replay_total * replay_budget <= !useful_total then
       List.iter
-        (fun { Balancer.src; dst; count } ->
+        (fun { Transport.src; dst; count } ->
           if
             src >= 0 && src < n && dst >= 0 && dst < n
             && (not slots.(src).s_dead)
@@ -924,7 +875,7 @@ let run ~coverable_lines (cfg : 'env config) =
             (* and one feed per thief at a time: a destination with a
                lease still crossing the wire is not starving, whatever
                its last report said *)
-            && slots.(dst).s_pending_jobs = 0
+            && Transport.in_flight_jobs transport ~dst = 0
           then
             if not (fate_drops ~src:Faultplan.lb ~dst:src) then begin
               incr steals;
@@ -933,8 +884,7 @@ let run ~coverable_lines (cfg : 'env config) =
                   (Steal { dst; count; issued_ns = stamp () })
               then slots.(src).s_pending_steals <- slots.(src).s_pending_steals + 1
             end)
-        (Balancer.rebalance b)
-    | _ -> ()
+        (Transport.rebalance transport)
   in
   let quiescent () =
     !delayed = []
@@ -980,7 +930,7 @@ let run ~coverable_lines (cfg : 'env config) =
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke)
       end
-      else if not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:(max 1.0 cfg.push_timeout))
+      else if not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:push_timeout)
       then begin
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke)
@@ -1000,17 +950,7 @@ let run ~coverable_lines (cfg : 'env config) =
   let agg = Smt.Solver.zero_stats () in
   List.iter (fun (_, _, s) -> Smt.Solver.accum_stats agg s.sm_solver) joined;
   let coverage_vector =
-    let len =
-      List.fold_left (fun acc (_, _, s) -> max acc (Bytes.length s.sm_coverage)) 0 joined
-    in
-    let bv = Bytes.make len '\000' in
-    List.iter
-      (fun (_, _, s) ->
-        Bytes.iteri
-          (fun k c -> Bytes.set bv k (Char.chr (Char.code (Bytes.get bv k) lor Char.code c)))
-          s.sm_coverage)
-      joined;
-    bv
+    Transport.global_coverage transport (List.map (fun (_, _, s) -> s.sm_coverage) joined)
   in
   let sum f = List.fold_left (fun acc (_, _, s) -> acc + f s) 0 joined in
   let sum_live f =
@@ -1037,8 +977,7 @@ let run ~coverable_lines (cfg : 'env config) =
     recovery_replay_instrs = sum (fun s -> s.sm_recovery_replay);
     coverage_vector;
     final_coverage =
-      (if coverable_lines <= 0 then 0.0
-       else float_of_int (Executor.popcount_bytes coverage_vector) /. float_of_int coverable_lines);
+      Engine.Coverage.(fraction ~coverable:coverable_lines (popcount coverage_vector));
     per_worker_useful =
       List.filter_map (fun (i, inc, s) -> if live i inc then Some (i, s.sm_useful) else None) joined;
     solver_stats = agg;

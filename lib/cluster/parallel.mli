@@ -8,11 +8,11 @@
 
     Workers exchange path-encoded jobs, transfer requests, and status
     reports through mutex+condition-protected bounded mailboxes.  The
-    coordinator (the calling domain) feeds status reports to the
-    existing {!Balancer} and owns the shared fault-tolerance core
-    ({!Transport}): every job batch in flight is covered by a {!Ledger}
-    lease, retransmitted until acknowledged and deduplicated by the
-    receiver, so the runtime survives the same fault model as the
+    coordinator (the calling domain) hands status reports, acks and
+    crashes to the coordinator core the simulation shares
+    ({!Transport}): every job batch in flight is covered by a lease,
+    retransmitted until acknowledged and deduplicated by the receiving
+    {!Worker}, so the runtime survives the same fault model as the
     simulation — Faultplan-driven domain crashes (crash-stop with
     amnesia, the victim observing an atomic crash flag at quantum poll
     points), mid-run rejoins on a fresh domain, and seeded message
@@ -22,9 +22,10 @@
     away nodes are banned, so a faulty run terminates with exactly the
     fault-free path and error totals — the differential gates
     [bench scaling] (fault-free) and [bench faults-parallel] (faulty)
-    enforce.  A heartbeat failure detector (off by default) declares
-    busy workers that stop reporting, and a watchdog aborts the run
-    with a state dump rather than hang.
+    enforce.  On a faulty plan a heartbeat failure detector declares
+    busy workers that stop reporting (1,000 silent ticks suspects, 2,000
+    declares), and a watchdog aborts any run that sees no coordinator
+    message for 120 s with a state dump rather than hang.
 
     Balancing is event-driven: a busy worker drains its mailbox after
     every {!Engine.Executor.quantum}, so a transfer request or a crash
@@ -46,11 +47,10 @@ type 'env config = {
   ndomains : int;  (** worker domains (the coordinator runs on the caller) *)
   make_worker : int -> 'env Worker.t;
       (** called {e inside} worker [i]'s domain, so domain-local solver
-          state (simplify memo, caches) is created where it is used *)
+          state (the solver and its caches) is created where it is used *)
   status_every : int;
       (** quanta between status reports while busy (default 16); the
           worker polls its mailbox after every quantum *)
-  mailbox_capacity : int;  (** bound on each mailbox, in messages *)
   faults : Faultplan.t;
       (** crash / rejoin / loss schedule, in coordinator ticks.  The
           plan is validated against [ndomains] before the run starts. *)
@@ -58,15 +58,6 @@ type 'env config = {
       (** seconds between coordinator ticks (the unit of the fault
           schedule, lease timeouts, and heartbeat intervals); the
           coordinator counts them off the wall clock *)
-  heartbeat_ticks : int;
-      (** failure detector: a busy worker silent for one interval is
-          suspected, for two is declared crashed.  0 disables. *)
-  push_timeout : float;
-      (** seconds the coordinator will wait on a full worker mailbox
-          before treating the push as a lost message *)
-  watchdog : float;
-      (** seconds without coordinator progress before the run aborts
-          with a state dump (0 disables) *)
   obs : Obs.Sink.t option;
       (** when set, the runtime profiles itself with wall-clock spans:
           mailbox waits, steal round-trips and (recovery) replays per

@@ -1,31 +1,31 @@
-(* The shared scheduler/transport core: coordinator-side fault tolerance
-   logic common to both cluster runtimes.
+(* The coordinator shared by both cluster runtimes: the one load
+   balancer (paper sections 3.1-3.3) and its lease ledger.
 
    The virtual-time {!Driver} and the real-domain {!Parallel} runtime
    move messages very differently (a simulated latency queue vs. real
-   mutex+condition mailboxes), but the recovery protocol on top is the
-   same state machine: every routed job batch is leased in the
-   {!Ledger}, unacknowledged leases are retransmitted with exponential
-   backoff, a destination that exhausts the retransmit budget is evicted
-   through the crash path, and a crash credits the victim's last
-   reported counters, re-seeds its orphaned subtrees on live workers
-   (parking them while none is alive), and bans the exact nodes the
-   victim had already handed away.
+   mutex+condition mailboxes), but everything the coordinator decides is
+   the same: status reports merge into the {!Balancer} and become each
+   worker's durable recovery point in the {!Ledger}; every routed job
+   batch is leased, unacknowledged leases are retransmitted with
+   exponential backoff, a destination that exhausts the retransmit
+   budget is evicted through the crash path, and a crash forgets the
+   victim in the balancer, credits its last reported counters, re-seeds
+   its orphaned subtrees on live workers (parking them while none is
+   alive), and bans the exact nodes the victim had already handed away.
 
-   This module owns that state machine; each backend supplies the moving
-   parts it alone understands through an {!ops} record: how to put a
-   leased batch on its (lossy) wire, how to install bans on live
-   workers, which workers can accept recovery jobs, and how to
-   crash-stop one of them.  [begin_crash] runs the backend's teardown
-   (drop the engine, forget the balancer entry, filter undeliverable
-   traffic) and the transport completes the ledger half, so neither
-   backend can get the ordering wrong. *)
+   This module owns that state; each backend supplies the moving parts
+   it alone understands through an {!ops} record: how to put a leased
+   batch on its (lossy) wire, how to install bans on live workers, which
+   workers can accept recovery jobs, and how to crash-stop one of them.
+   [begin_crash] runs the backend's teardown (drop the engine, filter
+   undeliverable traffic) and the transport completes the balancer and
+   ledger half, so neither backend can get the ordering wrong. *)
 
 type ops = {
   nworkers : int;
   send_jobs :
     src:int -> lease:int -> dst:int -> batch:Job.batch -> recovery:bool -> resend:bool -> unit;
-  install_bans : Job.t list -> unit;
+  install_bans : Job.t list -> int list;
   live_workers : unit -> (int * int) list;
   begin_crash : worker:int -> bool;
 }
@@ -40,6 +40,8 @@ let to_batch jobs = Job.batch_of_jobs jobs
 type t = {
   ops : ops;
   ledger : Ledger.t;
+  balancer : Balancer.t;
+  starved_only : bool;
   mutable crashes : int;
   mutable recovered : int;
   mutable credit_paths : int;
@@ -48,10 +50,12 @@ type t = {
   mutable parked : Job.t list; (* orphans awaiting a live worker *)
 }
 
-let create ?base_timeout ?max_attempts ?(initial_bans = []) ?obs ops =
+let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = false) ?obs ops =
   {
     ops;
     ledger = Ledger.create ?base_timeout ?max_attempts ?obs ();
+    balancer = Balancer.create ~starved_only ?obs ();
+    starved_only;
     crashes = 0;
     recovered = 0;
     credit_paths = 0;
@@ -59,8 +63,6 @@ let create ?base_timeout ?max_attempts ?(initial_bans = []) ?obs ops =
     global_bans = initial_bans;
     parked = [];
   }
-
-let ledger t = t.ledger
 
 (* Re-seed orphaned jobs as recovery leases, spread over the live
    workers least-loaded first; parked until a worker is alive. *)
@@ -95,6 +97,7 @@ let route_recovery t ~now orphans =
 let rec handle_crash t ~now ~worker =
   if t.ops.begin_crash ~worker then begin
     t.crashes <- t.crashes + 1;
+    Balancer.forget t.balancer ~worker;
     let { Ledger.credit_paths; credit_errors; orphans; bans } =
       Ledger.on_crash t.ledger ~worker
     in
@@ -102,7 +105,10 @@ let rec handle_crash t ~now ~worker =
     t.credit_errors <- t.credit_errors + credit_errors;
     if bans <> [] then begin
       t.global_bans <- bans @ t.global_bans;
-      t.ops.install_bans bans
+      (* a live worker missing a ban could re-explore a transferred
+         subtree: one that could not take it is crash-stopped, which is
+         itself exact *)
+      List.iter (fun worker -> handle_crash t ~now ~worker) (t.ops.install_bans bans)
     end;
     route_recovery t ~now orphans
   end
@@ -150,7 +156,31 @@ let seed_jobs t ~dst ~jobs ~now =
 
 let seed_root t ~dst ~now = seed_jobs t ~dst ~jobs:[ [] ] ~now
 
+let ack t ~lease ~now = Ledger.mark_delivered t.ledger ~lease ~now
+
+let in_flight_jobs t ~dst = Ledger.in_flight_jobs t.ledger ~dst
+
+(* A status report is the worker's durable recovery point (digest and
+   counters, with [received] as the piggybacked cumulative ack) and its
+   balancer update.  Under [starved_only] the balancer sees the jobs
+   still crossing the wire to the worker as queued: a worker already
+   being fed is not starving. *)
+let report t ~worker ~tick ~queue_len ~coverage ~digest ~paths ~errors ~received =
+  Ledger.record_report ~received t.ledger ~worker ~tick ~digest ~paths ~errors;
+  let queue_len = if t.starved_only then queue_len + in_flight_jobs t ~dst:worker else queue_len in
+  Balancer.report ~tick t.balancer ~worker ~queue_len ~coverage
+
+type request = Balancer.request = { src : int; dst : int; count : int }
+
+let rebalance ?now ?staleness t = Balancer.rebalance ?now ?staleness t.balancer
+let disable_balancing t = Balancer.disable t.balancer
+
+let global_coverage t vectors =
+  List.iter (Balancer.merge_coverage t.balancer) vectors;
+  Balancer.global_coverage t.balancer
+
 let quiesced t = t.parked = [] && Ledger.pending t.ledger = 0
+let pending_leases t = Ledger.pending t.ledger
 let bans t = t.global_bans
 let parked_orphans t = List.length t.parked
 let crashes t = t.crashes

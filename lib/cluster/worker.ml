@@ -86,6 +86,11 @@ type 'env t = {
   mutable jobs_received : int;
   mutable banned_drops : int;
   mutable recovery_replay_instrs : int; (* replay cost of recovery jobs *)
+  (* lease ids imported by this incarnation: receiver-side dedup of the
+     at-least-once job wire, and (as a list) the cumulative ack each
+     status report piggybacks *)
+  leases : (int, unit) Hashtbl.t;
+  mutable imported_leases : int list;
   prof : Obs.Profile.t option;
   mutable replay_t0 : int; (* wall-clock start of the replay in flight (profiling only) *)
 }
@@ -115,6 +120,8 @@ let create ?(collect_tests = 0) ?(snap_limit = 512) ?prof ~id ~cfg ~make_root ~s
     jobs_received = 0;
     banned_drops = 0;
     recovery_replay_instrs = 0;
+    leases = Hashtbl.create 32;
+    imported_leases = [];
     prof;
     replay_t0 = 0;
   }
@@ -477,6 +484,18 @@ let receive_batch ?(recovery = false) w (b : Job.batch) =
     else None
   in
   add_jobs w { recovery; batch } jobs
+
+(* The first delivery of a lease is imported, every later copy (a
+   retransmission or a duplicate) only re-acknowledged.  A rejoined slot
+   is a fresh worker with an empty table: the crash handed the dead
+   incarnation's leases to recovery, so none of their ids comes back. *)
+let accept_lease w ~lease =
+  (not (Hashtbl.mem w.leases lease))
+  && begin
+       Hashtbl.replace w.leases lease ();
+       w.imported_leases <- lease :: w.imported_leases;
+       true
+     end
 
 (* --- introspection ------------------------------------------------------------------------------ *)
 

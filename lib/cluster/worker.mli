@@ -63,6 +63,10 @@ type 'env t = {
   mutable banned_drops : int;
   mutable recovery_replay_instrs : int;
       (** replay instructions spent reconstructing recovery jobs *)
+  leases : (int, unit) Hashtbl.t;  (** lease ids imported (dedup) *)
+  mutable imported_leases : int list;
+      (** the same ids, newest first: the cumulative ack a status report
+          piggybacks ({!Transport.report}'s [received]) *)
   prof : Obs.Profile.t option;
   mutable replay_t0 : int;
       (** wall-clock start of the replay in flight (profiling only) *)
@@ -135,6 +139,10 @@ val receive_jobs : ?recovery:bool -> 'env t -> Job.t list -> unit
     cache while any member is outstanding, so after the first member's
     replay the rest replay suffix-only. *)
 val receive_batch : ?recovery:bool -> 'env t -> Job.batch -> unit
+
+(** [true] the first time this worker sees lease [lease]: import the
+    batch then; a retransmitted or duplicated copy is only re-acked. *)
+val accept_lease : 'env t -> lease:int -> bool
 
 (** Install node paths owned by another worker: fork products matching
     one exactly are dropped instead of entering the frontier. *)

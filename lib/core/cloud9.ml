@@ -80,25 +80,6 @@ let run_local ?obs ?(options = default_options) (t : target) =
     inc_stats = r.Engine.Driver.inc_stats;
   }
 
-(* OR coverage vectors together and return the covered fraction over
-   [coverable] lines — used for the "cumulated coverage" columns of
-   Table 5. *)
-let union_coverage ~coverable vectors =
-  match vectors with
-  | [] -> 0.0
-  | first :: _ ->
-    let acc = Bytes.make (Bytes.length first) '\000' in
-    List.iter
-      (fun v ->
-        for i = 0 to min (Bytes.length acc) (Bytes.length v) - 1 do
-          Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lor Char.code (Bytes.get v i)))
-        done)
-      vectors;
-    let rec pop x n = if x = 0 then n else pop (x lsr 1) (n + (x land 1)) in
-    let covered = ref 0 in
-    Bytes.iter (fun c -> covered := !covered + pop (Char.code c) 0) acc;
-    if coverable = 0 then 1.0 else float_of_int !covered /. float_of_int coverable
-
 (* --- test-case replay --------------------------------------------------------------- *)
 
 (* Re-execute a generated test case concretely: make_symbolic fills the
@@ -213,13 +194,13 @@ let start_cluster ?obs ?options ?resume (t : target) =
 
 (* Run the target on [ndomains] real domains (Cluster.Parallel).  The
    worker factory runs *inside* each spawned domain, so the solver, its
-   caches, and the simplify memo are domain-local by construction; the
-   observability sink is a buffered per-domain view flushed through the
-   core's lock.  The [fault_plan] applies here too — crash ticks are
-   coordinator ticks (~1 ms each) rather than simulation ticks — and a
-   faulty run enables the heartbeat failure detector.  Simulation-only
-   options (speed, latency, the shared-allocator ablation) do not apply;
-   beyond the plan, only [cworker_max_steps] and [cseed] are read. *)
+   and its caches are domain-local by construction; the observability
+   sink is a buffered per-domain view flushed through the core's lock.
+   The [fault_plan] applies here too — crash ticks are coordinator ticks
+   (~1 ms each) rather than simulation ticks — and a faulty plan arms the
+   runtime's heartbeat failure detector.  Simulation-only options (speed,
+   latency, status interval) do not apply; beyond the plan, only
+   [cworker_max_steps] and [cseed] are read. *)
 let parallel_config ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t : target) =
   let opts = options in
   let make_worker i =
@@ -233,14 +214,7 @@ let parallel_config ?obs ?(ndomains = 2) ?(options = default_cluster_options) (t
     let make_root () = Posix.Api.initial_state t.program ~args:[] in
     Cluster.Worker.create ?prof ~id:i ~cfg ~make_root ~seed:opts.cseed ()
   in
-  let cfg =
-    Cluster.Parallel.default_config ?obs ~faults:opts.fault_plan ~ndomains ~make_worker ()
-  in
-  (* a faulty run turns the heartbeat failure detector on (1 s suspect
-     interval at the default 1 ms tick); fault-free runs leave it off so
-     a detector false positive can never perturb the scaling gates *)
-  if Cluster.Faultplan.is_faultless opts.fault_plan then cfg
-  else { cfg with Cluster.Parallel.heartbeat_ticks = 1_000 }
+  Cluster.Parallel.default_config ?obs ~faults:opts.fault_plan ~ndomains ~make_worker ()
 
 let run_parallel ?obs ?ndomains ?options (t : target) =
   (* Profiling rides on the sink: a parallel run with observability gets

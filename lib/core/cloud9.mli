@@ -45,10 +45,6 @@ type report = {
     is sampled as virtual time advances. *)
 val run_local : ?obs:Obs.Sink.t -> ?options:options -> target -> report
 
-(** OR coverage vectors and return the covered fraction — the "cumulated
-    coverage" arithmetic of Table 5. *)
-val union_coverage : coverable:int -> Bytes.t list -> float
-
 (** Re-execute a generated test case concretely (its recorded input bytes
     replace the symbolic data), returning the termination of the single
     path it drives — for a bug test, the same bug.  [None] when the
@@ -114,17 +110,17 @@ val start_cluster :
     with amnesia, observed at quantum poll points), rejoins spawn fresh
     ones, and seeded loss/delay perturbs the leased job wire — recovery
     through the shared {!Cluster.Transport} keeps the totals exactly
-    fault-free, and a faulty plan enables the heartbeat failure
-    detector.  Crash ticks are coordinator ticks (~1 ms), not simulation
-    ticks.  Beyond the plan, only [cworker_max_steps] and [cseed] are
-    read from [options]; the remaining simulation knobs (speed, latency,
-    the shared-allocator ablation) do not apply. *)
+    fault-free, and a faulty plan arms the heartbeat failure detector.
+    Crash ticks are coordinator ticks (~1 ms), not simulation ticks.
+    Beyond the plan, only [cworker_max_steps] and [cseed] are read from
+    [options]; the remaining simulation knobs (speed, latency, status
+    interval) do not apply. *)
 val run_parallel :
   ?obs:Obs.Sink.t -> ?ndomains:int -> ?options:cluster_options -> target -> Cluster.Parallel.result
 
 (** The runtime configuration {!run_parallel} runs (default 2 domains):
-    its in-domain worker factory, fault plan and failure detector, for a
-    caller that needs to change a runtime setting before
+    its in-domain worker factory and fault plan, for a caller that needs
+    to change a runtime setting before
     {!Cluster.Parallel.run}. *)
 val parallel_config :
   ?obs:Obs.Sink.t ->

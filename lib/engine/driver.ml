@@ -26,9 +26,9 @@ type 'env result = {
 }
 
 let coverage_fraction cfg program =
-  let coverable = List.length (Cvm.Program.covered_lines program) in
-  if coverable = 0 then 1.0
-  else float_of_int (Executor.coverage_count cfg) /. float_of_int coverable
+  Coverage.fraction
+    ~coverable:(List.length (Cvm.Program.covered_lines program))
+    (Executor.coverage_count cfg)
 
 let goal_met cfg program ~paths = function
   | Exhaust -> false

@@ -22,8 +22,6 @@ type 'env result = {
       (** snapshot of this run's incremental-solving counters *)
 }
 
-val coverage_fraction : 'env Executor.config -> Cvm.Program.t -> float
-
 (** Explore from [st0] until the goal is met or the tree is exhausted.
     Each selection runs the state for one {!Executor.step} quantum; under
     an [Instructions] goal the last quantum gets only the remaining

@@ -99,7 +99,7 @@ let make_config ?(max_steps = None) ?(check_div_zero = true) ?(global_alloc = No
   {
     solver;
     handler;
-    coverage = Bytes.make ((nlines / 8) + 1) '\000';
+    coverage = Coverage.create ~nlines;
     stats = make_stats ();
     max_steps;
     check_div_zero;
@@ -122,42 +122,23 @@ let no_env_handler : unit handler =
 
 (* --- coverage -------------------------------------------------------------- *)
 
-let line_covered cfg line = Char.code (Bytes.get cfg.coverage (line / 8)) land (1 lsl (line mod 8)) <> 0
-
 (* Mark [line] covered; true if it was new. *)
 let cover cfg line =
-  (not (line_covered cfg line))
+  Coverage.add cfg.coverage line
   && begin
-       let b = Char.code (Bytes.get cfg.coverage (line / 8)) in
-       Bytes.set cfg.coverage (line / 8) (Char.chr (b lor (1 lsl (line mod 8))));
        cfg.stats.covered_lines <- cfg.stats.covered_lines + 1;
        true
      end
 
 let coverage_count cfg = cfg.stats.covered_lines
 
-(* The number of lines a coverage bit vector marks covered. *)
-let popcount_bytes b =
-  let n = ref 0 in
-  Bytes.iter
-    (fun c ->
-      let x = ref (Char.code c) in
-      while !x <> 0 do
-        x := !x land (!x - 1);
-        incr n
-      done)
-    b;
-  !n
-
 (* Merge an external coverage bit vector (e.g. the load balancer's global
-   view) into this engine's; returns the updated covered-line count. *)
+   view) into this engine's.  Every vector of one program has the
+   engine's length, so the union never grows. *)
 let merge_coverage cfg vec =
-  for i = 0 to min (Bytes.length vec) (Bytes.length cfg.coverage) - 1 do
-    Bytes.set cfg.coverage i
-      (Char.chr (Char.code (Bytes.get cfg.coverage i) lor Char.code (Bytes.get vec i)))
-  done;
-  cfg.stats.covered_lines <- popcount_bytes cfg.coverage;
-  cfg.stats.covered_lines
+  if Coverage.union_into cfg.coverage vec != cfg.coverage then
+    invalid_arg "Executor.merge_coverage: vector longer than the program's";
+  cfg.stats.covered_lines <- Coverage.popcount cfg.coverage
 
 (* --- step results ------------------------------------------------------------ *)
 

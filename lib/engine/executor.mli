@@ -96,15 +96,11 @@ val make_config :
 (** Handler for programs that make no environment calls. *)
 val no_env_handler : unit handler
 
-val line_covered : 'env config -> int -> bool
 val coverage_count : 'env config -> int
 
-(** The number of lines a coverage bit vector marks covered. *)
-val popcount_bytes : Bytes.t -> int
-
 (** OR an external coverage vector (e.g. the balancer's global view) into
-    this engine's; returns the updated covered-line count. *)
-val merge_coverage : 'env config -> Bytes.t -> int
+    this engine's, whose length it must not exceed. *)
+val merge_coverage : 'env config -> Bytes.t -> unit
 
 type 'env stepped = {
   running : 'env State.t list;

@@ -19,8 +19,6 @@ type replay_outcome =
   | Broken        (** the expected successor did not exist *)
   | Snapshot_hit  (** an exact snapshot made the replay free *)
 
-val replay_outcome_to_string : replay_outcome -> string
-
 type t =
   | Fork of { depth : int; arms : int }
   | Path_done of { verdict : string }  (** "exit" | "error" | "pruned" *)

@@ -10,9 +10,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(** Append the escaped, quoted form of a string. *)
-val escape_to : Buffer.t -> string -> unit
-
 val write : Buffer.t -> t -> unit
 val to_string : t -> string
 

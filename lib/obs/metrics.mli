@@ -24,8 +24,6 @@ val gauge : t -> ?labels:labels -> string -> gauge
     appended. *)
 val histogram : t -> ?labels:labels -> ?buckets:float array -> string -> histogram
 
-val default_buckets : float array
-
 (** Exponential (x2) bucket bounds for wall-clock latencies in
     nanoseconds, 100ns .. ~6.7s.  All [latency_ns] histograms in the
     profiling layer share these so merges line up bucket-for-bucket. *)
@@ -69,8 +67,6 @@ val find : snapshot -> string -> labels -> sample option
     in the +inf overflow bucket clamp to the last finite bound).
     [None] for non-histograms and empty histograms. *)
 val percentile : value -> float -> float option
-
-val sample_to_json : sample -> Json.t
 
 (** One JSON object per line:
     [{"metric":...,"labels":{...},"type":...,"value":...}]. *)

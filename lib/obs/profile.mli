@@ -35,4 +35,3 @@ val start : t option -> int
     chain without a second clock read; returns 0 if [None]. *)
 val record : t option -> kind -> start_ns:int -> int
 
-val kind_name : kind -> string

@@ -1,10 +1,6 @@
 (** Offline reader for the metrics JSONL artifact, backing the
     [cloud9 report] subcommand. *)
 
-(** Parse one JSONL object back into a sample; [None] when the object
-    is not a metrics sample. *)
-val sample_of_json : Json.t -> Metrics.sample option
-
 (** Parse a whole dump (blank lines skipped); the error names the
     offending 1-based line. *)
 val parse_jsonl : string -> (Metrics.snapshot, string) result
@@ -19,6 +15,4 @@ val render_string : Metrics.snapshot -> string
     table over every [latency_ns] histogram, the try-lock contention
     probes (hashcons shards, obs core lock), and the most contended
     hashcons shards. *)
-val render_profile : Buffer.t -> Metrics.snapshot -> unit
-
 val render_profile_string : Metrics.snapshot -> string

@@ -119,8 +119,6 @@ let buffered t wid =
     buf = Some { items = []; nitems = 0; bmetrics = Metrics.create (); bnow = 0; merged = false };
   }
 
-let is_buffered t = t.buf <> None
-
 let worker t = t.wid
 
 let set_now t tick = match t.buf with Some b -> b.bnow <- tick | None -> t.core.now <- tick
@@ -220,9 +218,6 @@ let set_provider t ~name f =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock core.lock)
     (fun () -> core.providers <- (name, f) :: List.remove_assoc name core.providers)
-
-let attach_spill t oc = Trace.attach_spill t.core.trace oc
-let detach_spill t = Trace.detach_spill t.core.trace
 
 (* ---- exporters ---------------------------------------------------- *)
 

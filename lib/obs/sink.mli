@@ -25,8 +25,6 @@ val for_worker : t -> int -> t
     the private metrics registry is folded into the core exactly once. *)
 val buffered : t -> int -> t
 
-val is_buffered : t -> bool
-
 (** Drain a buffered view into the core (no-op on unbuffered views). *)
 val flush : t -> unit
 
@@ -69,9 +67,6 @@ val epoch_ns : t -> int
     stats that live in global state outside any registry (e.g. the
     hashcons shard-lock probe in [Smt.Expr]). *)
 val set_provider : t -> name:string -> (unit -> Metrics.sample list) -> unit
-
-val attach_spill : t -> out_channel -> unit
-val detach_spill : t -> unit
 
 (** Chrome [trace_event] JSON (one array; load in chrome://tracing or
     Perfetto), on a dual time base: timeline buckets as "C" counter

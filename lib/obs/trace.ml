@@ -2,9 +2,7 @@
 
    The ring bounds memory on long runs — when full, the oldest events are
    overwritten, so the buffer always holds the most recent [capacity]
-   records.  An optional JSONL spill channel receives *every* record as
-   it is appended (before any overwriting), for offline analysis of
-   complete streams; the ring alone feeds the Chrome exporter. *)
+   records; the ring feeds the Chrome exporter. *)
 
 type record = { r_tick : int; r_worker : int; r_event : Event.t }
 
@@ -12,40 +10,20 @@ type t = {
   ring : record option array;
   mutable head : int;     (* next write position *)
   mutable appended : int; (* total records ever appended *)
-  mutable spill : out_channel option;
 }
 
 let create ?(capacity = 65536) () =
-  { ring = Array.make (max 1 capacity) None; head = 0; appended = 0; spill = None }
+  { ring = Array.make (max 1 capacity) None; head = 0; appended = 0 }
 
 let capacity t = Array.length t.ring
 let appended t = t.appended
 let dropped t = max 0 (t.appended - Array.length t.ring)
 
-let attach_spill t oc = t.spill <- Some oc
-let detach_spill t = t.spill <- None
-
-let record_to_json { r_tick; r_worker; r_event } =
-  Json.Obj
-    ([
-       ("tick", Json.Num (float_of_int r_tick));
-       ("worker", Json.Num (float_of_int r_worker));
-       ("event", Json.Str (Event.name r_event));
-     ]
-    @ Event.args r_event)
-
 let record t ~tick ~worker event =
   let r = { r_tick = tick; r_worker = worker; r_event = event } in
   t.ring.(t.head) <- Some r;
   t.head <- (t.head + 1) mod Array.length t.ring;
-  t.appended <- t.appended + 1;
-  match t.spill with
-  | None -> ()
-  | Some oc ->
-    let buf = Buffer.create 128 in
-    Json.write buf (record_to_json r);
-    Buffer.add_char buf '\n';
-    Buffer.output_buffer oc buf
+  t.appended <- t.appended + 1
 
 (* Buffered records, oldest first. *)
 let contents t =

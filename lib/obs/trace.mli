@@ -1,6 +1,4 @@
-(** Tick-stamped trace events in a bounded ring buffer, with an optional
-    JSONL spill channel that receives every record before any
-    overwriting. *)
+(** Tick-stamped trace events in a bounded ring buffer. *)
 
 type record = { r_tick : int; r_worker : int; r_event : Event.t }
 
@@ -16,14 +14,9 @@ val appended : t -> int
 (** Records lost to ring overwriting. *)
 val dropped : t -> int
 
-val attach_spill : t -> out_channel -> unit
-val detach_spill : t -> unit
-
 val record : t -> tick:int -> worker:int -> Event.t -> unit
 
 (** Buffered records, oldest first. *)
 val contents : t -> record list
 
 val iter : (record -> unit) -> t -> unit
-
-val record_to_json : record -> Json.t

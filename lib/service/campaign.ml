@@ -85,22 +85,11 @@ let create spec =
 (* Runnable = the scheduler may hand it a slice. *)
 let runnable c = match c.status with Queued | Running -> true | Paused | Done | Cancelled -> false
 
-let or_coverage c (v : Bytes.t) =
-  if Bytes.length v > 0 then begin
-    if Bytes.length c.coverage < Bytes.length v then begin
-      let g = Bytes.make (Bytes.length v) '\000' in
-      Bytes.blit c.coverage 0 g 0 (Bytes.length c.coverage);
-      c.coverage <- g
-    end;
-    for i = 0 to Bytes.length v - 1 do
-      Bytes.set c.coverage i
-        (Char.chr (Char.code (Bytes.get c.coverage i) lor Char.code (Bytes.get v i)))
-    done
-  end
-
+(* [coverable] is 0 until the first slice measures it: the fraction is
+   then unknown, not the full coverage of an empty program *)
 let recompute_coverage_frac c =
   if c.coverable > 0 then
-    c.coverage_frac <- float_of_int (Engine.Executor.popcount_bytes c.coverage) /. float_of_int c.coverable
+    c.coverage_frac <- Engine.Coverage.(fraction ~coverable:c.coverable (popcount c.coverage))
 
 (* Fold one simulated slice into the campaign.  The slice must have
    reached a drained barrier ([export] present); its frontier replaces
@@ -123,7 +112,7 @@ let apply_slice c (r : Cluster.Driver.result) ~coverable =
   | Some fx ->
     c.frontier <- fx.Cluster.Driver.fx_jobs;
     c.bans <- fx.Cluster.Driver.fx_bans;
-    or_coverage c fx.Cluster.Driver.fx_coverage;
+    c.coverage <- Engine.Coverage.union_into c.coverage fx.Cluster.Driver.fx_coverage;
     recompute_coverage_frac c;
     if c.frontier = [] then c.status <- Done;
     Ok ()

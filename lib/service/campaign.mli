@@ -46,9 +46,7 @@ val create : spec -> t
 (** The scheduler may hand it a slice (Queued or Running). *)
 val runnable : t -> bool
 
-(** OR a slice's union coverage vector into the cumulative one. *)
-val or_coverage : t -> Bytes.t -> unit
-
+(** Recompute [coverage_frac] from [coverage] once [coverable] is known. *)
 val recompute_coverage_frac : t -> unit
 
 (** Fold one simulated slice in; [Error] when the slice ended without a

@@ -364,12 +364,90 @@ let prop_driver_resume_exact =
       && errors = full.Cluster.Driver.total_errors
       && paths = Lazy.force reference_path_count)
 
+(* --- pinned trajectory -------------------------------------------------------------------- *)
+
+(* The simulated driver is the deterministic reference for the paper's
+   figures, so two small seed-42 runs pin every field of its result but
+   the solver counters: any change to who steals when, to lease dedup or
+   to crash recovery moves one of these numbers. *)
+let pin_run ?lb_disable_at ?(faults = Cluster.Faultplan.none) () =
+  let make_worker i =
+    let solver = Smt.Solver.create () in
+    let cfg =
+      Engine.Executor.make_config ~solver ~handler:Engine.Executor.no_env_handler
+        ~nlines:workload.Cvm.Program.nlines ~global_alloc:None ()
+    in
+    let make_root () = Engine.State.init workload ~env:() ~args:[] in
+    Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
+  in
+  Cluster.Driver.run
+    {
+      (Cluster.Driver.default_config ~faults ~nworkers:4 ~make_worker
+         ~coverable_lines:(List.length (Cvm.Program.covered_lines workload))
+         ())
+      with
+      Cluster.Driver.speed = (fun i -> 40 + (20 * i));
+      status_interval = 5;
+      bucket_ticks = 10;
+      lb_disable_at;
+      max_ticks = 200_000;
+    }
+
+let pin_digest (r : Cluster.Driver.result) =
+  let open Cluster.Driver in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let pairs l = String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b) l) in
+  let export =
+    match r.export with
+    | None -> "none"
+    | Some fx ->
+      Printf.sprintf "jobs=%d bans=%d covered=%d" (List.length fx.fx_jobs) (List.length fx.fx_bans)
+        (Engine.Coverage.popcount fx.fx_coverage)
+  in
+  Printf.sprintf
+    "ticks=%d goal=%b paths=%d errors=%d useful=%d replay=%d broken=%d transfers=%d \
+     per_worker=[%s] coverage=%.4f crashes=%d recovered=%d retransmits=%d recovery_replay=%d \
+     export=(%s) transferred=[%s] candidates=[%s] bucket_useful=[%s] bucket_cov=[%s]"
+    r.ticks r.reached_goal r.total_paths r.total_errors r.useful_instrs r.replay_instrs
+    r.broken_replays r.transfers (pairs r.per_worker_useful) r.final_coverage r.crashes
+    r.recovered_jobs r.retransmits r.recovery_replay_instrs export
+    (ints (List.map (fun b -> b.transferred) r.buckets))
+    (ints (List.map (fun b -> b.candidates) r.buckets))
+    (ints (List.map (fun b -> b.useful) r.buckets))
+    (String.concat "," (List.map (fun b -> Printf.sprintf "%.3f" b.coverage) r.buckets))
+
+let test_pinned_trajectory () =
+  let free = pin_run ~lb_disable_at:60 () in
+  let faults =
+    Cluster.Faultplan.create
+      ~crashes:[ Cluster.Faultplan.crash 2 ~at_tick:40 ~rejoin_after:20 ]
+      ~drop_prob:0.1 ~dup_prob:0.1 ~delay_prob:0.1 ~max_extra_delay:3 ~seed:42 ()
+  in
+  let faulty = pin_run ~faults () in
+  Alcotest.(check string) "fault-free, balancer disabled at tick 60"
+    "ticks=137 goal=true paths=729 errors=0 useful=17554 replay=3278 broken=0 transfers=96 \
+     per_worker=[0:5474,1:3389,2:4053,3:4638] coverage=1.0000 crashes=0 recovered=0 retransmits=0 \
+     recovery_replay=0 export=(jobs=0 bans=0 covered=12) transferred=[8,16,32,16,8,16,0,0,0,0,0,0,0] \
+     candidates=[20,73,124,195,205,166,127,118,92,75,61,43,21] \
+     bucket_useful=[1244,3287,5076,7136,9497,11930,13868,14868,15680,16080,16480,16880,17280] \
+     bucket_cov=[1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000]"
+    (pin_digest free);
+  Alcotest.(check string) "crash, rejoin and message loss"
+    "ticks=143 goal=true paths=729 errors=0 useful=17976 replay=9629 broken=0 transfers=281 \
+     per_worker=[0:3900,1:3862,2:1530,3:6392] coverage=1.0000 crashes=1 recovered=68 retransmits=7 \
+     recovery_replay=2308 export=(jobs=0 bans=0 covered=12) \
+     transferred=[8,8,32,16,53,0,24,16,16,39,31,22,4,12] \
+     candidates=[20,69,124,196,195,194,159,145,125,86,64,20,4,3] \
+     bucket_useful=[1244,3030,4819,6696,7896,8896,10383,12051,13778,15236,16649,17327,17727,17892] \
+     bucket_cov=[1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000,1.000]"
+    (pin_digest faulty)
+
 (* --- balancer ---------------------------------------------------------------------------- *)
 
 let test_balancer_classification () =
   let cov = Bytes.make 4 '\000' in
   let fresh reports =
-    let lb = Cluster.Balancer.create ~coverage_bytes:4 () in
+    let lb = Cluster.Balancer.create () in
     List.iter
       (fun (worker, queue_len) ->
         ignore (Cluster.Balancer.report lb ~worker ~queue_len ~coverage:cov))
@@ -420,7 +498,7 @@ let test_balancer_classification () =
    ledger, so the source's full queue backs the next starved report. *)
 let test_balancer_starved_only () =
   let cov = Bytes.make 4 '\000' in
-  let lb = Cluster.Balancer.create ~starved_only:true ~coverage_bytes:4 () in
+  let lb = Cluster.Balancer.create ~starved_only:true () in
   List.iter
     (fun (worker, queue_len) ->
       ignore (Cluster.Balancer.report lb ~worker ~queue_len ~coverage:cov))
@@ -433,7 +511,7 @@ let test_balancer_starved_only () =
   | other -> Alcotest.failf "unexpected requests (%d)" (List.length other)
 
 let test_balancer_coverage_overlay () =
-  let lb = Cluster.Balancer.create ~coverage_bytes:2 () in
+  let lb = Cluster.Balancer.create () in
   let c1 = Bytes.of_string "\x01\x00" in
   let c2 = Bytes.of_string "\x00\x81" in
   ignore (Cluster.Balancer.report lb ~worker:0 ~queue_len:1 ~coverage:c1);
@@ -441,7 +519,7 @@ let test_balancer_coverage_overlay () =
   Alcotest.(check string) "OR of vectors" "\x01\x81" (Bytes.to_string merged)
 
 let test_balancer_disabled () =
-  let lb = Cluster.Balancer.create ~coverage_bytes:1 () in
+  let lb = Cluster.Balancer.create () in
   let cov = Bytes.make 1 '\000' in
   ignore (Cluster.Balancer.report lb ~worker:0 ~queue_len:100 ~coverage:cov);
   ignore (Cluster.Balancer.report lb ~worker:1 ~queue_len:0 ~coverage:cov);
@@ -585,6 +663,7 @@ let () =
             prop_takeback_roundtrip_exact;
           ] );
       ("driver", qsuite [ prop_driver_resume_exact ]);
+      ("trajectory", [ Alcotest.test_case "pinned seed-42 runs" `Quick test_pinned_trajectory ]);
       ( "balancer",
         [
           Alcotest.test_case "classification" `Quick test_balancer_classification;

@@ -657,6 +657,27 @@ let test_coverage_goal_stops_early () =
 
 (* --- quantum stepping ------------------------------------------------------------------------ *)
 
+(* The one coverage bit-vector module: a union grows to the longer
+   vector without touching its inputs' bits, and a program with no
+   coverable line reads fully covered on every path that reports a
+   fraction. *)
+let test_coverage_vectors () =
+  let module C = Engine.Coverage in
+  let a = C.create ~nlines:3 in
+  Alcotest.(check bool) "line 2 new" true (C.add a 2);
+  Alcotest.(check bool) "line 2 again" false (C.add a 2);
+  let b = C.create ~nlines:20 in
+  ignore (C.add b 17);
+  let u = C.union_into a b in
+  Alcotest.(check int) "grown to the longer vector" (Bytes.length b) (Bytes.length u);
+  Alcotest.(check (list bool)) "bits of both" [ true; true; false ]
+    (List.map (C.mem u) [ 2; 17; 3 ]);
+  Alcotest.(check bool) "in place when long enough" true (C.union_into u a == u);
+  Alcotest.(check int) "popcount" 2 (C.popcount u);
+  Alcotest.(check (float 0.0)) "fraction" 0.5 (C.fraction ~coverable:4 2);
+  Alcotest.(check (float 0.0)) "no coverable line is full coverage" 1.0
+    (C.fraction ~coverable:0 0)
+
 let bare_config program =
   Engine.Executor.make_config ~solver:(Smt.Solver.create ()) ~handler:Engine.Executor.no_env_handler
     ~nlines:program.Cvm.Program.nlines ()
@@ -836,6 +857,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_coverage_accounting;
           Alcotest.test_case "goal stops early" `Quick test_coverage_goal_stops_early;
+          Alcotest.test_case "bit vectors" `Quick test_coverage_vectors;
         ] );
       ( "quantum",
         [

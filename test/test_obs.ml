@@ -300,33 +300,6 @@ let test_trace_ring_bound () =
   Alcotest.(check (list int)) "bounded, oldest first" [ 7; 8; 9; 10 ]
     (List.map (fun r -> r.Obs.Trace.r_tick) (Obs.Trace.contents tr))
 
-let test_trace_spill () =
-  let path = Filename.temp_file "c9spill" ".jsonl" in
-  let tr = Obs.Trace.create ~capacity:2 () in
-  let oc = open_out path in
-  Obs.Trace.attach_spill tr oc;
-  for i = 1 to 6 do
-    Obs.Trace.record tr ~tick:i ~worker:(i mod 3)
-      (Obs.Event.Lease_grant { lease = i; dst = 1; jobs = 2; recovery = false })
-  done;
-  Obs.Trace.detach_spill tr;
-  close_out oc;
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  (* the spill keeps every record, including the four the ring dropped *)
-  let lines = List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text) in
-  Alcotest.(check int) "spill keeps overwritten records" 6 (List.length lines);
-  List.iteri
-    (fun i line ->
-      let j = J.parse_exn line in
-      Alcotest.(check (option string)) "event name" (Some "lease_grant")
-        (Option.bind (J.member "event" j) J.to_str);
-      Alcotest.(check (option (float 0.0))) "tick stamp" (Some (float_of_int (i + 1)))
-        (Option.bind (J.member "tick" j) J.to_float))
-    lines
-
 (* --- timeline ------------------------------------------------------------------ *)
 
 let test_timeline_deltas_and_reset () =
@@ -794,7 +767,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "ring bound" `Quick test_trace_ring_bound;
-          Alcotest.test_case "spill" `Quick test_trace_spill;
         ] );
       ( "timeline",
         [
