@@ -13,7 +13,10 @@
 
    - Each worker domain owns a real [Worker.t] (created *inside* the
      domain by [make_worker], so domain-local solver state lands on the
-     right domain) and a bounded mutex+condition mailbox.  Worker-bound
+     right domain) and a bounded mutex+condition mailbox.  The workers'
+     solvers share one answer store per run ({!Smt.Solver.Store}), so a
+     thief answers from the caches its victim filled; the simulated
+     driver's workers keep private ones, as the paper's do.  Worker-bound
      messages: leased job batches, transfer (steal) requests, ban lists,
      merged-coverage feedback, a wake-up poke, and stop.
 
@@ -343,6 +346,7 @@ type result = {
   per_worker_useful : (int * int) list;
   solver_stats : Smt.Solver.stats;
   per_worker_solver : (int * Smt.Solver.stats) list;
+  store_locks : Smt.Shard_lock.stats;
 }
 
 (* What a worker domain returns through [Pool.join].  Summaries of
@@ -372,10 +376,12 @@ type summary = {
    fires; at shutdown it prevents a worker from wedging [Pool.join]. *)
 let ctl_timeout = 5.0
 
-let worker_body (cfg : 'env config) ~coord ~inbox ~crash ~id:i ~incarnation ~initial_bans ~seed
-    =
+let worker_body (cfg : 'env config) ~store ~coord ~inbox ~crash ~id:i ~incarnation ~initial_bans
+    ~seed =
   try
     let w = cfg.make_worker i in
+    (* attached here, not in [make_worker], which callers write *)
+    Smt.Solver.attach w.Worker.cfg.Executor.solver store;
     Fun.protect
       ~finally:(fun () -> Option.iter Obs.Sink.flush w.Worker.cfg.Executor.obs)
       (fun () ->
@@ -575,6 +581,8 @@ let run ~coverable_lines (cfg : 'env config) =
           s_suspect = false;
         })
   in
+  (* every incarnation's solver answers its sat/det caches from here *)
+  let store = Smt.Solver.Store.create () in
   let spawned = ref [] in (* (slot id, incarnation, domain), newest first *)
   let declared : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   (* The coordinator profiles and emits through its own buffered
@@ -683,7 +691,7 @@ let run ~coverable_lines (cfg : 'env config) =
     let initial_bans = Transport.bans transport in
     let d =
       Pool.spawn (fun () ->
-          worker_body cfg ~coord ~inbox ~crash ~id:sl.s_id ~incarnation ~initial_bans ~seed)
+          worker_body cfg ~store ~coord ~inbox ~crash ~id:sl.s_id ~incarnation ~initial_bans ~seed)
     in
     spawned := (sl.s_id, incarnation, d) :: !spawned
   in
@@ -983,4 +991,5 @@ let run ~coverable_lines (cfg : 'env config) =
     solver_stats = agg;
     per_worker_solver =
       List.filter_map (fun (i, inc, s) -> if live i inc then Some (i, s.sm_solver) else None) joined;
+    store_locks = Smt.Solver.Store.lock_stats store;
   }

@@ -47,7 +47,9 @@ type 'env config = {
   ndomains : int;  (** worker domains (the coordinator runs on the caller) *)
   make_worker : int -> 'env Worker.t;
       (** called {e inside} worker [i]'s domain, so domain-local solver
-          state (the solver and its caches) is created where it is used *)
+          state (the solver, its counterexample models and persistent
+          instance) is created where it is used; the run then attaches
+          the solver to its shared answer store *)
   status_every : int;
       (** quanta between status reports while busy (default 16); the
           worker polls its mailbox after every quantum *)
@@ -95,6 +97,10 @@ type result = {
   per_worker_useful : (int * int) list;  (** live incarnations only *)
   solver_stats : Smt.Solver.stats;  (** aggregate over all incarnations *)
   per_worker_solver : (int * Smt.Solver.stats) list;  (** live incarnations *)
+  store_locks : Smt.Shard_lock.stats;
+      (** contention on the run's shared answer store: every worker's
+          solver answers its satisfiability and deterministic-model
+          caches from one {!Smt.Solver.Store} per run *)
 }
 
 (** Run to exhaustion on [ndomains] worker domains.  [coverable_lines]

@@ -220,16 +220,17 @@ let run_parallel ?obs ?ndomains ?options (t : target) =
   (* Profiling rides on the sink: a parallel run with observability gets
      wall-clock spans (real-nanosecond time base), while the simulated
      drivers stay purely on virtual ticks.  The hashcons shard-lock
-     probe is global state, so it is reset here and contended-wait
-     timing enabled only for profiled runs. *)
+     probe is global state, so it is reset here; contended-wait timing
+     (of every shard-lock probe, the run's answer store included) is
+     enabled only for profiled runs. *)
   (match obs with
   | Some _ ->
     Smt.Expr.reset_lock_stats ();
-    Smt.Expr.set_lock_profiling true
-  | None -> Smt.Expr.set_lock_profiling false);
+    Smt.Shard_lock.set_timing true
+  | None -> Smt.Shard_lock.set_timing false);
   let cfg = parallel_config ?obs ?ndomains ?options t in
   Fun.protect
-    ~finally:(fun () -> Smt.Expr.set_lock_profiling false)
+    ~finally:(fun () -> Smt.Shard_lock.set_timing false)
     (fun () ->
       Cluster.Parallel.run
         ~coverable_lines:(List.length (Cvm.Program.covered_lines t.program))

@@ -56,7 +56,7 @@ let ignored_key k =
 (* Environment-profiling subtrees: lock contention and latency sampling
    measure the host and the scheduler's luck, not the program — every
    numeric value under them is incomparable across runs. *)
-let ignored_subtrees = [ "latency_ns"; "hashcons_locks" ]
+let ignored_subtrees = [ "latency_ns"; "hashcons_locks"; "answer_store_locks" ]
 
 let in_ignored_subtree path =
   String.split_on_char '.' path

@@ -143,106 +143,22 @@ module Wtbl = Weak.Make (Hashed_node)
    reproducible order must use [compare_structural], exactly as for
    weak-table evictions within one domain.
 
-   A shard's weak table picks a bucket from the low bits of the same
-   hash ([hash mod size]), so the shard must come from other bits:
-   choosing it by [hash land 255] put every node of a shard into one
-   bucket, which [Weak.Make] never resizes.  The shard is the top
-   [shard_bits] of a multiplicative (Fibonacci) mix of the hash, which
-   depend on all of its bits.  Each table starts at [Weak.Make]'s
-   minimum of 7 buckets and grows with its live set: every allocated
-   bucket is a weak array the major GC scans on every cycle, and
-   pre-sized 256-bucket tables (65,536 buckets, filled a few thousand
-   per run by the worker domains) raised a multi-domain process's peak
-   RSS by ~50% against 64 x 7. *)
-let shard_bits = 6
-let nshards = 1 lsl shard_bits
-let shard_of_hash h = (h * 0x278DDE6E5FD29F05) lsr (Sys.int_size - shard_bits)
+   The shard is {!Shard_lock.of_hash} of the node hash (top bits of a
+   Fibonacci mix: the weak tables pick buckets from the low bits).  Each
+   table starts at [Weak.Make]'s minimum of 7 buckets and grows with its
+   live set: every allocated bucket is a weak array the major GC scans on
+   every cycle, and pre-sized 256-bucket tables (65,536 buckets, filled a
+   few thousand per run by the worker domains) raised a multi-domain
+   process's peak RSS by ~50% against 64 x 7. *)
+type shard = { tbl : Wtbl.t; lock : Mutex.t }
 
-type shard = {
-  tbl : Wtbl.t;
-  lock : Mutex.t;
-  mutable contended : int;  (* try_lock misses; written under [lock] *)
-}
-
-let shards =
-  Array.init nshards (fun _ -> { tbl = Wtbl.create 7; lock = Mutex.create (); contended = 0 })
-
+let shards = Array.init Shard_lock.count (fun _ -> { tbl = Wtbl.create 7; lock = Mutex.create () })
+let locks = Shard_lock.probe ~nshards:Shard_lock.count
 let next_id = Atomic.make 0
 let hc_hits = Atomic.make 0
 let hc_misses = Atomic.make 0
-
-(* Contention probe on the shard locks: interning try-locks first and
-   counts which way it went.  Contended acquisitions are additionally
-   timed (gated on [lock_profiling], enabled by the multicore facade)
-   into a hand-rolled Atomic bucket array sharing the obs latency_ns
-   bounds — uncontended ones are never timed, since two clock reads
-   would cost more than the lock itself and swamp the <5% profiling
-   overhead budget. *)
-let lk_uncontended = Atomic.make 0
-let lk_contended = Atomic.make 0
-let lock_profiling = Atomic.make false
-let wait_counts = Array.init (Array.length Obs.Metrics.latency_ns_buckets + 1) (fun _ -> Atomic.make 0)
-let wait_sum_ns = Atomic.make 0
-
-let wait_bucket ns =
-  let bounds = Obs.Metrics.latency_ns_buckets in
-  let n = Array.length bounds in
-  let rec slot i = if i >= n || float_of_int ns <= bounds.(i) then i else slot (i + 1) in
-  slot 0
-
-let lock_shard s =
-  if Mutex.try_lock s.lock then Atomic.incr lk_uncontended
-  else begin
-    Atomic.incr lk_contended;
-    if Atomic.get lock_profiling then begin
-      let t0 = Obs.Clock.now_ns () in
-      Mutex.lock s.lock;
-      let dt = max 0 (Obs.Clock.now_ns () - t0) in
-      Atomic.incr wait_counts.(wait_bucket dt);
-      ignore (Atomic.fetch_and_add wait_sum_ns dt)
-    end
-    else Mutex.lock s.lock;
-    s.contended <- s.contended + 1
-  end
-
-type lock_stats = {
-  lk_uncontended : int;
-  lk_contended : int;
-  lk_wait_counts : int array;  (* length = latency_ns_buckets + 1 (+inf) *)
-  lk_wait_sum_ns : int;
-  lk_top_shards : (int * int) list;  (* (shard index, contended), most contended first *)
-}
-
-let lock_stats () =
-  (* per-shard reads are unsynchronized — stats, not invariants *)
-  let per = Array.mapi (fun i s -> (i, s.contended)) shards in
-  let tops =
-    Array.to_list per
-    |> List.filter (fun (_, c) -> c > 0)
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-    |> List.filteri (fun i _ -> i < 8)
-  in
-  {
-    lk_uncontended = Atomic.get lk_uncontended;
-    lk_contended = Atomic.get lk_contended;
-    lk_wait_counts = Array.map Atomic.get wait_counts;
-    lk_wait_sum_ns = Atomic.get wait_sum_ns;
-    lk_top_shards = tops;
-  }
-
-let reset_lock_stats () =
-  Atomic.set lk_uncontended 0;
-  Atomic.set lk_contended 0;
-  Array.iter (fun a -> Atomic.set a 0) wait_counts;
-  Atomic.set wait_sum_ns 0;
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      s.contended <- 0;
-      Mutex.unlock s.lock)
-    shards
-
-let set_lock_profiling on = Atomic.set lock_profiling on
+let lock_stats () = Shard_lock.stats locks
+let reset_lock_stats () = Shard_lock.reset locks
 
 type hc_stats = { table_size : int; max_bucket : int; hits : int; misses : int; next_id : int }
 
@@ -275,8 +191,9 @@ let hashcons node =
   (* the probe's id is never read: [Hashed_node] hashes and compares on the
      node alone, so an id of -1 finds any interned equal *)
   let probe = { id = -1; node; width = node_width node; syms_memo = no_syms; simp_memo = no_simp } in
-  let s = shards.(shard_of_hash (Hashed_node.hash probe)) in
-  lock_shard s;
+  let i = Shard_lock.of_hash (Hashed_node.hash probe) in
+  let s = shards.(i) in
+  Shard_lock.acquire locks i s.lock;
   match Wtbl.find_opt s.tbl probe with
   | Some r ->
     Mutex.unlock s.lock;

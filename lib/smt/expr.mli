@@ -198,29 +198,9 @@ type hc_stats = { table_size : int; max_bucket : int; hits : int; misses : int; 
 
 val hashcons_stats : unit -> hc_stats
 
-(** Shard-lock contention probe.  Interning try-locks its shard first
-    and counts uncontended vs contended acquisitions; when profiling is
-    enabled ({!set_lock_profiling}), contended acquisitions are also
-    timed into [lk_wait_counts] — buckets aligned with
-    [Obs.Metrics.latency_ns_buckets] plus a final +inf bucket — and
-    [lk_wait_sum_ns].  [lk_top_shards] lists up to the 8 most contended
-    shard indices with their contended-acquisition counts.  Per-shard
-    counts are read unsynchronized (statistics, not invariants). *)
-type lock_stats = {
-  lk_uncontended : int;
-  lk_contended : int;
-  lk_wait_counts : int array;
-  lk_wait_sum_ns : int;
-  lk_top_shards : (int * int) list;
-}
-
-val lock_stats : unit -> lock_stats
+(** The hashcons shard locks' contention probe (see {!Shard_lock}). *)
+val lock_stats : unit -> Shard_lock.stats
 
 (** Zero all shard-lock counters (call before a profiled run; the
     probe's state is global and survives across runs in one process). *)
 val reset_lock_stats : unit -> unit
-
-(** Enable/disable timing of contended shard-lock waits.  Off by
-    default: uncontended interning always pays only the try-lock and one
-    atomic increment. *)
-val set_lock_profiling : bool -> unit

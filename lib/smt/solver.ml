@@ -14,6 +14,16 @@
    arithmetic: cache keys hash by id, canonical ordering is id order,
    and symbol-support sets are memoized per term.
 
+   The satisfiability and deterministic-model caches live in a
+   {!Store}.  A solver starts with a private one; [Cluster.Parallel]
+   attaches one sharded store to every worker domain's solver of a run,
+   so a thief answers from what its victim already solved.  A key is a
+   list of hash-consed terms, whose ids are process-global and never
+   reused, so a key means the same thing in every domain; a det answer
+   is a pure function of its key, so sharing it keeps models
+   history-independent.  The counterexample models (history-dependent)
+   and the persistent incremental instance stay per solver.
+
    Caches and slicing can each be disabled at construction for ablation
    benchmarks; SAT calls always go to the persistent incremental
    instance. *)
@@ -68,12 +78,72 @@ let gauge_period = 256
 (* Answer caches keyed by the id-sorted constraints themselves, not their
    ids, so a cached constraint stays alive, and keeps its id, as long as
    its entry does. *)
-module Key = Hashtbl.Make (struct
+module Key_hashed = struct
   type t = Expr.t list
 
   let equal = List.equal Expr.equal
   let hash = List.fold_left (fun h e -> (h * 65599) + Expr.hash e) 0
-end)
+end
+
+module Key = Hashtbl.Make (Key_hashed)
+
+(* The two answer caches, sharded like the hashcons table: one mutex per
+   shard guards both of its tables, and a lookup or insert holds it only
+   for the table operation (answers are computed outside the lock; two
+   domains racing on one cold key both solve it and store equal
+   verdicts).  A private store has a single shard, which keeps a
+   single-domain solver's lock cost that of one uncontended mutex.
+   Tables start at [Hashtbl]'s minimum and grow with use: the simulated
+   cluster and the campaign daemon create a solver per worker, most of
+   which answer few queries. *)
+module Store = struct
+  type shard = { lock : Mutex.t; sat : result Key.t; det : result Key.t }
+  type t = { shards : shard array; probe : Shard_lock.probe }
+
+  let make nshards =
+    {
+      shards =
+        Array.init nshards (fun _ ->
+            { lock = Mutex.create (); sat = Key.create 16; det = Key.create 16 });
+      probe = Shard_lock.probe ~nshards;
+    }
+
+  let create () = make Shard_lock.count
+  let private_ () = make 1
+
+  (* the key's shard, locked *)
+  let lock t key =
+    let i = Shard_lock.of_hash (Key_hashed.hash key) land (Array.length t.shards - 1) in
+    let sh = t.shards.(i) in
+    Shard_lock.acquire t.probe i sh.lock;
+    sh
+
+  let find t table key =
+    let sh = lock t key in
+    let r = Key.find_opt (table sh) key in
+    Mutex.unlock sh.lock;
+    r
+
+  let add t table key r =
+    let sh = lock t key in
+    Key.replace (table sh) key r;
+    Mutex.unlock sh.lock
+
+  let sat sh = sh.sat
+  let det sh = sh.det
+
+  (* entries of one table, summed shard by shard under each lock *)
+  let length t table =
+    Array.fold_left
+      (fun n sh ->
+        Mutex.lock sh.lock;
+        let n = n + Key.length (table sh) in
+        Mutex.unlock sh.lock;
+        n)
+      0 t.shards
+
+  let lock_stats t = Shard_lock.stats t.probe
+end
 
 type t = {
   stats : stats;
@@ -85,8 +155,7 @@ type t = {
   use_cex_cache : bool;
   use_independence : bool;
   mutable inc : Cnf.ctx option;  (* the persistent incremental instance *)
-  sat_cache : result Key.t; (* key: id-sorted constraints *)
-  det_cache : result Key.t;
+  mutable store : Store.t;  (* sat and det answers, keyed by id-sorted constraints *)
   mutable cex_models : Model.t list;
   cex_limit : int;
 }
@@ -137,9 +206,9 @@ let hashcons_lock_samples () =
         Obs.Metrics.Vhistogram
           {
             vbounds = Array.copy Obs.Metrics.latency_ns_buckets;
-            vcounts = Array.copy ls.Expr.lk_wait_counts;
-            vsum = float_of_int ls.Expr.lk_wait_sum_ns;
-            vcount = Array.fold_left ( + ) 0 ls.Expr.lk_wait_counts;
+            vcounts = Array.copy ls.Shard_lock.lk_wait_counts;
+            vsum = float_of_int ls.Shard_lock.lk_wait_sum_ns;
+            vcount = Array.fold_left ( + ) 0 ls.Shard_lock.lk_wait_counts;
           };
     }
   in
@@ -151,9 +220,11 @@ let hashcons_lock_samples () =
           s_labels = [ ("shard", string_of_int shard) ];
           s_value = Obs.Metrics.Vcounter c;
         })
-      ls.Expr.lk_top_shards
+      ls.Shard_lock.lk_top_shards
   in
-  acq "uncontended" ls.Expr.lk_uncontended :: acq "contended" ls.Expr.lk_contended :: wait :: tops
+  acq "uncontended" ls.Shard_lock.lk_uncontended
+  :: acq "contended" ls.Shard_lock.lk_contended
+  :: wait :: tops
 
 let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = true) ?obs
     ?prof () =
@@ -171,8 +242,7 @@ let create ?(use_sat_cache = true) ?(use_cex_cache = true) ?(use_independence = 
     use_cex_cache;
     use_independence;
     inc = None;
-    sat_cache = Key.create 1024;
-    det_cache = Key.create 256;
+    store = Store.private_ ();
     cex_models = [];
     cex_limit = 32;
   }
@@ -228,8 +298,8 @@ let sample_gauges t =
   match t.obs with
   | None -> ()
   | Some o ->
-    Obs.Metrics.set o.g_sat_cache (float_of_int (Key.length t.sat_cache));
-    Obs.Metrics.set o.g_det_cache (float_of_int (Key.length t.det_cache));
+    Obs.Metrics.set o.g_sat_cache (float_of_int (Store.length t.store Store.sat));
+    Obs.Metrics.set o.g_det_cache (float_of_int (Store.length t.store Store.det));
     Obs.Metrics.set o.g_cex_models (float_of_int (List.length t.cex_models));
     let hc = Expr.hashcons_stats () in
     Obs.Metrics.set o.g_hc_entries (float_of_int hc.Expr.table_size);
@@ -263,14 +333,17 @@ let note t kind tier sat =
     o.noted <- o.noted + 1;
     if o.noted mod gauge_period = 0 then sample_gauges t
 
-(* Drop the satisfiability cache (used when measuring cache reconstruction
-   after a job transfer, see paper section 6 "Constraint Caches").  Also
-   retires the persistent incremental instance: a migrated state must
-   never solve against the source worker's activation groups — the next
-   SAT call rebuilds from an empty instance, exactly like the caches. *)
+let attach t store = t.store <- store
+
+(* Drop the caches (used when measuring cache reconstruction after a job
+   transfer, see paper section 6 "Constraint Caches") by moving to a
+   fresh private store: an attached store is left intact for the other
+   solvers sharing it.  Also retires the persistent incremental
+   instance: a migrated state must never solve against the source
+   worker's activation groups — the next SAT call rebuilds from an empty
+   instance, exactly like the caches. *)
 let clear_caches t =
-  Key.reset t.sat_cache;
-  Key.reset t.det_cache;
+  t.store <- Store.private_ ();
   t.cex_models <- [];
   match t.inc with
   | Some _ ->
@@ -415,7 +488,7 @@ let remember_model t m =
    normalized (id-sorted) and non-empty.  [kind] labels the trace event
    with the querying entry point. *)
 let check_normalized t ~kind constraints =
-  let cached = if t.use_sat_cache then Key.find_opt t.sat_cache constraints else None in
+  let cached = if t.use_sat_cache then Store.find t.store Store.sat constraints else None in
   match cached with
   | Some r ->
     t.stats.cache_hits <- t.stats.cache_hits + 1;
@@ -440,7 +513,7 @@ let check_normalized t ~kind constraints =
         (match r with Sat m -> remember_model t m | Unsat -> ());
         r
     in
-    if t.use_sat_cache then Key.replace t.sat_cache constraints r;
+    if t.use_sat_cache then Store.add t.store Store.sat constraints r;
     r
 
 (* The symbol-connected components of an id-sorted constraint list, each
@@ -581,7 +654,7 @@ let fork_feasible t ~pc cond =
    recompute); a new branch changes one component, so only that one is
    re-solved. *)
 let solve_deterministic t part =
-  match Key.find_opt t.det_cache part with
+  match Store.find t.store Store.det part with
   | Some r ->
     t.stats.cache_hits <- t.stats.cache_hits + 1;
     note t "det" Obs.Event.Det_cache (is_sat r);
@@ -590,7 +663,7 @@ let solve_deterministic t part =
     t.stats.sat_calls <- t.stats.sat_calls + 1;
     let r = solve_fresh (List.sort Expr.compare_structural part) in
     note t "det" Obs.Event.Sat_call (is_sat r);
-    Key.replace t.det_cache part r;
+    Store.add t.store Store.det part r;
     r
 
 let check_deterministic t constraints =

@@ -4,7 +4,13 @@
     KLEE/Cloud9 rely on.  The caches and slicing can each be disabled at
     construction for ablation experiments; SAT calls always go to a
     persistent incremental instance.  Every query is answered by exactly
-    one tier: [trivial + cache_hits + cex_hits + sat_calls = queries]. *)
+    one tier: [trivial + cache_hits + cex_hits + sat_calls = queries].
+
+    The satisfiability and deterministic-model caches live in a {!Store},
+    private to the solver unless one is {!attach}ed: the worker domains
+    of one [Cluster.Parallel] run share a store, so an answer any of them
+    computed is a cache hit in all of them.  The counterexample models
+    and the persistent instance always stay per solver. *)
 
 type result = Sat of Model.t | Unsat
 
@@ -35,6 +41,19 @@ type inc_stats = {
 }
 
 type t
+
+(** A sharded, domain-safe answer store: the satisfiability cache and
+    the deterministic-model cache, keyed by id-sorted lists of
+    hash-consed terms, one mutex per shard ({!Shard_lock}). *)
+module Store : sig
+  type t
+
+  (** An empty store of {!Shard_lock.count} shards. *)
+  val create : unit -> t
+
+  (** The store's shard-lock contention probe. *)
+  val lock_stats : t -> Shard_lock.stats
+end
 
 (** [obs] attaches an observability sink: every answered query bumps a
     per-tier [solver_queries] counter (handles resolved here, once) and
@@ -78,10 +97,16 @@ val accum_stats : stats -> stats -> unit
     copy of the same counters (for per-slice deltas). *)
 val diff_stats : stats -> stats -> stats
 
+(** [attach t store] makes [t] answer its satisfiability and
+    deterministic-model caches from [store] (shared with every other
+    solver attached to it) instead of its private store. *)
+val attach : t -> Store.t -> unit
+
 (** Drop all caches {e and} retire the persistent incremental instance;
     models transferred to another worker lose their source's caches and
     must never solve against the source's stale activation groups (paper
-    section 6, "Constraint Caches"). *)
+    section 6, "Constraint Caches").  An attached solver moves to a fresh
+    private store; the shared store keeps its answers for the others. *)
 val clear_caches : t -> unit
 
 (** Is the conjunction satisfiable?  On [Sat], the model binds only
@@ -118,6 +143,7 @@ val fork_feasible : t -> pc:Expr.t list -> Expr.t -> bool * bool
 val check_deterministic : t -> Expr.t list -> result
 
 (** Refresh the cache-size / hashcons gauges on the attached obs sink (a
-    no-op without one).  Also runs automatically every few hundred
+    no-op without one); the cache sizes are those of the solver's store,
+    shared or not.  Also runs automatically every few hundred
     answered queries. *)
 val sample_gauges : t -> unit

@@ -122,6 +122,70 @@ let test_simplify_race () =
     results;
   Alcotest.(check bool) "the cold chains needed rewriting" true (cold.(0) != reference.(0))
 
+(* Four domains, each with its own solver, all attached to one answer
+   store, check overlapping cold constraint sets at once.  Set [i] joins
+   a component of its own pair of symbols (unsat for every fifth set) to
+   one of eight shared components, so most keys are raced by all four
+   domains.  Each domain walks the sets from its own offset; every
+   verdict and deterministic model must be the sequential reference's,
+   and every [check] model must satisfy its set. *)
+let test_answer_store_race () =
+  let nd = 4 and nsets = 64 in
+  let sym k = Expr.sym_with_id ~id:(5_000_000 + k) ~name:"r" 8 in
+  let c v = Expr.of_int ~width:8 v in
+  let sets =
+    Array.init nsets (fun i ->
+        let x = sym i and y = sym (i + 1) and z = sym (1_000 + (i mod 8)) in
+        [
+          Expr.eq (Expr.add x y) (c (i + 3));
+          Expr.ult x y;
+          (if i mod 5 = 0 then Expr.ult y x else Expr.ult (c 0) y);
+          Expr.ult (Expr.mul z (c 3)) (c (50 + (i mod 8)));
+          Expr.ult (c (i mod 8)) z;
+        ])
+  in
+  let det_bindings s cs =
+    match Smt.Solver.check_deterministic s cs with
+    | Smt.Solver.Sat m -> Some (Smt.Model.bindings m)
+    | Smt.Solver.Unsat -> None
+  in
+  let reference =
+    Array.map
+      (fun cs ->
+        let s = Smt.Solver.create () in
+        (Smt.Solver.check s cs <> Smt.Solver.Unsat, det_bindings s cs))
+      sets
+  in
+  let store = Smt.Solver.Store.create () in
+  let race d () =
+    let s = Smt.Solver.create () in
+    Smt.Solver.attach s store;
+    List.init nsets (fun k ->
+        let i = (k + (d * nsets / nd)) mod nsets in
+        let verdict =
+          match Smt.Solver.check s sets.(i) with
+          | Smt.Solver.Sat m ->
+            if not (Smt.Model.satisfies m sets.(i)) then
+              failwith (Printf.sprintf "set %d: the Sat model does not satisfy it" i);
+            true
+          | Smt.Solver.Unsat -> false
+        in
+        (i, (verdict, det_bindings s sets.(i))))
+  in
+  let results = Array.map Domain.join (Array.init nd (fun d -> Domain.spawn (race d))) in
+  Array.iteri
+    (fun d per_domain ->
+      List.iter
+        (fun (i, (verdict, det)) ->
+          if verdict <> fst reference.(i) then
+            Alcotest.failf "domain %d: verdict of set %d differs from sequential" d i;
+          if det <> snd reference.(i) then
+            Alcotest.failf "domain %d: deterministic model of set %d differs" d i)
+        per_domain)
+    results;
+  Alcotest.(check bool) "some sets are unsat" true (Array.exists (fun (v, _) -> not v) reference);
+  Alcotest.(check bool) "some sets are sat" true (Array.exists fst reference)
+
 (* Fresh symbols minted concurrently must never collide. *)
 let test_fresh_sym_unique () =
   let nd = 4 and per = 1_000 in
@@ -295,6 +359,7 @@ let () =
           Alcotest.test_case "hashcons 4-domain stress" `Quick test_hashcons_stress;
           Alcotest.test_case "sym_set memo 4-domain race" `Quick test_syms_memo_race;
           Alcotest.test_case "simplify memo 4-domain race" `Quick test_simplify_race;
+          Alcotest.test_case "answer store 4-domain race" `Quick test_answer_store_race;
           Alcotest.test_case "fresh_sym unique across domains" `Quick test_fresh_sym_unique;
         ] );
       ( "profiling",

@@ -631,6 +631,58 @@ let test_deterministic_models () =
   Smt.Solver.clear_caches s1;
   Alcotest.(check (pair int64 int64)) "cache-independent model" m1 (model_of s1)
 
+(* Two solvers attached to one store share their satisfiability and
+   deterministic answers: what one solved is a cache hit in the other.
+   Dropping one solver's caches detaches it and leaves the store to the
+   other; the counterexample models stay per solver throughout. *)
+let test_shared_store () =
+  let shared () =
+    let store = Smt.Solver.Store.create () in
+    let a = Smt.Solver.create () and b = Smt.Solver.create () in
+    Smt.Solver.attach a store;
+    Smt.Solver.attach b store;
+    (a, b)
+  in
+  let pc = norm [ E.ult sym_a (i8 100); E.ult sym_b sym_a ] in
+  let cond = E.eq sym_a (i8 50) in
+  let det s =
+    match Smt.Solver.check_deterministic s pc with
+    | Smt.Solver.Sat m -> Some (Smt.Model.bindings m)
+    | Smt.Solver.Unsat -> None
+  in
+  let tiers_sum what s =
+    let st = Smt.Solver.stats s in
+    Alcotest.(check int) (what ^ ": tiers sum to queries") st.Smt.Solver.queries
+      (st.Smt.Solver.trivial + st.Smt.Solver.cache_hits + st.Smt.Solver.cex_hits
+     + st.Smt.Solver.sat_calls)
+  in
+  let a, b = shared () in
+  Alcotest.(check bool) "A answers the branch" true (Smt.Solver.branch_feasible a ~pc cond);
+  Alcotest.(check bool) "B gets the same verdict" true (Smt.Solver.branch_feasible b ~pc cond);
+  let sb = Smt.Solver.copy_stats b in
+  Alcotest.(check (pair int int)) "B's branch was a cache hit, no SAT call" (1, 0)
+    (sb.Smt.Solver.cache_hits, sb.Smt.Solver.sat_calls);
+  let reference = det (Smt.Solver.create ()) in
+  Alcotest.(check bool) "the pc is sat" true (reference <> None);
+  (* either query order gives the unshared solver's model *)
+  Alcotest.(check bool) "det through A" true (det a = reference);
+  Alcotest.(check bool) "det through B after A" true (det b = reference);
+  Alcotest.(check int) "B solved nothing" 0 (Smt.Solver.stats b).Smt.Solver.sat_calls;
+  let a', b' = shared () in
+  Alcotest.(check bool) "det through B first" true (det b' = reference);
+  Alcotest.(check bool) "det through A after B" true (det a' = reference);
+  Alcotest.(check int) "A solved nothing" 0 (Smt.Solver.stats a').Smt.Solver.sat_calls;
+  (* B leaves; the store keeps A's answers *)
+  Smt.Solver.clear_caches b;
+  let hits s = (Smt.Solver.stats s).Smt.Solver.cache_hits in
+  let ha = hits a and hb = hits b in
+  Alcotest.(check bool) "A still hits" true (Smt.Solver.branch_feasible a ~pc cond);
+  Alcotest.(check int) "A's repeat is a cache hit" (ha + 1) (hits a);
+  Alcotest.(check bool) "B re-solves" true (Smt.Solver.branch_feasible b ~pc cond);
+  Alcotest.(check int) "B's caches are empty" hb (hits b);
+  Alcotest.(check bool) "det through the detached B" true (det b = reference);
+  List.iter (fun (what, s) -> tiers_sum what s) [ ("A", a); ("B", b); ("A'", a'); ("B'", b') ]
+
 let test_model_extraction () =
   let solver = Smt.Solver.create () in
   let c = [ E.eq (E.add sym_a sym_b) (i8 100); E.eq sym_a (i8 42) ] in
@@ -951,7 +1003,8 @@ let prop_det_independence_invariant =
    asked the pc first and one asked it in shuffled order after a polluted
    history — incremental queries, test-case checks and deterministic
    solves of other sets, including some of the pc's own components —
-   return identical models. *)
+   return identical models.  So does a second solver sharing the polluted
+   one's answer store, which answers from what the first one solved. *)
 let prop_det_history_independent =
   let gen =
     QCheck2.Gen.(
@@ -971,7 +1024,10 @@ let prop_det_history_independent =
         | Smt.Solver.Unsat -> None
       in
       let cold = bindings (Smt.Solver.create ()) pc in
-      let warm = Smt.Solver.create () in
+      let store = Smt.Solver.Store.create () in
+      let warm = Smt.Solver.create () and sharer = Smt.Solver.create () in
+      Smt.Solver.attach warm store;
+      Smt.Solver.attach sharer store;
       List.iter
         (fun h ->
           ignore (Smt.Solver.check warm [ h ]);
@@ -983,7 +1039,7 @@ let prop_det_history_independent =
         (fun i _ ->
           ignore (Smt.Solver.check_deterministic warm (List.filteri (fun j _ -> j <> i) pc)))
         pc;
-      cold = bindings warm shuffled)
+      cold = bindings warm shuffled && cold = bindings sharer shuffled)
 
 (* The merged deterministic model satisfies the pc and binds only its
    symbols, and the verdict equals a whole-pc check without
@@ -1058,6 +1114,7 @@ let () =
           Alcotest.test_case "model extraction" `Quick test_model_extraction;
           Alcotest.test_case "trivial-true tier counted" `Quick test_trivial_true_counted;
           Alcotest.test_case "clear_caches rebuilds" `Quick test_clear_caches_rebuild;
+          Alcotest.test_case "solvers sharing a store" `Quick test_shared_store;
         ]
         @ qsuite
             [
