@@ -1300,9 +1300,11 @@ let bench_faults_parallel ?(quick = false) () =
   section "Fault tolerance on real domains"
     "Faulty Cluster.Parallel runs (real OCaml domains) against the fault-free\n\
      simulated reference: one scenario crashes a domain permanently, one\n\
-     crashes and rejoins it, both with seeded message loss on the leased job\n\
-     wire.  Hard gate: every faulty run must terminate (no watchdog) with\n\
-     exactly the reference path and error totals (exit non-zero if not).";
+     crashes and rejoins it, both with seeded message loss on the lossy\n\
+     wire, and one crashes and rejoins it while the wire also delays and\n\
+     duplicates job batches, acks and steal requests.  Hard gate: every\n\
+     faulty run must terminate (no watchdog) with exactly the reference\n\
+     path and error totals (exit non-zero if not).";
   let module CP = Cluster.Parallel in
   let wname, program =
     if quick then ("printf-fmt4", Targets.Printf_target.program ~fmt_len:4)
@@ -1361,7 +1363,9 @@ let bench_faults_parallel ?(quick = false) () =
       free.CP.total_paths free.CP.total_errors sim.CD.total_paths sim.CD.total_errors;
   (* The quick run is ~0.1 s of printf fmt4, whose tree a single worker
      explores almost alone: only worker 0, which holds the root lease,
-     reliably has work to lose that early, so the quick gate crashes it. *)
+     reliably has work to lose that early, so the quick gate crashes it.
+     The full workload is about as short, so the delay/duplication
+     scenario crashes worker 0 in both. *)
   let victim full = if quick then 0 else full in
   let scenarios =
     [
@@ -1374,6 +1378,11 @@ let bench_faults_parallel ?(quick = false) () =
         Cluster.Faultplan.create
           ~crashes:[ Cluster.Faultplan.crash (victim 2) ~at_tick:(t1 / 2) ~rejoin_after:40 ]
           ~drop_prob:0.05 ~seed:13 (),
+        1 );
+      ( "delay-dup",
+        Cluster.Faultplan.create
+          ~crashes:[ Cluster.Faultplan.crash 0 ~at_tick:t1 ~rejoin_after:30 ]
+          ~drop_prob:0.05 ~dup_prob:0.1 ~delay_prob:0.2 ~max_extra_delay:4 ~seed:17 (),
         1 );
     ]
   in

@@ -18,15 +18,18 @@
    is leased and retransmitted with exponential backoff until
    acknowledged; receivers deduplicate by lease id.  Status reports are
    the reliable control plane and double as each worker's durable
-   recovery point.  The balancer, the lease ledger and the
-   crash-recovery state machine live in the coordinator {!Transport},
+   recovery point.  The balancer, the lease ledger, the crash-recovery
+   state machine and the fault plane — the crash/rejoin schedule, the
+   seeded fates of the lossy {!Transport.wire}, and the stop rule for a
+   cluster no worker can revive — live in the coordinator {!Transport},
    shared with the real-domain {!Parallel} runtime, and lease dedup in
-   each {!Worker}; this driver supplies the virtual-time backend: a
-   latency-stamped inbox lossy per {!Faultplan.fate}, the clock, and a
-   [begin_crash] that drops the simulated engine and filters
-   undeliverable traffic.  A live worker that exhausts a lease's
-   retransmit budget is evicted through the same crash path, which is
-   what keeps re-routing from ever double-exploring a subtree.
+   each {!Worker} ({!Worker.receive_lease}).  This driver supplies the
+   virtual-time backend: latency-stamped delivery of the wire, the
+   clock, worker arrivals at their [join_tick], a [begin_crash] that
+   drops the simulated engine and filters undeliverable traffic, and a
+   [rejoin] that spawns a fresh one.  A live worker that exhausts a
+   lease's retransmit budget is evicted through the same crash path,
+   which is what keeps re-routing from ever double-exploring a subtree.
 
    One tick nominally represents 10 ms of virtual time. *)
 
@@ -119,7 +122,7 @@ type result = {
 }
 
 (* A started cluster between slices.  [advance] closes over the whole
-   simulation state built by [start]: workers, inbox, transport and
+   simulation state built by [start]: workers, wire, transport and
    virtual clock all persist from one slice to the next. *)
 type 'env t = {
   workers : 'env Worker.t option array;
@@ -127,12 +130,10 @@ type 'env t = {
 }
 
 let start ?obs (cfg : 'env config) =
-  (match Faultplan.validate cfg.faults ~nworkers:cfg.nworkers with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Driver.start: " ^ m));
   let workers : 'env Worker.t option array = Array.make cfg.nworkers None in
   let departed = Array.make cfg.nworkers false in (* crashed; blocks re-arrival *)
-  let frt = Faultplan.make cfg.faults in
+  (* the last join: before it, a cluster with no live worker may revive *)
+  let last_join = Seq.fold_left max 0 (Seq.init cfg.nworkers cfg.join_tick) in
   (* observability plumbing.  The driver owns virtual time: it advances
      the sink's clock once per tick and takes one cumulative timeline
      sample per live worker per tick (plus a final one at crash time, so
@@ -172,7 +173,7 @@ let start ?obs (cfg : 'env config) =
       Obs.Sink.observe wsinks.(i) ~useful:0 ~replay:0 ~idle:0 ~depth:0 ~queries:0 ~sat_calls:0
     end
   in
-  let inbox : (int * message) list ref = ref [] in (* (deliver_tick, msg) *)
+  let wire : message Transport.wire = Transport.wire () in
   let tick = ref 0 in
   let transfers_total = ref 0 in
   let buckets = ref [] in (* closed during the current slice *)
@@ -186,12 +187,7 @@ let start ?obs (cfg : 'env config) =
   let d_useful = ref 0 and d_replay = ref 0 and d_broken = ref 0 in
   let d_recov_replay = ref 0 in
 
-  let send_net ~at ~src ~dst msg =
-    match Faultplan.fate frt ~tick:!tick ~src ~dst with
-    | Faultplan.Drop -> ()
-    | Faultplan.Deliver extra -> inbox := (at + extra, msg) :: !inbox
-    | Faultplan.Duplicate lag -> inbox := (at, msg) :: (at + lag, msg) :: !inbox
-  in
+  let send_net ~at ~src ~dst msg = Transport.send wire ~now:!tick ~src ~dst ~at msg in
   let alive_workers () =
     Array.to_list workers |> List.filter_map (fun w -> w)
   in
@@ -199,12 +195,24 @@ let start ?obs (cfg : 'env config) =
     (* transfer size adds latency: 1 tick per 4 KiB of wire encoding *)
     cfg.latency + (String.length encoded / 4096)
   in
+  let spawn i ~bans =
+    let w = cfg.make_worker i in
+    Worker.ban_paths w bans;
+    workers.(i) <- Some w;
+    base_useful.(i) <- 0;
+    base_replay.(i) <- 0;
+    base_solver.(i) <- Smt.Solver.zero_stats ();
+    zero_timeline i;
+    w
+  in
   (* The shared fault-tolerance core, driving this simulation's wire:
-     leased sends enter the lossy latency-stamped inbox, and a
-     crash-stop tears the simulated worker down before the transport
-     reconstructs its unexplored region from the ledger. *)
+     leased sends enter the lossy latency-stamped wire, a crash-stop
+     tears the simulated worker down before the transport reconstructs
+     its unexplored region from the ledger, and a rejoin spawns a fresh
+     engine. *)
   let transport =
     Transport.create ~base_timeout:(6 * (cfg.latency + 1)) ~initial_bans:cfg.init_bans ?obs
+      ~faults:cfg.faults ~wire
       {
         Transport.nworkers = cfg.nworkers;
         send_jobs =
@@ -239,27 +247,20 @@ let start ?obs (cfg : 'env config) =
                 d_recov_replay := !d_recov_replay + w.Worker.recovery_replay_instrs;
                 (* undeliverable traffic: jobs to the dead worker are already
                    re-routed through their leases; requests involving it are moot *)
-                inbox :=
-                  List.filter
-                    (fun (_, m) ->
-                      match m with
-                      | Jobs { dst; _ } -> dst <> i
-                      | Transfer_request { src; dst; _ } -> src <> i && dst <> i
-                      | Ack _ -> true (* stale acks are ignored by the ledger *))
-                    !inbox;
+                Transport.retain wire (function
+                  | Jobs { dst; _ } -> dst <> i
+                  | Transfer_request { src; dst; _ } -> src <> i && dst <> i
+                  | Ack _ -> true (* stale acks are ignored by the ledger *));
                 workers.(i) <- None;
                 true);
+        rejoin =
+          (fun ~worker:i ~bans ->
+            if workers.(i) = None then begin
+              departed.(i) <- false;
+              emit (Obs.Event.Rejoin { worker = i });
+              ignore (spawn i ~bans)
+            end);
       }
-  in
-  let spawn i =
-    let w = cfg.make_worker i in
-    Worker.ban_paths w (Transport.bans transport);
-    workers.(i) <- Some w;
-    base_useful.(i) <- 0;
-    base_replay.(i) <- 0;
-    base_solver.(i) <- Smt.Solver.zero_stats ();
-    zero_timeline i;
-    w
   in
   (* the balancer's overlay with every live engine's vector merged in
      (engines may be ahead of their last reports); a resumed campaign ORs
@@ -341,22 +342,12 @@ let start ?obs (cfg : 'env config) =
       let t = !tick in
       (match obs with Some s -> Obs.Sink.set_now s t | None -> ());
       (* scheduled faults: crash-stop, then fresh-engine rejoins *)
-      List.iter
-        (fun i -> Transport.handle_crash transport ~now:t ~worker:i)
-        (Faultplan.crashes_at frt ~tick:t);
-      List.iter
-        (fun i ->
-          if i >= 0 && i < cfg.nworkers && workers.(i) = None then begin
-            departed.(i) <- false;
-            emit (Obs.Event.Rejoin { worker = i });
-            ignore (spawn i)
-          end)
-        (Faultplan.rejoins_at frt ~tick:t);
+      Transport.run_schedule transport ~now:t;
       (* worker arrivals *)
       for i = 0 to cfg.nworkers - 1 do
         if workers.(i) = None && (not departed.(i)) && cfg.join_tick i <= t then begin
           emit (Obs.Event.Join { worker = i });
-          let w = spawn i in
+          let w = spawn i ~bans:(Transport.bans transport) in
           if i = 0 && not !root_seeded then begin
             (match cfg.init_frontier with
             | None ->
@@ -380,30 +371,21 @@ let start ?obs (cfg : 'env config) =
         end
       done;
       (* deliver due messages *)
-      let due, later = List.partition (fun (at, _) -> at <= t) !inbox in
-      inbox := later;
       List.iter
-        (fun (_, msg) ->
-          match msg with
+        (function
           | Jobs { lease; src; dst; encoded; recovery } -> (
             match workers.(dst) with
-            | Some w ->
+            | Some w -> (
               (* always (re)acknowledge: the previous ack may have been
                  lost; deliver the payload only once per lease *)
               send_net ~at:(t + cfg.latency) ~src:dst ~dst:Faultplan.lb
                 (Ack { lease; src = dst });
-              if Worker.accept_lease w ~lease then begin
-                let batch =
-                  match Job.decode_batch encoded with
-                  | Ok b -> b
-                  | Error e -> failwith ("Driver: corrupt job batch: " ^ e)
-                in
-                let count = Job.batch_size batch in
+              match Worker.receive_lease ~recovery w ~lease encoded with
+              | Some count ->
                 emit (Obs.Event.Job_transfer { lease; src; dst; count; recovery });
-                Worker.receive_batch ~recovery w batch;
                 transfers_total := !transfers_total + count;
                 !cur_bucket.transferred <- !cur_bucket.transferred + count
-              end
+              | None -> ())
             | None -> ())
           | Transfer_request { src; dst; count } -> (
             (* during a drain no new leases may be created: the jobs stay
@@ -416,7 +398,7 @@ let start ?obs (cfg : 'env config) =
                   ignore (Transport.issue_transfer transport ~src ~dst ~jobs ~now:t)
               | _ -> ())
           | Ack { lease; _ } -> Transport.ack transport ~lease ~now:t)
-        due;
+        (Transport.due wire ~now:t);
       (* balancer disable hook (Fig. 13) *)
       if cfg.lb_disable_at = Some t then Transport.disable_balancing transport;
       (* each worker runs its per-tick instruction budget (suspended while
@@ -484,7 +466,7 @@ let start ?obs (cfg : 'env config) =
          Workers whose join tick never arrives cannot block it. *)
       let exhausted () =
         !root_seeded
-        && !inbox = []
+        && Transport.in_transit wire = 0
         && Transport.quiesced transport
         && (match alive_workers () with
            | [] -> false
@@ -499,6 +481,9 @@ let start ?obs (cfg : 'env config) =
         end
         else if exhausted () then stop := true
       | Time_limit -> if exhausted () then begin reached := true; stop := true end);
+      (* graceful degradation: no worker alive, and none left to join or
+         rejoin — the goal is out of reach *)
+      if Transport.stranded transport ~now:t && t >= last_join then stop := true;
       (* budget preemption: once the cluster has retired the instruction
          budget, drain to a barrier and stop there with an export.  Only
          *useful* instructions count: replaying a resumed frontier is
@@ -511,7 +496,8 @@ let start ?obs (cfg : 'env config) =
         let _, _, useful, _, _ = totals () in
         if useful - useful0 >= budget then draining := true
       end;
-      if !draining && !inbox = [] && Transport.quiesced transport then stop := true;
+      if !draining && Transport.in_transit wire = 0 && Transport.quiesced transport then
+        stop := true;
       incr tick;
       if !tick - tick0 >= cfg.max_ticks then stop := true
     done;
@@ -520,7 +506,7 @@ let start ?obs (cfg : 'env config) =
        preemption, or natural exhaustion — where the digests are empty and
        the export records just bans and coverage) *)
     let export =
-      if not (!inbox = [] && Transport.quiesced transport) then None
+      if not (Transport.in_transit wire = 0 && Transport.quiesced transport) then None
       else
         Some
           {

@@ -17,7 +17,10 @@
     double as each worker's durable recovery point.  On a crash the
     driver credits the victim's last-reported counters and re-seeds its
     orphaned subtrees on live workers, so a faulty run completes with
-    exactly the fault-free path and error totals. *)
+    exactly the fault-free path and error totals.  A run in which no
+    worker is alive and none is left to join or rejoin stops with
+    [reached_goal = false] and the credited totals.  The fault plane is
+    the coordinator's ({!Transport}), shared with {!Parallel}. *)
 
 type goal =
   | Exhaust                  (** stop when the global tree is explored *)
@@ -93,7 +96,7 @@ type result = {
 }
 
 (** A started cluster: its workers, transport, lease ledger, balancer,
-    inbox and virtual clock, paused between slices. *)
+    wire and virtual clock, paused between slices. *)
 type 'env t
 
 (** Set up a cluster without running it.  [obs] enables observability:
@@ -104,7 +107,9 @@ type 'env t
     ledger and balancer trace through the same sink.  Workers built by
     [make_worker] are expected to carry [Obs.Sink.for_worker obs i] in
     their engine config so engine and solver events are attributed to
-    them. *)
+    them.
+
+    @raise Invalid_argument when [faults] fails {!Faultplan.validate}. *)
 val start : ?obs:Obs.Sink.t -> 'env config -> 'env t
 
 (** Run one slice: tick until the cluster has retired [budget] more

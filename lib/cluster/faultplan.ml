@@ -3,9 +3,10 @@
    A plan is data: crash worker [victim] at tick [at_tick] (optionally
    rejoining [rejoin_after] ticks later with a fresh, empty engine), drop /
    duplicate / delay messages with seeded pseudo-randomness, and partition
-   links between worker pairs for a tick window.  The driver consults the
-   plan's [runtime] each tick; everything is deterministic given the seed,
-   so a faulty run is exactly reproducible.
+   links between worker pairs for a tick window.  The coordinator
+   ({!Transport}) consults the plan's [runtime] each tick for both cluster
+   backends; everything is deterministic given the seed, so a faulty run
+   is exactly reproducible.
 
    The model is crash-stop with amnesia (paper section 3.1: workers are
    disposable because any subtree can be reconstructed by replaying its
@@ -88,6 +89,14 @@ let validate p ~nworkers =
       end
   in
   check p.crashes
+
+(* The last tick at which the plan crashes or rejoins a worker: after it,
+   a cluster with no live worker can never revive, so a runtime may stop
+   instead of spinning (graceful degradation). *)
+let horizon p =
+  List.fold_left
+    (fun acc c -> max acc (c.at_tick + Option.value ~default:0 c.rejoin_after))
+    0 p.crashes
 
 (* --- runtime ------------------------------------------------------------- *)
 

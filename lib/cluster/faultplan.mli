@@ -1,8 +1,9 @@
 (** Declarative fault schedules for the cluster simulation: worker
     crashes (with optional rejoin), seeded message drop / duplication /
-    delay, and link partitions between worker pairs.  The driver consults
-    the plan's {!runtime} each tick; a fixed seed makes a faulty run
-    exactly reproducible.
+    delay, and link partitions between worker pairs.  The coordinator
+    ({!Transport}) owns the plan's {!runtime} and consults it for both
+    cluster backends; a fixed seed makes a faulty run exactly
+    reproducible.
 
     The fault model is crash-stop with amnesia: a crashed worker loses
     its frontier, snapshot cache, and every statistic not yet reported to
@@ -53,9 +54,13 @@ val is_faultless : t -> bool
 (** Check the plan against a cluster of [nworkers] slots: every crash and
     partition must reference a worker id in [0, nworkers), crash ticks
     must be non-negative, and rejoin delays strictly positive (a rejoin
-    at or before its own crash would silently never fire).  Runtimes call
-    this before starting a faulty run and refuse invalid plans. *)
+    at or before its own crash would silently never fire).
+    {!Transport.create} refuses an invalid plan with this message. *)
 val validate : t -> nworkers:int -> (unit, string) result
+
+(** The last tick at which the plan crashes or rejoins a worker (0 for
+    none).  After it, a cluster with no live worker can never revive. *)
+val horizon : t -> int
 
 (** Fate of one message entering the network. *)
 type fate =

@@ -6,10 +6,12 @@
    tolerance core moved into the shared {!Transport}, it now survives
    the same fault model: Faultplan-driven domain crashes (crash-stop
    with amnesia, observed at quantum poll points), mid-run rejoins on a
-   fresh domain, and seeded loss / delay / duplication on the job wire,
-   all recovered exactly by the same coordinator, {!Transport}, that the
-   simulation uses: this runtime keeps only its message plane (mailboxes
-   and domains) and its wall clock.  The moving parts:
+   fresh domain, and seeded loss / delay / duplication of job batches,
+   acks and steal requests, all scheduled, drawn and recovered exactly
+   by the same coordinator, {!Transport}, that the simulation uses (its
+   schedule, its lossy {!Transport.wire}, its re-route around a dead
+   thief and its stop rule): this runtime keeps only its message plane
+   (mailboxes and domains) and its wall clock.  The moving parts:
 
    - Each worker domain owns a real [Worker.t] (created *inside* the
      domain by [make_worker], so domain-local solver state lands on the
@@ -26,18 +28,19 @@
      the coordinator, which leases it ({!Transport.issue_transfer}) and
      forwards it — so every batch in flight is covered by a lease and a
      crash anywhere loses nothing.  Receivers deduplicate by lease id
-     ({!Worker.accept_lease}) and acknowledge every delivery
+     ({!Worker.receive_lease}) and acknowledge every delivery
      (at-least-once, exactly-once import).
 
    - Time: the coordinator counts one tick per [tick_period] seconds of
      wall clock, waiting for its mailbox with the next tick as deadline
      (a [select] on a wake-up pipe that workers ring when they push to
-     a sleeping coordinator).  Ticks drive the fault schedule,
-     delayed-message delivery, lease retransmission/eviction sweeps
-     ({!Transport.tick}), heartbeat failure detection (armed when the
-     fault plan is not empty), and the progress watchdog.  Ticks also
-     bound every coordinator block: even with all workers dead, the loop
-     keeps waking.
+     a sleeping coordinator).  Ticks drive the fault schedule
+     ({!Transport.run_schedule}), delivery of the lossy wire's due
+     messages, lease retransmission/eviction sweeps ({!Transport.tick}),
+     heartbeat failure detection (armed when the fault plan is not
+     empty), and the progress watchdog.  Ticks also bound every
+     coordinator block: even with all workers dead, the loop keeps
+     waking until {!Transport.stranded} says no rejoin can revive it.
 
    - Crash-stop: a crash is *declared* first (slot marked dead, its
      later messages filtered, its leases orphaned and re-seeded via
@@ -64,9 +67,10 @@
    - Quiescence: the coordinator tracks per-slot idleness from status
      reports.  Mailboxes are FIFO per sender, so an [Offer] always
      precedes the idle report that follows giving work away, and an
-     [Ack] (which clears the receiver's idle bit) always precedes the
+     [Ack] (which clears the receiver's idle bit on arrival, whatever
+     fate the wire deals its lease release) always precedes the
      receiver's next idle report.  "Every live slot idle with no steal
-     outstanding, no delayed message, and the transport quiesced" can
+     outstanding, nothing on the wire, and the transport quiesced" can
      therefore never hold while work exists anywhere.  Dead slots are
      exempt, so a run whose crashed workers never rejoin still
      terminates — with exactly the fault-free totals.
@@ -284,6 +288,11 @@ type cmsg =
   | Failed of { worker : int; incarnation : int; error : string }
       (** the worker's domain died on an exception (reported, then joined) *)
 
+(* What crosses the coordinator's lossy wire ({!Transport.wire}) in a
+   faulty run: a worker-bound message for one incarnation, or an ack on
+   its way to the ledger. *)
+type wired = To_worker of { dst : int; inc : int; msg : wmsg } | Ack_lease of int
+
 (* ---- configuration ------------------------------------------------ *)
 
 type 'env config = {
@@ -414,13 +423,8 @@ let worker_body (cfg : 'env config) ~store ~coord ~inbox ~crash ~id:i ~incarnati
         in
         let process = function
           | Jobs { lease; encoded; recovery; issued_ns } ->
-            if Worker.accept_lease w ~lease then begin
-              (match Job.decode_batch encoded with
-              | Ok b -> Worker.receive_batch ~recovery w b
-              | Error e -> failwith ("Parallel: corrupt job batch: " ^ e));
-              if issued_ns > 0 then
-                ignore (Obs.Profile.record prof Obs.Profile.Steal_rtt ~start_ns:issued_ns)
-            end;
+            if Worker.receive_lease ~recovery w ~lease encoded <> None && issued_ns > 0 then
+              ignore (Obs.Profile.record prof Obs.Profile.Steal_rtt ~start_ns:issued_ns);
             (* always (re)acknowledge: the previous ack may have been lost *)
             send_ctl (Ack { worker = i; incarnation; lease })
           | Steal { dst; count; issued_ns } ->
@@ -532,15 +536,15 @@ let worker_body (cfg : 'env config) ~store ~coord ~inbox ~crash ~id:i ~incarnati
    instructions on replaying transferred jobs (see [rebalance]). *)
 let replay_budget = 20
 
-(* Coordinator-side view of one worker slot.  The inbox and crash flag
-   are per-incarnation: a rejoin replaces both, so late messages from
-   (and deliveries to) a dead incarnation can never reach the fresh
-   one. *)
+(* Coordinator-side view of one incarnation of a worker slot.  A rejoin
+   replaces the whole record, inbox and crash flag included, so late
+   messages from (and deliveries to) a dead incarnation can never reach
+   the fresh one. *)
 type slot = {
   s_id : int;
-  mutable s_inbox : wmsg Mailbox.t;
-  mutable s_crash : bool Atomic.t;
-  mutable s_incarnation : int;
+  s_inbox : wmsg Mailbox.t;
+  s_crash : bool Atomic.t;
+  s_incarnation : int;
   mutable s_dead : bool;  (* declared crashed and not (yet) rejoined *)
   mutable s_idle : bool;  (* from the last processed status / ack *)
   mutable s_queue_len : int;
@@ -553,34 +557,31 @@ type slot = {
 
 let run ~coverable_lines (cfg : 'env config) =
   if cfg.ndomains < 1 then invalid_arg "Parallel.run: ndomains must be >= 1";
-  (match Faultplan.validate cfg.faults ~nworkers:cfg.ndomains with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Parallel.run: " ^ m));
   let n = cfg.ndomains in
   let faulty = not (Faultplan.is_faultless cfg.faults) in
-  let frt = Faultplan.make cfg.faults in
   (* the coordinator sleeps in [select] on this pipe until a worker
      pushes to it or the next tick falls due *)
   let bell_in, bell_out = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock bell_out;
   let coord = Mailbox.create ~bell:bell_out ~cap:(mailbox_capacity * (n + 1)) () in
-  let slots =
-    Array.init n (fun i ->
-        {
-          s_id = i;
-          s_inbox = Mailbox.create ~cap:mailbox_capacity ();
-          s_crash = Atomic.make false;
-          s_incarnation = 0;
-          s_dead = false;
-          s_idle = false;
-          s_queue_len = 0;
-          s_pending_steals = 0;
-          s_useful = 0;
-          s_replay = 0;
-          s_last_heard = 0;
-          s_suspect = false;
-        })
+  let now = ref 0 in
+  let fresh_slot i ~incarnation =
+    {
+      s_id = i;
+      s_inbox = Mailbox.create ~cap:mailbox_capacity ();
+      s_crash = Atomic.make false;
+      s_incarnation = incarnation;
+      s_dead = false;
+      s_idle = false;
+      s_queue_len = 0;
+      s_pending_steals = 0;
+      s_useful = 0;
+      s_replay = 0;
+      s_last_heard = !now;
+      s_suspect = false;
+    }
   in
+  let slots = Array.init n (fresh_slot ~incarnation:0) in
   (* every incarnation's solver answers its sat/det caches from here *)
   let store = Smt.Solver.Store.create () in
   let spawned = ref [] in (* (slot id, incarnation, domain), newest first *)
@@ -592,8 +593,7 @@ let run ~coverable_lines (cfg : 'env config) =
   let cprof = Option.map Obs.Profile.create cobs in
   let emit ev = match cobs with None -> () | Some s -> Obs.Sink.event s ev in
   let stamp () = match cprof with Some _ -> Obs.Clock.now_ns () | None -> 0 in
-  let now = ref 0 in
-  let delayed = ref [] in (* (due_tick, dst, incarnation, wmsg) *)
+  let wire : wired Transport.wire = Transport.wire () in
   let transfers = ref 0 in
   let steals = ref 0 in
   let status_reports = ref 0 in
@@ -601,24 +601,25 @@ let run ~coverable_lines (cfg : 'env config) =
      latest reports (the replay budget's ledger) *)
   let useful_total = ref 0 and replay_total = ref 0 in
   let issued_ns_hint = ref 0 in
-  (* last crash-or-rejoin tick in the plan: after it, an all-dead cluster
-     can never revive, so the run may stop (graceful degradation) *)
-  let horizon =
-    List.fold_left
-      (fun acc c ->
-        let last =
-          match c.Faultplan.rejoin_after with
-          | Some d -> c.Faultplan.at_tick + d
-          | None -> c.Faultplan.at_tick
-        in
-        max acc last)
-      0 cfg.faults.Faultplan.crashes
+  (* A worker-bound message lands in the mailbox of [sl]'s current
+     incarnation.  A full mailbox on a wedged or dead worker must never
+     block the coordinator: bounded push, overflow = the wire dropped it
+     (the lease layer retransmits).  A Steal is pushed without waiting,
+     and each copy that lands is one more pending steal, settled by its
+     Offer. *)
+  let deliver sl = function
+    | Steal _ as msg ->
+      if Mailbox.try_push sl.s_inbox msg then sl.s_pending_steals <- sl.s_pending_steals + 1
+    | msg -> ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:push_timeout)
   in
-  let push_wire sl msg =
-    (* a full mailbox on a wedged or dead worker must never block the
-       coordinator: bounded push, overflow = the wire dropped it (the
-       lease layer retransmits) *)
-    ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:push_timeout)
+  (* A faulty run puts job batches and steals on the lossy wire (each
+     copy reaches only the incarnation it was sent to, see [on_tick]);
+     a fault-free send never draws a fate or queues. *)
+  let send_to ~src sl msg =
+    if faulty then
+      Transport.send wire ~now:!now ~src ~dst:sl.s_id ~at:!now
+        (To_worker { dst = sl.s_id; inc = sl.s_incarnation; msg })
+    else deliver sl msg
   in
   let send_jobs ~src ~lease ~dst ~batch ~recovery ~resend =
     let sl = slots.(dst) in
@@ -627,17 +628,7 @@ let run ~coverable_lines (cfg : 'env config) =
       issued_ns_hint := 0;
       if not resend then
         emit (Obs.Event.Job_transfer { lease; src; dst; count = Job.batch_size batch; recovery });
-      let msg = Jobs { lease; encoded = Job.encode_batch batch; recovery; issued_ns } in
-      if not faulty then push_wire sl msg
-      else
-        match Faultplan.fate frt ~tick:!now ~src ~dst with
-        | Faultplan.Drop -> ()
-        | Faultplan.Deliver 0 -> push_wire sl msg
-        | Faultplan.Deliver extra ->
-          delayed := (!now + extra, dst, sl.s_incarnation, msg) :: !delayed
-        | Faultplan.Duplicate lag ->
-          push_wire sl msg;
-          delayed := (!now + lag, dst, sl.s_incarnation, msg) :: !delayed
+      send_to ~src sl (Jobs { lease; encoded = Job.encode_batch batch; recovery; issued_ns })
     end
   in
   let live_workers () =
@@ -677,28 +668,40 @@ let run ~coverable_lines (cfg : 'env config) =
         true
       end
   in
+  let spawn { s_id = id; s_inbox = inbox; s_crash = crash; s_incarnation = incarnation; _ } ~seed
+      ~bans =
+    let d =
+      Pool.spawn (fun () ->
+          worker_body cfg ~store ~coord ~inbox ~crash ~id ~incarnation ~initial_bans:bans ~seed)
+    in
+    spawned := (id, incarnation, d) :: !spawned
+  in
+  let rejoin ~worker:v ~bans =
+    if slots.(v).s_dead then begin
+      let sl = fresh_slot v ~incarnation:(slots.(v).s_incarnation + 1) in
+      slots.(v) <- sl;
+      emit (Obs.Event.Rejoin { worker = v });
+      spawn sl ~seed:false ~bans
+    end
+  in
   (* starvation is answered within a quantum, so moves between busy
      workers would only turn useful work into replay: feed only the
      starved *)
   let transport =
-    Transport.create ?obs:cobs ~starved_only:true
-      ~base_timeout:64 (* ticks: ~64 ms before the first retransmit *)
-      { Transport.nworkers = n; send_jobs; install_bans; live_workers; begin_crash }
-  in
-  let spawn sl ~seed =
-    let inbox = sl.s_inbox and crash = sl.s_crash in
-    let incarnation = sl.s_incarnation in
-    let initial_bans = Transport.bans transport in
-    let d =
-      Pool.spawn (fun () ->
-          worker_body cfg ~store ~coord ~inbox ~crash ~id:sl.s_id ~incarnation ~initial_bans ~seed)
-    in
-    spawned := (sl.s_id, incarnation, d) :: !spawned
+    try
+      Transport.create ?obs:cobs ~starved_only:true ~faults:cfg.faults ~wire
+        ~base_timeout:64 (* ticks: ~64 ms before the first retransmit *)
+        { Transport.nworkers = n; send_jobs; install_bans; live_workers; begin_crash; rejoin }
+    with e ->
+      (* an invalid fault plan: nothing was spawned yet *)
+      Unix.close bell_in;
+      Unix.close bell_out;
+      raise e
   in
   Array.iter
     (fun sl ->
       emit (Obs.Event.Join { worker = sl.s_id });
-      spawn sl ~seed:(sl.s_id = 0))
+      spawn sl ~seed:(sl.s_id = 0) ~bans:(Transport.bans transport))
     slots;
   (* cover the root with a delivered lease, so a crash of worker 0
      before its first report re-seeds the whole tree *)
@@ -709,46 +712,17 @@ let run ~coverable_lines (cfg : 'env config) =
     sl.s_last_heard <- !now;
     sl.s_suspect <- false
   in
-  let fate_drops ~src ~dst =
-    faulty
-    && match Faultplan.fate frt ~tick:!now ~src ~dst with Faultplan.Drop -> true | _ -> false
-  in
   let on_tick () =
     incr now;
     let t = !now in
-    if faulty then begin
-      List.iter
-        (fun v -> Transport.handle_crash transport ~now:t ~worker:v)
-        (Faultplan.crashes_at frt ~tick:t);
-      List.iter
-        (fun v ->
-          if v >= 0 && v < n && slots.(v).s_dead then begin
-            let sl = slots.(v) in
-            (* fresh incarnation: new mailbox and crash flag, so nothing
-               addressed to (or signed by) the dead one can cross over *)
-            sl.s_inbox <- Mailbox.create ~cap:mailbox_capacity ();
-            sl.s_crash <- Atomic.make false;
-            sl.s_incarnation <- sl.s_incarnation + 1;
-            sl.s_dead <- false;
-            sl.s_idle <- false;
-            sl.s_queue_len <- 0;
-            sl.s_pending_steals <- 0;
-            sl.s_useful <- 0;
-            sl.s_replay <- 0;
-            sl.s_last_heard <- t;
-            sl.s_suspect <- false;
-            emit (Obs.Event.Rejoin { worker = v });
-            spawn sl ~seed:false
-          end)
-        (Faultplan.rejoins_at frt ~tick:t);
-      let due, later = List.partition (fun (at, _, _, _) -> at <= t) !delayed in
-      delayed := later;
-      List.iter
-        (fun (_, dst, inc, msg) ->
+    Transport.run_schedule transport ~now:t;
+    List.iter
+      (function
+        | To_worker { dst; inc; msg } ->
           let sl = slots.(dst) in
-          if (not sl.s_dead) && sl.s_incarnation = inc then push_wire sl msg)
-        due
-    end;
+          if (not sl.s_dead) && sl.s_incarnation = inc then deliver sl msg
+        | Ack_lease lease -> Transport.ack transport ~lease ~now:t)
+      (Transport.due wire ~now:t);
     Transport.tick transport ~now:t;
     (* heartbeat failure detection: a busy worker that stops reporting is
        suspected after one interval and declared crashed after two.
@@ -767,10 +741,10 @@ let run ~coverable_lines (cfg : 'env config) =
     if (not !watchdog_fired) && Unix.gettimeofday () -. !last_progress > watchdog then begin
       watchdog_fired := true;
       Printf.eprintf
-        "parallel: watchdog after %.0fs without progress: pending=%d parked=%d delayed=%d\n%!"
+        "parallel: watchdog after %.0fs without progress: pending=%d parked=%d in_transit=%d\n%!"
         watchdog (Transport.pending_leases transport)
         (Transport.parked_orphans transport)
-        (List.length !delayed);
+        (Transport.in_transit wire);
       Array.iter
         (fun sl ->
           Printf.eprintf
@@ -813,32 +787,10 @@ let run ~coverable_lines (cfg : 'env config) =
         touch sl;
         if sl.s_pending_steals > 0 then sl.s_pending_steals <- sl.s_pending_steals - 1;
         if jobs <> [] then begin
-          (* the original thief may have died since the steal was issued:
-             re-route to the least-loaded live worker (falling back to
-             the victim itself — the nodes are fenced there, so going
-             home is just another transfer).  A re-route is failure-path
-             work: its replay books as recovery, like the timed-out
-             Offer take-back and orphan re-seeding, so ordinary replay
-             measures only the cost of successful rebalancing. *)
-          let rerouted = not (dst >= 0 && dst < n && not slots.(dst).s_dead) in
-          let dst =
-            if not rerouted then dst
-            else begin
-              let best = ref worker and best_q = ref max_int in
-              Array.iter
-                (fun s2 ->
-                  if (not s2.s_dead) && s2.s_id <> worker && s2.s_queue_len < !best_q then begin
-                    best := s2.s_id;
-                    best_q := s2.s_queue_len
-                  end)
-                slots;
-              !best
-            end
-          in
+          (* a thief that died since the steal was issued is replaced by
+             the transport, which books the re-route as recovery *)
           issued_ns_hint := issued_ns;
-          ignore
-            (Transport.issue_transfer transport ~recovery:rerouted ~src:worker ~dst ~jobs
-               ~now:!now);
+          ignore (Transport.issue_transfer transport ~src:worker ~dst ~jobs ~now:!now);
           issued_ns_hint := 0;
           transfers := !transfers + List.length jobs
         end
@@ -847,14 +799,14 @@ let run ~coverable_lines (cfg : 'env config) =
       let sl = slots.(worker) in
       if incarnation = sl.s_incarnation && not sl.s_dead then begin
         touch sl;
-        (* the fault plan may lose the ack in "transit": the lease then
-           retransmits and the receiver's dedup re-acks *)
-        if not (fate_drops ~src:worker ~dst:Faultplan.lb) then begin
-          Transport.ack transport ~lease ~now:!now;
-          (* the acking worker just imported work (or re-acked a dup; a
-             still-idle worker re-reports idleness on its next wake) *)
-          sl.s_idle <- false
-        end
+        (* the acking worker just imported work (or re-acked a dup); it
+           re-reports idleness after this ack, through the same FIFO *)
+        sl.s_idle <- false;
+        (* a faulty run puts the ack on the lossy wire: a lost one leaves
+           the lease to retransmit, and the receiver's dedup re-acks *)
+        if faulty then
+          Transport.send wire ~now:!now ~src:worker ~dst:Faultplan.lb ~at:!now (Ack_lease lease)
+        else Transport.ack transport ~lease ~now:!now
       end
     | Failed { worker; incarnation; error } ->
       let sl = slots.(worker) in
@@ -884,30 +836,21 @@ let run ~coverable_lines (cfg : 'env config) =
                lease still crossing the wire is not starving, whatever
                its last report said *)
             && Transport.in_flight_jobs transport ~dst = 0
-          then
-            if not (fate_drops ~src:Faultplan.lb ~dst:src) then begin
-              incr steals;
-              if
-                Mailbox.try_push slots.(src).s_inbox
-                  (Steal { dst; count; issued_ns = stamp () })
-              then slots.(src).s_pending_steals <- slots.(src).s_pending_steals + 1
-            end)
+          then begin
+            incr steals;
+            send_to ~src:Faultplan.lb slots.(src) (Steal { dst; count; issued_ns = stamp () })
+          end)
         (Transport.rebalance transport)
   in
   let quiescent () =
-    !delayed = []
+    Transport.in_transit wire = 0
     && Transport.quiesced transport
     && Array.exists (fun sl -> not sl.s_dead) slots
     && Array.for_all (fun sl -> sl.s_dead || (sl.s_idle && sl.s_pending_steals = 0)) slots
   in
-  let all_dead_done () =
-    (* every slot dead and no rejoin can revive the cluster: stop rather
-       than spin forever (parked orphans are reported, not explored) *)
-    Array.for_all (fun sl -> sl.s_dead) slots && !now > horizon
-  in
   let next_tick = ref (Unix.gettimeofday () +. cfg.tick_period) in
   let rec loop () =
-    if quiescent () || all_dead_done () || !watchdog_fired then ()
+    if quiescent () || Transport.stranded transport ~now:!now || !watchdog_fired then ()
     else begin
       (* One quiescence round = message drain (including the block on an
          empty coordinator mailbox — bounded by the next tick) + the
@@ -934,11 +877,9 @@ let run ~coverable_lines (cfg : 'env config) =
      crash-flagged — a Poke covers one blocked in its idle wait *)
   Array.iter
     (fun sl ->
-      if sl.s_dead || !watchdog_fired then begin
-        Atomic.set sl.s_crash true;
-        ignore (Mailbox.try_push sl.s_inbox Poke)
-      end
-      else if not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:push_timeout)
+      if
+        sl.s_dead || !watchdog_fired
+        || not (Mailbox.push_timeout sl.s_inbox Stop ~timeout:push_timeout)
       then begin
         Atomic.set sl.s_crash true;
         ignore (Mailbox.try_push sl.s_inbox Poke)

@@ -15,8 +15,11 @@
     {!Worker}, so the runtime survives the same fault model as the
     simulation — Faultplan-driven domain crashes (crash-stop with
     amnesia, the victim observing an atomic crash flag at quantum poll
-    points), mid-run rejoins on a fresh domain, and seeded message
-    loss / delay / duplication on the job wire.  Crashes recover
+    points), mid-run rejoins on a fresh domain, and seeded loss /
+    delay / duplication of job batches, acks and steal requests on the
+    coordinator's lossy wire, with the same fates as in the simulation.
+    A run with every domain dead and no rejoin left in the plan stops
+    with the credited totals.  Crashes recover
     exactly: the victim's last status report is its durable recovery
     point, orphaned leases are re-seeded on live workers, and handed-
     away nodes are banned, so a faulty run terminates with exactly the

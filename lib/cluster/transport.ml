@@ -1,5 +1,6 @@
 (* The coordinator shared by both cluster runtimes: the one load
-   balancer (paper sections 3.1-3.3) and its lease ledger.
+   balancer (paper sections 3.1-3.3), its lease ledger, and the fault
+   plane.
 
    The virtual-time {!Driver} and the real-domain {!Parallel} runtime
    move messages very differently (a simulated latency queue vs. real
@@ -12,14 +13,18 @@
    victim in the balancer, credits its last reported counters, re-seeds
    its orphaned subtrees on live workers (parking them while none is
    alive), and bans the exact nodes the victim had already handed away.
+   The fault plan is applied here too, once for both backends: the
+   crash/rejoin schedule, the seeded fate of every message on the lossy
+   {!wire}, and the rule that stops a run no worker can revive.
 
    This module owns that state; each backend supplies the moving parts
    it alone understands through an {!ops} record: how to put a leased
-   batch on its (lossy) wire, how to install bans on live workers, which
-   workers can accept recovery jobs, and how to crash-stop one of them.
-   [begin_crash] runs the backend's teardown (drop the engine, filter
-   undeliverable traffic) and the transport completes the balancer and
-   ledger half, so neither backend can get the ordering wrong. *)
+   batch on its wire, how to install bans on live workers, which
+   workers can accept recovery jobs, how to crash-stop one of them and
+   how to start a fresh one in a crashed slot.  [begin_crash] runs the
+   backend's teardown (drop the engine, filter undeliverable traffic)
+   and the transport completes the balancer and ledger half, so neither
+   backend can get the ordering wrong. *)
 
 type ops = {
   nworkers : int;
@@ -28,6 +33,7 @@ type ops = {
   install_bans : Job.t list -> int list;
   live_workers : unit -> (int * int) list;
   begin_crash : worker:int -> bool;
+  rejoin : worker:int -> bans:Job.t list -> unit;
 }
 
 (* Every batch leaving the coordinator is factored here — prefix handoff
@@ -36,6 +42,38 @@ type ops = {
    exact same codec.  The ledger keeps accounting in full root paths;
    only the wire carries the factored form. *)
 let to_batch jobs = Job.batch_of_jobs jobs
+
+(* The lossy wire: messages in transit with their due ticks, the most
+   recent post first, so that among the messages due at once the newest
+   is delivered first, and a duplicate's original before its copy.  The
+   fates come from the plan runtime of the transport the wire is handed
+   to at [create] (the backend's [send_jobs] posts on it, so the wire
+   must exist before the transport does). *)
+type 'm wire = {
+  mutable transit : (int * 'm) list;
+  mutable fates : Faultplan.runtime option;
+}
+
+let wire () = { transit = []; fates = None }
+
+(* One fate per send, drawn at [now]: a message due at [at] is lost, due
+   later, or due twice (the copy trailing by the fate's lag). *)
+let send w ~now ~src ~dst ~at m =
+  let fates =
+    match w.fates with Some f -> f | None -> invalid_arg "Transport.send: wire has no transport"
+  in
+  match Faultplan.fate fates ~tick:now ~src ~dst with
+  | Faultplan.Drop -> ()
+  | Faultplan.Deliver extra -> w.transit <- (at + extra, m) :: w.transit
+  | Faultplan.Duplicate lag -> w.transit <- (at, m) :: (at + lag, m) :: w.transit
+
+let due w ~now =
+  let due, later = List.partition (fun (at, _) -> at <= now) w.transit in
+  w.transit <- later;
+  List.map snd due
+
+let in_transit w = List.length w.transit
+let retain w keep = w.transit <- List.filter (fun (_, m) -> keep m) w.transit
 
 type t = {
   ops : ops;
@@ -48,9 +86,17 @@ type t = {
   mutable credit_errors : int;
   mutable global_bans : Job.t list;
   mutable parked : Job.t list; (* orphans awaiting a live worker *)
+  faults : Faultplan.runtime;
+  horizon : int; (* last crash or rejoin tick of the plan *)
 }
 
-let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = false) ?obs ops =
+let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = false) ?obs ~faults
+    ~wire ops =
+  (match Faultplan.validate faults ~nworkers:ops.nworkers with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Transport.create: " ^ m));
+  let runtime = Faultplan.make faults in
+  wire.fates <- Some runtime;
   {
     ops;
     ledger = Ledger.create ?base_timeout ?max_attempts ?obs ();
@@ -62,15 +108,19 @@ let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = fal
     credit_errors = 0;
     global_bans = initial_bans;
     parked = [];
+    faults = runtime;
+    horizon = Faultplan.horizon faults;
   }
+
+(* Live workers, least-loaded first; the sort is stable, so ties keep
+   [ops.live_workers]' order and a run stays reproducible. *)
+let least_loaded live = List.stable_sort (fun (_, a) (_, b) -> compare a b) live
 
 (* Re-seed orphaned jobs as recovery leases, spread over the live
    workers least-loaded first; parked until a worker is alive. *)
 let route_recovery t ~now orphans =
   if orphans <> [] then begin
-    let live =
-      List.sort (fun (_, a) (_, b) -> compare a b) (t.ops.live_workers ())
-    in
+    let live = least_loaded (t.ops.live_workers ()) in
     match live with
     | [] -> t.parked <- orphans @ t.parked
     | _ ->
@@ -131,13 +181,39 @@ and tick t ~now =
     route_recovery t ~now orphans
   end
 
+(* The plan's schedule at [now]: crash-stops first, then a fresh engine
+   in each slot whose rejoin delay elapsed (a no-op on a live slot). *)
+let run_schedule t ~now =
+  List.iter (fun worker -> handle_crash t ~now ~worker) (Faultplan.crashes_at t.faults ~tick:now);
+  List.iter
+    (fun worker -> t.ops.rejoin ~worker ~bans:t.global_bans)
+    (Faultplan.rejoins_at t.faults ~tick:now)
+
+(* No worker is alive and the plan crashes or rejoins nobody after
+   [now]: nothing can revive the cluster, so the run stops rather than
+   spin (parked orphans are reported, not explored).  Workers die only
+   through [handle_crash], so a run without a crash never asks for the
+   live list. *)
+let stranded t ~now = t.crashes > 0 && now >= t.horizon && t.ops.live_workers () = []
+
 (* Lease and send a rebalancing transfer.  The sent-out record must be
    updated first: if [src] crashes before its next report, recovery must
    not re-seed (and live workers must drop) the nodes it just gave
-   away.  [recovery] marks failure-path transfers (e.g. a batch
-   re-routed around a dead thief) so the destination books their replay
-   with the recovery cost, not ordinary rebalancing. *)
+   away.  A destination that died since the balancer asked is replaced
+   by the least-loaded live worker other than [src] (falling back to
+   [src]: its nodes are fenced there, so going home is just another
+   transfer).  [recovery] marks failure-path transfers, the re-route
+   included, so the destination books their replay with the recovery
+   cost, not ordinary rebalancing. *)
 let issue_transfer ?(recovery = false) t ~src ~dst ~jobs ~now =
+  let live = t.ops.live_workers () in
+  let dst, recovery =
+    if List.mem_assoc dst live then (dst, recovery)
+    else
+      match least_loaded (List.remove_assoc src live) with
+      | (alt, _) :: _ -> (alt, true)
+      | [] -> (src, true)
+  in
   Ledger.record_sent_out t.ledger ~src ~jobs;
   let lease = Ledger.issue t.ledger ~dst ~jobs ~now ~recovery in
   t.ops.send_jobs ~src ~lease ~dst ~batch:(to_batch jobs) ~recovery ~resend:false;

@@ -1,8 +1,9 @@
 (** The coordinator shared by the virtual-time {!Driver} and the
     real-domain {!Parallel} runtime: the one load balancer (paper
-    sections 3.1-3.3) with its lease ledger.  Neither backend touches
-    the {!Balancer} or the {!Ledger} itself; each keeps only its message
-    plane and its clock.
+    sections 3.1-3.3) with its lease ledger, and the fault plane.
+    Neither backend touches the {!Balancer}, the {!Ledger} or the
+    {!Faultplan} runtime itself; each keeps only its message plane and
+    its clock.
 
     Status reports merge into the balancer's queue view and coverage
     overlay and become the reporter's durable recovery point.  Every
@@ -11,8 +12,12 @@
     budget is evicted, and a crash is recovered exactly (forget the
     victim in the balancer, credit its last-reported counters, ban the
     nodes it handed away, re-seed its orphans on live workers, parking
-    them while none is alive).  A backend plugs in the parts only it
-    understands via {!ops}. *)
+    them while none is alive).  The fault plan means the same thing on
+    both backends: {!run_schedule} applies its crashes and rejoins,
+    every message crossing a {!wire} gets one seeded {!Faultplan.fate},
+    and {!stranded} is the one stop rule for a cluster no worker can
+    revive.  A backend plugs in the parts only it understands via
+    {!ops}. *)
 
 type ops = {
   nworkers : int;
@@ -34,22 +39,61 @@ type ops = {
           undeliverable traffic.  Returns [false] when the slot is not
           crashable (already dead, never alive, or out of range) — the
           transport then does nothing. *)
+  rejoin : worker:int -> bans:Job.t list -> unit;
+      (** start a fresh engine (or incarnation) in slot [worker] with
+          the cumulative ban list installed, if the slot is dead; a
+          no-op on a live one *)
 }
 
 type t
+
+(** {2 The lossy wire}
+
+    Messages of type ['m] in transit, each with the tick it is due.  A
+    backend keeps one wire, hands it to {!create}, and delivers what
+    {!due} returns; every message posted on it gets one fate from the
+    transport's seeded plan runtime, so the seed fixes the whole run. *)
+
+type 'm wire
+
+val wire : unit -> 'm wire
+
+(** Post [m] from [src] to [dst], due at tick [at], under one
+    {!Faultplan.fate} drawn at [now]: dropped, delayed past [at], or
+    due twice.
+
+    @raise Invalid_argument on a wire not yet handed to {!create}. *)
+val send : 'm wire -> now:int -> src:int -> dst:int -> at:int -> 'm -> unit
+
+(** Remove and return the messages due by [now]: the most recently
+    posted first, a duplicate's original before its copy. *)
+val due : 'm wire -> now:int -> 'm list
+
+(** Messages (copies included) still in transit. *)
+val in_transit : 'm wire -> int
+
+(** Drop every message in transit that fails the predicate (traffic a
+    crash made undeliverable). *)
+val retain : 'm wire -> ('m -> bool) -> unit
 
 (** [initial_bans] pre-loads the cumulative ban list — a campaign restore
     imports the checkpointed set so freshly spawned workers inherit it
     through {!bans} exactly as rejoining workers do.  [starved_only]
     (default false) feeds only workers that reported an empty queue, and
     counts the jobs still crossing the wire to a worker as queued there
-    (see {!Balancer.create}). *)
+    (see {!Balancer.create}).  The transport owns [faults]' runtime,
+    which draws the fates of every message posted on [wire].
+
+    @raise Invalid_argument when [faults] fails {!Faultplan.validate}
+      against [ops.nworkers]. *)
 val create :
   ?base_timeout:int ->
   ?max_attempts:int ->
   ?initial_bans:Job.t list ->
   ?starved_only:bool ->
   ?obs:Obs.Sink.t ->
+  faults:Faultplan.t ->
+  wire:'m wire ->
   ops ->
   t
 
@@ -99,11 +143,24 @@ val handle_crash : t -> now:int -> worker:int -> unit
     orphans once a worker is alive again. *)
 val tick : t -> now:int -> unit
 
+(** Apply the fault plan's schedule at tick [now]: {!handle_crash} each
+    worker crashing then, and [ops.rejoin] each whose rejoin delay
+    elapses then.  Call once per tick, in tick order. *)
+val run_schedule : t -> now:int -> unit
+
+(** No worker is alive ([ops.live_workers] is empty) and the plan
+    crashes or rejoins nobody after [now]: the run should stop.  Always
+    [false] before the first crash, since workers die only through
+    {!handle_crash}, so a fault-free run never asks for the live list.
+    A backend that joins workers late checks its own joins too. *)
+val stranded : t -> now:int -> bool
+
 (** Lease and send a rebalancing transfer from [src]; records the jobs
-    as sent-out first so a crash of [src] stays exact.  [recovery]
-    marks failure-path transfers (a batch re-routed around a dead
-    thief): the destination then books their replay as recovery cost.
-    Returns the lease id. *)
+    as sent-out first so a crash of [src] stays exact.  A [dst] no
+    longer live is replaced by the least-loaded live worker other than
+    [src] (falling back to [src]), and the transfer is then booked as
+    recovery.  [recovery] marks failure-path transfers: the destination
+    books their replay as recovery cost.  Returns the lease id. *)
 val issue_transfer : ?recovery:bool -> t -> src:int -> dst:int -> jobs:Job.t list -> now:int -> int
 
 (** Cover a seed batch with a delivered lease on [dst] (which already

@@ -485,17 +485,22 @@ let receive_batch ?(recovery = false) w (b : Job.batch) =
   in
   add_jobs w { recovery; batch } jobs
 
-(* The first delivery of a lease is imported, every later copy (a
-   retransmission or a duplicate) only re-acknowledged.  A rejoined slot
-   is a fresh worker with an empty table: the crash handed the dead
+(* The one receive path of both backends.  The first delivery of a
+   lease is decoded and imported, every later copy (a retransmission or
+   a duplicate) only re-acknowledged by the caller.  A rejoined slot is
+   a fresh worker with an empty table: the crash handed the dead
    incarnation's leases to recovery, so none of their ids comes back. *)
-let accept_lease w ~lease =
-  (not (Hashtbl.mem w.leases lease))
-  && begin
-       Hashtbl.replace w.leases lease ();
-       w.imported_leases <- lease :: w.imported_leases;
-       true
-     end
+let receive_lease ?recovery w ~lease encoded =
+  if Hashtbl.mem w.leases lease then None
+  else begin
+    Hashtbl.replace w.leases lease ();
+    w.imported_leases <- lease :: w.imported_leases;
+    match Job.decode_batch encoded with
+    | Ok b ->
+      receive_batch ?recovery w b;
+      Some (Job.batch_size b)
+    | Error e -> failwith ("Worker: corrupt job batch: " ^ e)
+  end
 
 (* --- introspection ------------------------------------------------------------------------------ *)
 

@@ -140,9 +140,13 @@ val receive_jobs : ?recovery:bool -> 'env t -> Job.t list -> unit
     replay the rest replay suffix-only. *)
 val receive_batch : ?recovery:bool -> 'env t -> Job.batch -> unit
 
-(** [true] the first time this worker sees lease [lease]: import the
-    batch then; a retransmitted or duplicated copy is only re-acked. *)
-val accept_lease : 'env t -> lease:int -> bool
+(** Deliver lease [lease]'s batch in {!Job.encode_batch} form.  The
+    first copy is decoded and imported ({!receive_batch}), returning
+    its job count; a retransmitted or duplicated copy returns [None]
+    and is only to be re-acked.
+
+    @raise Failure when the batch does not decode. *)
+val receive_lease : ?recovery:bool -> 'env t -> lease:int -> string -> int option
 
 (** Install node paths owned by another worker: fork products matching
     one exactly are dropped instead of entering the frontier. *)

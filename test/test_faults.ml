@@ -6,12 +6,15 @@
    exactly the fault-free path and error totals — no subtree lost, none
    double-counted — while the recovery cost surfaces in the new result
    counters.  The unit tests pin down the ledger's lease lifecycle
-   (release-on-report, retransmit backoff, sent-out subtraction) and the
-   fault plan's determinism. *)
+   (release-on-report, retransmit backoff, sent-out subtraction), the
+   fault plan's determinism, and the decisions the coordinator
+   ({!Cluster.Transport}) takes for both backends, driven by a scripted
+   backend without any domain. *)
 
 module CD = Cluster.Driver
 module FP = Cluster.Faultplan
 module Ledger = Cluster.Ledger
+module Transport = Cluster.Transport
 module Path = Engine.Path
 
 let make_worker program i =
@@ -22,14 +25,15 @@ let make_worker program i =
   let make_root () = Posix.Api.initial_state program ~args:[] in
   Cluster.Worker.create ~id:i ~cfg ~make_root ~seed:42 ()
 
-let run ?(faults = FP.none) ?(nworkers = 8) ?(speed = 50) program =
+let run ?(faults = FP.none) ?(nworkers = 8) ?(speed = 50) ?(join_tick = fun _ -> 0) program =
   let cfg =
     {
       (CD.default_config ~faults ~nworkers ~make_worker:(make_worker program)
          ~coverable_lines:(List.length (Cvm.Program.covered_lines program))
          ())
       with
-      CD.speed = (fun _ -> speed);
+      CD.join_tick;
+      speed = (fun _ -> speed);
       status_interval = 5;
       latency = 1;
       max_ticks = 500_000;
@@ -100,6 +104,37 @@ let test_lossy_links_only () =
   Alcotest.(check int) "same total paths" free.CD.total_paths faulty.CD.total_paths;
   Alcotest.(check int) "same total errors" free.CD.total_errors faulty.CD.total_errors;
   Alcotest.(check int) "no crashes" 0 faulty.CD.crashes
+
+(* --- graceful degradation ------------------------------------------------------------ *)
+
+(* Every worker gone for good: the goal is out of reach, and the run
+   stops a tick after the last crash instead of spinning to [max_ticks].
+   The totals are the transport's credits from the victims' last
+   reports, so they fall short of the fault-free ones. *)
+let test_all_dead_stops () =
+  let program = Targets.Test_target.program ~ntokens:3 in
+  let free = run ~nworkers:2 program in
+  Alcotest.(check bool) "the fault-free run outlasts the crashes" true (free.CD.ticks > 40);
+  let plan = FP.create ~crashes:[ FP.crash 0 ~at_tick:10; FP.crash 1 ~at_tick:12 ] () in
+  let r = run ~nworkers:2 ~faults:plan program in
+  Alcotest.(check bool) "goal out of reach" false r.CD.reached_goal;
+  Alcotest.(check bool)
+    (Printf.sprintf "stops right after the last crash (%d ticks)" r.CD.ticks)
+    true (r.CD.ticks <= 14);
+  Alcotest.(check int) "both crashes" 2 r.CD.crashes;
+  Alcotest.(check bool) "credited paths fall short" true
+    (r.CD.total_paths >= 0 && r.CD.total_paths < free.CD.total_paths);
+  Alcotest.(check bool) "credited errors fall short" true
+    (r.CD.total_errors >= 0 && r.CD.total_errors <= free.CD.total_errors);
+  Alcotest.(check bool) "no export mid-flight" true (r.CD.export = None);
+  (* a slot that joins after both crashes revives the cluster: the
+     rule must not stop the run before it arrives *)
+  let late = run ~nworkers:3 ~faults:plan ~join_tick:(fun i -> if i = 2 then 40 else 0) program in
+  Alcotest.(check bool) "the late joiner exhausts the tree" true late.CD.reached_goal;
+  Alcotest.(check int) "late joiner: same total paths" free.CD.total_paths late.CD.total_paths;
+  Alcotest.(check int) "late joiner: same total errors" free.CD.total_errors
+    late.CD.total_errors;
+  Alcotest.(check int) "late joiner: both crashes" 2 late.CD.crashes
 
 (* --- ledger unit tests -------------------------------------------------------------- *)
 
@@ -217,6 +252,123 @@ let test_faultplan_partition () =
   Alcotest.(check bool) "other links unaffected" true
     (FP.fate rt ~tick:15 ~src:0 ~dst:2 = FP.Deliver 0)
 
+(* --- the coordinator, driven by a scripted backend ----------------------------------- *)
+
+(* A fake backend: [live] is the membership the transport sees, and
+   every call the transport makes is logged with the tick it came at. *)
+type call = Sent of { dst : int; jobs : int; recovery : bool } | Crash of int | Rejoin of int
+
+let scripted ?(faults = FP.none) ~live () =
+  let now = ref 0 and log = ref [] in
+  let record c = log := (!now, c) :: !log in
+  let ops =
+    {
+      Transport.nworkers = 4;
+      send_jobs =
+        (fun ~src:_ ~lease:_ ~dst ~batch ~recovery ~resend:_ ->
+          record (Sent { dst; jobs = Cluster.Job.batch_size batch; recovery }));
+      install_bans = (fun _ -> []);
+      live_workers = (fun () -> !live);
+      begin_crash =
+        (fun ~worker ->
+          List.mem_assoc worker !live
+          && begin
+               live := List.remove_assoc worker !live;
+               record (Crash worker);
+               true
+             end);
+      rejoin =
+        (fun ~worker ~bans:_ ->
+          if not (List.mem_assoc worker !live) then begin
+            live := !live @ [ (worker, 0) ];
+            record (Rejoin worker)
+          end);
+    }
+  in
+  let wire = Transport.wire () in
+  (Transport.create ~faults ~wire ops, wire, now, fun () -> List.rev !log)
+
+(* An offer whose thief died goes to the least-loaded live worker other
+   than the victim, home to the victim when it is alone, and either way
+   books as recovery; a live thief gets it as ordinary rebalancing. *)
+let test_transport_reroute () =
+  let live = ref [ (0, 5); (1, 3); (3, 1) ] in
+  let t, _, _, log = scripted ~live () in
+  let offer ~src ~dst = ignore (Transport.issue_transfer t ~src ~dst ~jobs:[ p1 ] ~now:0) in
+  offer ~src:0 ~dst:1;
+  offer ~src:0 ~dst:2;
+  offer ~src:3 ~dst:2;
+  live := [ (0, 5) ];
+  offer ~src:0 ~dst:2;
+  Alcotest.(check bool) "live thief, dead thief, victim skipped, victim alone" true
+    (List.map snd (log ())
+    = [
+        Sent { dst = 1; jobs = 1; recovery = false };
+        Sent { dst = 3; jobs = 1; recovery = true };
+        Sent { dst = 1; jobs = 1; recovery = true };
+        Sent { dst = 0; jobs = 1; recovery = true };
+      ])
+
+(* The plan's schedule reaches the backend in tick order: a crash
+   through [begin_crash], its rejoin through [rejoin]. *)
+let test_transport_schedule () =
+  let faults =
+    FP.create ~crashes:[ FP.crash 2 ~at_tick:7; FP.crash 1 ~at_tick:4 ~rejoin_after:5 ] ()
+  in
+  let live = ref [ (0, 0); (1, 0); (2, 0); (3, 0) ] in
+  let t, _, now, log = scripted ~faults ~live () in
+  for tick = 0 to 12 do
+    now := tick;
+    Transport.run_schedule t ~now:tick
+  done;
+  Alcotest.(check bool) "crash 1 @4, crash 2 @7, rejoin 1 @9" true
+    (log () = [ (4, Crash 1); (7, Crash 2); (9, Rejoin 1) ]);
+  Alcotest.(check int) "two crashes counted" 2 (Transport.crashes t);
+  Alcotest.(check bool) "workers alive: not stranded" false (Transport.stranded t ~now:12);
+  live := [];
+  Alcotest.(check bool) "dead before the horizon: not stranded" false
+    (Transport.stranded t ~now:8);
+  Alcotest.(check bool) "dead after the horizon: stranded" true (Transport.stranded t ~now:9)
+
+(* Post one message per tick on a seeded lossy wire and collect what
+   each tick delivers. *)
+let deliveries faults ~sends =
+  let _, wire, _, _ = scripted ~faults ~live:(ref []) () in
+  List.init (sends + 20) (fun now ->
+      if now < sends then
+        Transport.send wire ~now ~src:(now mod 3) ~dst:((now + 1) mod 3) ~at:(now + 1) now;
+      Transport.due wire ~now)
+
+let test_transport_wire () =
+  let lossy =
+    FP.create ~drop_prob:0.2 ~dup_prob:0.2 ~delay_prob:0.3 ~max_extra_delay:4 ~seed:5 ()
+  in
+  let a = deliveries lossy ~sends:200 in
+  Alcotest.(check bool) "same seed, same deliveries" true (a = deliveries lossy ~sends:200);
+  let all = List.concat a in
+  Alcotest.(check bool) "some message lost" true
+    (List.exists (fun m -> not (List.mem m all)) (List.init 200 Fun.id));
+  Alcotest.(check bool) "some message delivered twice" true
+    (List.exists (fun m -> List.length (List.filter (( = ) m) all) = 2) all);
+  (* every send duplicated: the original on time, its copy a tick later *)
+  let dup = deliveries (FP.create ~dup_prob:1.0 ()) ~sends:3 in
+  Alcotest.(check bool) "a Duplicate is delivered twice" true
+    (List.filteri (fun i _ -> i <= 4) dup = [ []; [ 0 ]; [ 1; 0 ]; [ 2; 1 ]; [ 2 ] ]);
+  (* a partitioned link drops; the others and the balancer's still carry *)
+  let _, wire, _, _ =
+    scripted ~faults:(FP.create ~partitions:[ { FP.p_a = 0; p_b = 1; p_from = 0; p_until = 10 } ] ())
+      ~live:(ref []) ()
+  in
+  Transport.send wire ~now:5 ~src:1 ~dst:0 ~at:6 "cut";
+  Transport.send wire ~now:5 ~src:0 ~dst:2 ~at:6 "up";
+  Transport.send wire ~now:5 ~src:FP.lb ~dst:1 ~at:6 "lb";
+  Transport.send wire ~now:10 ~src:0 ~dst:1 ~at:11 "healed";
+  Alcotest.(check (list string)) "newest due first; the cut link dropped" [ "lb"; "up" ]
+    (Transport.due wire ~now:6);
+  Alcotest.(check (list string)) "the link is back from p_until" [ "healed" ]
+    (Transport.due wire ~now:11);
+  Alcotest.(check int) "nothing left in transit" 0 (Transport.in_transit wire)
+
 (* validate: runtimes refuse plans that reference workers outside the
    cluster or schedule a rejoin that could never fire *)
 
@@ -265,6 +417,7 @@ let () =
           Alcotest.test_case "memcached: crashes + loss exact" `Quick
             test_differential_memcached;
           Alcotest.test_case "lossy links only" `Quick test_lossy_links_only;
+          Alcotest.test_case "all workers dead: the run stops" `Quick test_all_dead_stops;
         ] );
       ( "ledger",
         [
@@ -280,5 +433,8 @@ let () =
           Alcotest.test_case "partitions" `Quick test_faultplan_partition;
           Alcotest.test_case "validate: worker range" `Quick test_validate_worker_range;
           Alcotest.test_case "validate: rejoin delay" `Quick test_validate_rejoin_delay;
+          Alcotest.test_case "transport: dead-thief re-route" `Quick test_transport_reroute;
+          Alcotest.test_case "transport: crash/rejoin schedule" `Quick test_transport_schedule;
+          Alcotest.test_case "transport: lossy wire" `Quick test_transport_wire;
         ] );
     ]

@@ -1031,6 +1031,52 @@ let test_telemetry_status_file () =
       Alcotest.(check bool) "row progress embedded" true (J.member "progress" row <> None)
     | _ -> Alcotest.fail "expected one campaign row")
 
+(* A status document cut at every length or hit by 200 seeded byte
+   substitutions: the parser [cloud9 top] reads it with returns [Ok] or
+   [Error] and never raises, and [cloud9 top --once] on a cut file exits
+   1 with a message instead of an uncaught exception. *)
+let test_status_file_corruption () =
+  let file = tmp_file ".status.json" in
+  let t = T.create { T.default_config with T.status_file = Some file } in
+  ignore (T.observe t ~name:"c" ~runnable:[ "c" ] ~done_:false (tslice ~cov:0.1 ()));
+  T.write_status t ~rows:[ ("c", J.Obj [ ("name", J.Str "c"); ("paths", J.Num 40.0) ]) ]
+    ~metrics:None;
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Alcotest.(check bool) "intact status parses" true (Result.is_ok (J.parse (String.trim text)));
+  let total what s =
+    match J.parse s with
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "Json.parse raised %s on %s" (Printexc.to_string e) what
+  in
+  for n = 0 to String.length text - 1 do
+    total (Printf.sprintf "a %d-byte prefix" n) (String.sub text 0 n)
+  done;
+  let rng = Random.State.make [| 26 |] in
+  for k = 1 to 200 do
+    let b = Bytes.of_string text in
+    Bytes.set b (Random.State.int rng (Bytes.length b)) (Char.chr (Random.State.int rng 256));
+    total (Printf.sprintf "substitution %d: %S" k (Bytes.to_string b)) (Bytes.to_string b)
+  done;
+  let exe = "../bin/cloud9.exe" in
+  if Sys.file_exists exe then begin
+    Out_channel.with_open_bin file (fun oc ->
+        output_string oc (String.sub text 0 (String.length text / 2)));
+    let err = tmp_file ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s top --once %s >/dev/null 2>%s" exe (Filename.quote file)
+           (Filename.quote err))
+    in
+    let msg = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    Alcotest.(check int) "top --once on a cut file exits 1" 1 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "with a message: %S" msg)
+      true
+      (String.starts_with ~prefix:"cloud9 top: " msg)
+  end;
+  Sys.remove file
+
 (* --- report CLI: missing files and --diff ------------------------------- *)
 
 let test_report_cli () =
@@ -1125,6 +1171,7 @@ let () =
           Alcotest.test_case "degraded precedence" `Quick test_telemetry_degraded_precedence;
           Alcotest.test_case "starvation watchdog" `Quick test_telemetry_starvation_watchdog;
           Alcotest.test_case "status file" `Quick test_telemetry_status_file;
+          Alcotest.test_case "status file corruption" `Quick test_status_file_corruption;
         ] );
       ("report cli", [ Alcotest.test_case "missing files + --diff" `Quick test_report_cli ]);
     ]
