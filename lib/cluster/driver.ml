@@ -173,7 +173,7 @@ let start ?obs (cfg : 'env config) =
       Obs.Sink.observe wsinks.(i) ~useful:0 ~replay:0 ~idle:0 ~depth:0 ~queries:0 ~sat_calls:0
     end
   in
-  let wire : message Transport.wire = Transport.wire () in
+  let wire : message Transport.wire = Transport.wire cfg.faults in
   let tick = ref 0 in
   let transfers_total = ref 0 in
   let buckets = ref [] in (* closed during the current slice *)
@@ -187,7 +187,7 @@ let start ?obs (cfg : 'env config) =
   let d_useful = ref 0 and d_replay = ref 0 and d_broken = ref 0 in
   let d_recov_replay = ref 0 in
 
-  let send_net ~at ~src ~dst msg = Transport.send wire ~now:!tick ~src ~dst ~at msg in
+  let send_net ~at ~src ~dst msg = ignore (Transport.send wire ~now:!tick ~src ~dst ~at msg) in
   let alive_workers () =
     Array.to_list workers |> List.filter_map (fun w -> w)
   in
@@ -211,8 +211,7 @@ let start ?obs (cfg : 'env config) =
      its unexplored region from the ledger, and a rejoin spawns a fresh
      engine. *)
   let transport =
-    Transport.create ~base_timeout:(6 * (cfg.latency + 1)) ~initial_bans:cfg.init_bans ?obs
-      ~faults:cfg.faults ~wire
+    Transport.create ~base_timeout:(6 * (cfg.latency + 1)) ~initial_bans:cfg.init_bans ?obs ~wire
       {
         Transport.nworkers = cfg.nworkers;
         send_jobs =
@@ -466,7 +465,7 @@ let start ?obs (cfg : 'env config) =
          Workers whose join tick never arrives cannot block it. *)
       let exhausted () =
         !root_seeded
-        && Transport.in_transit wire = 0
+        && Transport.idle wire
         && Transport.quiesced transport
         && (match alive_workers () with
            | [] -> false
@@ -496,7 +495,7 @@ let start ?obs (cfg : 'env config) =
         let _, _, useful, _, _ = totals () in
         if useful - useful0 >= budget then draining := true
       end;
-      if !draining && Transport.in_transit wire = 0 && Transport.quiesced transport then
+      if !draining && Transport.idle wire && Transport.quiesced transport then
         stop := true;
       incr tick;
       if !tick - tick0 >= cfg.max_ticks then stop := true
@@ -506,7 +505,7 @@ let start ?obs (cfg : 'env config) =
        preemption, or natural exhaustion — where the digests are empty and
        the export records just bans and coverage) *)
     let export =
-      if not (Transport.in_transit wire = 0 && Transport.quiesced transport) then None
+      if not (Transport.idle wire && Transport.quiesced transport) then None
       else
         Some
           {

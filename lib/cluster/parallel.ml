@@ -548,7 +548,7 @@ type slot = {
   mutable s_dead : bool;  (* declared crashed and not (yet) rejoined *)
   mutable s_idle : bool;  (* from the last processed status / ack *)
   mutable s_queue_len : int;
-  mutable s_pending_steals : int;  (* steals pushed, offers not yet back *)
+  mutable s_pending_steals : int;  (* steal copies posted, offers not yet back *)
   mutable s_useful : int;  (* this incarnation's last reported useful instructions *)
   mutable s_replay : int;  (* ... and rebalancing replay *)
   mutable s_last_heard : int;  (* tick of the last message from this incarnation *)
@@ -593,7 +593,7 @@ let run ~coverable_lines (cfg : 'env config) =
   let cprof = Option.map Obs.Profile.create cobs in
   let emit ev = match cobs with None -> () | Some s -> Obs.Sink.event s ev in
   let stamp () = match cprof with Some _ -> Obs.Clock.now_ns () | None -> 0 in
-  let wire : wired Transport.wire = Transport.wire () in
+  let wire : wired Transport.wire = Transport.wire cfg.faults in
   let transfers = ref 0 in
   let steals = ref 0 in
   let status_reports = ref 0 in
@@ -604,22 +604,27 @@ let run ~coverable_lines (cfg : 'env config) =
   (* A worker-bound message lands in the mailbox of [sl]'s current
      incarnation.  A full mailbox on a wedged or dead worker must never
      block the coordinator: bounded push, overflow = the wire dropped it
-     (the lease layer retransmits).  A Steal is pushed without waiting,
-     and each copy that lands is one more pending steal, settled by its
-     Offer. *)
+     (the lease layer retransmits).  A Steal is pushed without waiting;
+     a copy that cannot land is taken back from its victim's pending
+     steals (see [rebalance]). *)
   let deliver sl = function
     | Steal _ as msg ->
-      if Mailbox.try_push sl.s_inbox msg then sl.s_pending_steals <- sl.s_pending_steals + 1
+      if (not (Mailbox.try_push sl.s_inbox msg)) && sl.s_pending_steals > 0 then
+        sl.s_pending_steals <- sl.s_pending_steals - 1
     | msg -> ignore (Mailbox.push_timeout sl.s_inbox msg ~timeout:push_timeout)
   in
   (* A faulty run puts job batches and steals on the lossy wire (each
      copy reaches only the incarnation it was sent to, see [on_tick]);
-     a fault-free send never draws a fate or queues. *)
+     a fault-free send never draws a fate or queues.  Returns the copies
+     on their way: 0 to 2 on the wire, always 1 without faults. *)
   let send_to ~src sl msg =
     if faulty then
       Transport.send wire ~now:!now ~src ~dst:sl.s_id ~at:!now
         (To_worker { dst = sl.s_id; inc = sl.s_incarnation; msg })
-    else deliver sl msg
+    else begin
+      deliver sl msg;
+      1
+    end
   in
   let send_jobs ~src ~lease ~dst ~batch ~recovery ~resend =
     let sl = slots.(dst) in
@@ -628,7 +633,7 @@ let run ~coverable_lines (cfg : 'env config) =
       issued_ns_hint := 0;
       if not resend then
         emit (Obs.Event.Job_transfer { lease; src; dst; count = Job.batch_size batch; recovery });
-      send_to ~src sl (Jobs { lease; encoded = Job.encode_batch batch; recovery; issued_ns })
+      ignore (send_to ~src sl (Jobs { lease; encoded = Job.encode_batch batch; recovery; issued_ns }))
     end
   in
   let live_workers () =
@@ -689,7 +694,7 @@ let run ~coverable_lines (cfg : 'env config) =
      starved *)
   let transport =
     try
-      Transport.create ?obs:cobs ~starved_only:true ~faults:cfg.faults ~wire
+      Transport.create ?obs:cobs ~starved_only:true ~wire
         ~base_timeout:64 (* ticks: ~64 ms before the first retransmit *)
         { Transport.nworkers = n; send_jobs; install_bans; live_workers; begin_crash; rejoin }
     with e ->
@@ -805,7 +810,8 @@ let run ~coverable_lines (cfg : 'env config) =
         (* a faulty run puts the ack on the lossy wire: a lost one leaves
            the lease to retransmit, and the receiver's dedup re-acks *)
         if faulty then
-          Transport.send wire ~now:!now ~src:worker ~dst:Faultplan.lb ~at:!now (Ack_lease lease)
+          ignore
+            (Transport.send wire ~now:!now ~src:worker ~dst:Faultplan.lb ~at:!now (Ack_lease lease))
         else Transport.ack transport ~lease ~now:!now
       end
     | Failed { worker; incarnation; error } ->
@@ -837,13 +843,23 @@ let run ~coverable_lines (cfg : 'env config) =
                its last report said *)
             && Transport.in_flight_jobs transport ~dst = 0
           then begin
-            incr steals;
-            send_to ~src:Faultplan.lb slots.(src) (Steal { dst; count; issued_ns = stamp () })
+            (* a Steal is pending from the moment it is posted, so the
+               guard above holds while it crosses the wire: count it
+               before [send_to] can deliver it, then settle the count
+               to the copies actually on their way (each copy's Offer
+               settles one) *)
+            let sl = slots.(src) in
+            sl.s_pending_steals <- sl.s_pending_steals + 1;
+            let copies =
+              send_to ~src:Faultplan.lb sl (Steal { dst; count; issued_ns = stamp () })
+            in
+            sl.s_pending_steals <- sl.s_pending_steals + copies - 1;
+            if copies > 0 then incr steals
           end)
         (Transport.rebalance transport)
   in
   let quiescent () =
-    Transport.in_transit wire = 0
+    Transport.idle wire
     && Transport.quiesced transport
     && Array.exists (fun sl -> not sl.s_dead) slots
     && Array.for_all (fun sl -> sl.s_dead || (sl.s_idle && sl.s_pending_steals = 0)) slots

@@ -46,32 +46,35 @@ let to_batch jobs = Job.batch_of_jobs jobs
 (* The lossy wire: messages in transit with their due ticks, the most
    recent post first, so that among the messages due at once the newest
    is delivered first, and a duplicate's original before its copy.  The
-   fates come from the plan runtime of the transport the wire is handed
-   to at [create] (the backend's [send_jobs] posts on it, so the wire
-   must exist before the transport does). *)
+   wire carries the fault plan and its one seeded runtime, which
+   [create] validates and takes over for the schedule. *)
 type 'm wire = {
   mutable transit : (int * 'm) list;
-  mutable fates : Faultplan.runtime option;
+  plan : Faultplan.t;
+  fates : Faultplan.runtime;
 }
 
-let wire () = { transit = []; fates = None }
+let wire plan = { transit = []; plan; fates = Faultplan.make plan }
 
 (* One fate per send, drawn at [now]: a message due at [at] is lost, due
-   later, or due twice (the copy trailing by the fate's lag). *)
+   later, or due twice (the copy trailing by the fate's lag).  Returns
+   the copies queued. *)
 let send w ~now ~src ~dst ~at m =
-  let fates =
-    match w.fates with Some f -> f | None -> invalid_arg "Transport.send: wire has no transport"
-  in
-  match Faultplan.fate fates ~tick:now ~src ~dst with
-  | Faultplan.Drop -> ()
-  | Faultplan.Deliver extra -> w.transit <- (at + extra, m) :: w.transit
-  | Faultplan.Duplicate lag -> w.transit <- (at, m) :: (at + lag, m) :: w.transit
+  match Faultplan.fate w.fates ~tick:now ~src ~dst with
+  | Faultplan.Drop -> 0
+  | Faultplan.Deliver extra ->
+    w.transit <- (at + extra, m) :: w.transit;
+    1
+  | Faultplan.Duplicate lag ->
+    w.transit <- (at, m) :: (at + lag, m) :: w.transit;
+    2
 
 let due w ~now =
   let due, later = List.partition (fun (at, _) -> at <= now) w.transit in
   w.transit <- later;
   List.map snd due
 
+let idle w = w.transit = []
 let in_transit w = List.length w.transit
 let retain w keep = w.transit <- List.filter (fun (_, m) -> keep m) w.transit
 
@@ -90,13 +93,11 @@ type t = {
   horizon : int; (* last crash or rejoin tick of the plan *)
 }
 
-let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = false) ?obs ~faults
-    ~wire ops =
-  (match Faultplan.validate faults ~nworkers:ops.nworkers with
+let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = false) ?obs ~wire
+    ops =
+  (match Faultplan.validate wire.plan ~nworkers:ops.nworkers with
   | Ok () -> ()
   | Error m -> invalid_arg ("Transport.create: " ^ m));
-  let runtime = Faultplan.make faults in
-  wire.fates <- Some runtime;
   {
     ops;
     ledger = Ledger.create ?base_timeout ?max_attempts ?obs ();
@@ -108,8 +109,8 @@ let create ?base_timeout ?max_attempts ?(initial_bans = []) ?(starved_only = fal
     credit_errors = 0;
     global_bans = initial_bans;
     parked = [];
-    faults = runtime;
-    horizon = Faultplan.horizon faults;
+    faults = wire.fates;
+    horizon = Faultplan.horizon wire.plan;
   }
 
 (* Live workers, least-loaded first; the sort is stable, so ties keep
@@ -202,13 +203,12 @@ let stranded t ~now = t.crashes > 0 && now >= t.horizon && t.ops.live_workers ()
    away.  A destination that died since the balancer asked is replaced
    by the least-loaded live worker other than [src] (falling back to
    [src]: its nodes are fenced there, so going home is just another
-   transfer).  [recovery] marks failure-path transfers, the re-route
-   included, so the destination books their replay with the recovery
-   cost, not ordinary rebalancing. *)
-let issue_transfer ?(recovery = false) t ~src ~dst ~jobs ~now =
+   transfer), and the transfer is booked as recovery: the destination
+   books its replay with the recovery cost, not ordinary rebalancing. *)
+let issue_transfer t ~src ~dst ~jobs ~now =
   let live = t.ops.live_workers () in
   let dst, recovery =
-    if List.mem_assoc dst live then (dst, recovery)
+    if List.mem_assoc dst live then (dst, false)
     else
       match least_loaded (List.remove_assoc src live) with
       | (alt, _) :: _ -> (alt, true)

@@ -50,24 +50,28 @@ type t
 (** {2 The lossy wire}
 
     Messages of type ['m] in transit, each with the tick it is due.  A
-    backend keeps one wire, hands it to {!create}, and delivers what
-    {!due} returns; every message posted on it gets one fate from the
-    transport's seeded plan runtime, so the seed fixes the whole run. *)
+    backend builds one wire from its fault plan, hands it to {!create},
+    and delivers what {!due} returns; every message posted on it gets
+    one fate from the plan's seeded runtime, so the seed fixes the whole
+    run. *)
 
 type 'm wire
 
-val wire : unit -> 'm wire
+(** An empty wire under [faults], with the plan's runtime (the fate
+    stream and the crash/rejoin schedule) that {!create} takes over. *)
+val wire : Faultplan.t -> 'm wire
 
 (** Post [m] from [src] to [dst], due at tick [at], under one
     {!Faultplan.fate} drawn at [now]: dropped, delayed past [at], or
-    due twice.
-
-    @raise Invalid_argument on a wire not yet handed to {!create}. *)
-val send : 'm wire -> now:int -> src:int -> dst:int -> at:int -> 'm -> unit
+    due twice.  Returns the copies queued (0, 1 or 2). *)
+val send : 'm wire -> now:int -> src:int -> dst:int -> at:int -> 'm -> int
 
 (** Remove and return the messages due by [now]: the most recently
     posted first, a duplicate's original before its copy. *)
 val due : 'm wire -> now:int -> 'm list
+
+(** Nothing in transit. *)
+val idle : 'm wire -> bool
 
 (** Messages (copies included) still in transit. *)
 val in_transit : 'm wire -> int
@@ -81,18 +85,18 @@ val retain : 'm wire -> ('m -> bool) -> unit
     through {!bans} exactly as rejoining workers do.  [starved_only]
     (default false) feeds only workers that reported an empty queue, and
     counts the jobs still crossing the wire to a worker as queued there
-    (see {!Balancer.create}).  The transport owns [faults]' runtime,
-    which draws the fates of every message posted on [wire].
+    (see {!Balancer.create}).  The transport runs the schedule of
+    [wire]'s fault plan, from the runtime that draws the fates of every
+    message posted on [wire].
 
-    @raise Invalid_argument when [faults] fails {!Faultplan.validate}
-      against [ops.nworkers]. *)
+    @raise Invalid_argument when [wire]'s plan fails
+      {!Faultplan.validate} against [ops.nworkers]. *)
 val create :
   ?base_timeout:int ->
   ?max_attempts:int ->
   ?initial_bans:Job.t list ->
   ?starved_only:bool ->
   ?obs:Obs.Sink.t ->
-  faults:Faultplan.t ->
   wire:'m wire ->
   ops ->
   t
@@ -159,9 +163,9 @@ val stranded : t -> now:int -> bool
     as sent-out first so a crash of [src] stays exact.  A [dst] no
     longer live is replaced by the least-loaded live worker other than
     [src] (falling back to [src]), and the transfer is then booked as
-    recovery.  [recovery] marks failure-path transfers: the destination
-    books their replay as recovery cost.  Returns the lease id. *)
-val issue_transfer : ?recovery:bool -> t -> src:int -> dst:int -> jobs:Job.t list -> now:int -> int
+    recovery: the destination books its replay as recovery cost.
+    Returns the lease id. *)
+val issue_transfer : t -> src:int -> dst:int -> jobs:Job.t list -> now:int -> int
 
 (** Cover a seed batch with a delivered lease on [dst] (which already
     holds the jobs by construction), so a crash of the seed worker before
